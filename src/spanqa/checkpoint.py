@@ -78,6 +78,8 @@ def load_checkpoint(path):
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after payload")
 
+    # the retired `span_table_cap` key, still present in older checkpoints
+    manifest["config"].pop("span_table_cap", None)
     encoder_config, _, grad_through_start = split_config(manifest["config"])
     vocab = Vocab(manifest["vocab"])
     if vocab.tokens != manifest["vocab"]:

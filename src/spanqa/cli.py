@@ -18,7 +18,7 @@ from .config import default_config, load_config, read_config_overrides, split_co
 from .corpus import SynthConfig, corpus_stats, generate_synthetic, load_dataset, save_dataset
 from .encoder import CharVocab, Vocab, load_word_vectors
 from .model import QaModel
-from .pipeline import exact_match, map_from_scores, predict_dataset, token_f1, train
+from .pipeline import Prediction, predict_dataset, score_predictions, train
 
 
 def _log(message):
@@ -142,50 +142,40 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    from .corpus import label_spans
-
-    dataset = _load_data(args)
-    records = {}
-    with open(args.predictions, encoding="utf-8") as fh:
+def _read_predictions(path) -> dict:
+    """Predictions keyed by id; each line is a JSON object with a unique
+    string "id", a string "answer" and a "paragraph_probs" list."""
+    predictions = {}
+    with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}: line {line_no}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{args.predictions}: line {line_no}: invalid JSON: {exc}") from exc
-            records[record["id"]] = record
+                raise ValueError(f"{where}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ValueError(f"{where}: expected a JSON object")
+            ex_id, answer, probs = record.get("id"), record.get("answer"), record.get("paragraph_probs")
+            if not isinstance(ex_id, str) or not isinstance(answer, str):
+                raise ValueError(f"{where}: a prediction needs a string \"id\" and a string \"answer\"")
+            if not isinstance(probs, list) or not all(isinstance(p, (int, float)) for p in probs):
+                raise ValueError(f"{where}: \"paragraph_probs\" must be a list of numbers")
+            if ex_id in predictions:
+                raise ValueError(f"{where}: duplicate id {ex_id!r}")
+            predictions[ex_id] = Prediction(ex_id, answer, answer_scores={}, paragraph_probs=probs, paragraph_groups=[])
+    return predictions
 
-    em_total, f1_total, lengths, scored = 0, 0.0, [], []
-    for example in dataset:
-        record = records.get(example.id)
-        if record is None:
-            raise ValueError(f"no prediction for example id {example.id!r}")
-        answer = record["answer"]
-        em_total += exact_match(answer, example.answers)
-        f1_total += token_f1(answer, example.answers)
-        lengths.append(len(answer.split()))
-        labels = [1 if label_spans(p, example.answers) else 0 for p in example.paragraphs]
-        probs = record.get("paragraph_probs", [])
-        if len(probs) != len(labels):
-            raise ValueError(
-                f"example {example.id!r}: {len(probs)} paragraph probabilities for "
-                f"{len(labels)} paragraphs"
-            )
-        scored.append((probs, labels))
-    map_value, _ = map_from_scores(scored)
-    n = len(dataset)
-    if n == 0:
-        raise ValueError("evaluation needs a nonempty dataset")
-    metrics = {
-        "em": em_total / n,
-        "f1": f1_total / n,
-        "map": map_value,
-        "avg_answer_len": sum(lengths) / n,
-        "n": n,
-    }
-    print(json.dumps(metrics, sort_keys=True))
+
+def cmd_evaluate(args) -> int:
+    dataset = _load_data(args)
+    by_id = _read_predictions(args.predictions)
+    missing = [example.id for example in dataset if example.id not in by_id]
+    if missing:
+        raise ValueError(f"{args.predictions}: no prediction for example id {missing[0]!r}")
+    predictions = [by_id[example.id] for example in dataset]
+    print(json.dumps(score_predictions(dataset, predictions), sort_keys=True))
     return 0
 
 

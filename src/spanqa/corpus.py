@@ -319,6 +319,8 @@ def load_dataset(path, max_paragraphs: int = 20, max_paragraph_tokens: int = 400
                     raise ValueError(f"line {line_no}: paragraph {paragraph.id!r} has no tokens")
                 paragraphs.append(paragraph)
             question_tokens, _ = tokenize(question_text)
+            if not question_tokens:
+                raise ValueError(f"line {line_no}: question has no tokens")
             dataset.append(
                 QAExample(
                     id=ex_id,

@@ -62,11 +62,6 @@ class ParameterStore:
         for _, p in self.items():
             p.zero_grad()
 
-    def reset_optimizer_state(self) -> None:
-        for name in self._params:
-            self._square_avg[name].fill(0.0)
-            self._accum_delta[name].fill(0.0)
-
     def adadelta_step(self, lr: float = 1.0, rho: float = 0.95, eps: float = 1e-6) -> None:
         """Apply one Adadelta update from the accumulated gradients.
 
@@ -96,7 +91,3 @@ class ParameterStore:
             acc += (1.0 - rho) * delta * delta
             p.data -= lr * delta
         self.zero_grads()
-
-
-def adadelta_step(store: ParameterStore, lr: float = 1.0, rho: float = 0.95, eps: float = 1e-6) -> None:
-    store.adadelta_step(lr=lr, rho=rho, eps=eps)

@@ -52,10 +52,6 @@ class EncoderConfig:
     keep_prob: float = 1.0
 
     @property
-    def output_dim(self) -> int:
-        return 2 * self.hidden_dim
-
-    @property
     def token_dim(self) -> int:
         return self.word_dim + self.char_out_dim
 

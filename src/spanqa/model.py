@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from .diffmath import ParameterStore
+from .diffmath import ParameterStore, Tensor
 from .diffmath.rng import STREAM_INIT, make_rng
 from .encoder import (
     CharVocab,
@@ -62,15 +62,19 @@ class QaModel:
             grad_through_start=grad_through_start,
         )
 
-    def encode_paragraph(self, question_tokens, paragraph_tokens, rng=None, training: bool = False) -> ContextEmbedding:
-        """Question-aware context embedding (n, 2d) for one paragraph.
+    def encode_question(self, tokens, rng=None, training: bool = False) -> Tensor:
+        """Contextual question encoding (m, 2d), shared by every paragraph of
+        one example.
 
         `rng` drives dropout and is only consulted in training mode with
         keep_prob < 1, so evaluation never touches it.
         """
-        keep = self.config.keep_prob
-        q_emb = embed_tokens(question_tokens, self.vocab, self.char_vocab, self.encoder)
-        p_emb = embed_tokens(paragraph_tokens, self.vocab, self.char_vocab, self.encoder)
-        q_ctx = contextualize(q_emb, self.encoder.q_ctx, keep, rng, training)
-        p_ctx = contextualize(p_emb, self.encoder.p_ctx, keep, rng, training)
-        return self_attend(bidaf_attention(p_ctx, q_ctx, self.encoder), self.encoder)
+        embedded = embed_tokens(tokens, self.vocab, self.char_vocab, self.encoder)
+        return contextualize(embedded, self.encoder.q_ctx, self.config.keep_prob, rng, training)
+
+    def encode_paragraph(self, question: Tensor, paragraph_tokens, rng=None, training: bool = False) -> ContextEmbedding:
+        """Question-aware context embedding (n, 2d) for one paragraph, given
+        the question's `encode_question` output."""
+        embedded = embed_tokens(paragraph_tokens, self.vocab, self.char_vocab, self.encoder)
+        p_ctx = contextualize(embedded, self.encoder.p_ctx, self.config.keep_prob, rng, training)
+        return self_attend(bidaf_attention(p_ctx, question, self.encoder), self.encoder)

@@ -56,12 +56,11 @@ class TrainConfig:
     rho: float = 0.95
     eps: float = 1e-6
     threads: int = 1
-    span_table_cap: int = 64
 
     def __post_init__(self):
         if self.k1 < 1 or self.k2 < 1:
             raise ValueError(f"beam sizes must be >= 1, got k1={self.k1}, k2={self.k2}")
-        for name in ("epochs", "batch_size", "threads", "span_table_cap"):
+        for name in ("epochs", "batch_size", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
@@ -100,10 +99,12 @@ def example_loss(model, example, pos_index, pos_labels, neg_paragraph, mode, rng
     p+ aggregates span probabilities at the labeled locations; end
     distributions are computed once per distinct labeled start.  Both
     probabilities are floored at PROB_FLOOR before the log so early
-    zero-mass labels cannot produce infinities.
+    zero-mass labels cannot produce infinities.  Each paragraph of the pair
+    encodes the question itself, so each draws its own dropout masks.
     """
     positive = example.paragraphs[pos_index]
-    ctx = model.encode_paragraph(example.question, positive.tokens, rng, training=True)
+    question = model.encode_question(example.question, rng, training=True)
+    ctx = model.encode_paragraph(question, positive.tokens, rng, training=True)
     starts = start_distribution(ctx, model.decoder)
     ends_by_start = {}
     span_probs = []
@@ -114,7 +115,8 @@ def example_loss(model, example, pos_index, pos_labels, neg_paragraph, mode, rng
     answer_prob = aggregate(span_probs, mode, rng)
 
     q_pos = quality_logit(ctx, starts, model.quality, model.grad_through_start)
-    ctx_neg = model.encode_paragraph(example.question, neg_paragraph.tokens, rng, training=True)
+    question_neg = model.encode_question(example.question, rng, training=True)
+    ctx_neg = model.encode_paragraph(question_neg, neg_paragraph.tokens, rng, training=True)
     starts_neg = start_distribution(ctx_neg, model.decoder)
     q_neg = quality_logit(ctx_neg, starts_neg, model.quality, model.grad_through_start)
     pair_probs = normalize_quality_tensors([q_pos, q_neg])
@@ -269,9 +271,10 @@ def predict(model, example, mode: AggregationMode, k1: int, k2: int, rng=None) -
     if not example.paragraphs:
         raise ValueError(f"example {example.id} has no paragraphs")
     with no_grad():
+        question = model.encode_question(example.question)
         logits, per_paragraph = [], []
         for paragraph in example.paragraphs:
-            ctx = model.encode_paragraph(example.question, paragraph.tokens)
+            ctx = model.encode_paragraph(question, paragraph.tokens)
             starts = start_distribution(ctx, model.decoder)
             cands = beam_candidates(ctx, paragraph, model.decoder, k1, k2, start_dist=starts)
             per_paragraph.append(group_candidates(cands, mode, rng))
@@ -360,45 +363,31 @@ def map_from_scores(scored):
     return (sum(aps) / len(aps) if aps else None), skipped
 
 
-def paragraph_quality_probs(model, example):
-    """Normalized quality of each paragraph, skipping span decoding."""
-    with no_grad():
-        logits = []
-        for paragraph in example.paragraphs:
-            ctx = model.encode_paragraph(example.question, paragraph.tokens)
-            starts = start_distribution(ctx, model.decoder)
-            logits.append(quality_logit(ctx, starts, model.quality).item())
-    return normalize_qualities(logits).probs
+def score_predictions(dataset, predictions) -> dict:
+    """EM / F1 / MAP / mean predicted answer length of `predictions`, one per
+    example of `dataset` and in the same order.
 
-
-def paragraph_map(model, dataset, threads: int = 1):
-    """MAP of quality-ranked paragraphs against contains-answer labels."""
-
-    def run(example):
-        probs = paragraph_quality_probs(model, example)
-        labels = [1 if label_spans(p, example.answers) else 0 for p in example.paragraphs]
-        return probs, labels
-
-    if threads <= 1:
-        scored = [run(ex) for ex in dataset]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scored = list(pool.map(run, dataset))
-    return map_from_scores(scored)[0]
-
-
-def evaluate_dataset(model, dataset, mode: AggregationMode, k1: int, k2: int, seed: int = 0, threads: int = 1, predictions=None):
-    """EM / F1 / MAP / mean predicted answer length over a dataset."""
+    Each prediction must carry its example's id and one paragraph
+    probability per paragraph; MAP ranks the paragraphs by those
+    probabilities against contains-answer labels.
+    """
     if not dataset:
-        raise ValueError("evaluate_dataset needs a nonempty dataset")
-    if predictions is None:
-        predictions = predict_dataset(model, dataset, mode, k1, k2, seed=seed, threads=threads)
+        raise ValueError("evaluation needs a nonempty dataset")
+    if len(predictions) != len(dataset):
+        raise ValueError(f"{len(predictions)} predictions for {len(dataset)} examples")
     em_total, f1_total, lengths, scored = 0, 0.0, [], []
     for example, pred in zip(dataset, predictions):
+        if pred.example_id != example.id:
+            raise ValueError(f"prediction for {pred.example_id!r} where example {example.id!r} was expected")
+        labels = [1 if label_spans(p, example.answers) else 0 for p in example.paragraphs]
+        if len(pred.paragraph_probs) != len(labels):
+            raise ValueError(
+                f"example {example.id!r}: {len(pred.paragraph_probs)} paragraph probabilities for "
+                f"{len(labels)} paragraphs"
+            )
         em_total += exact_match(pred.best_answer, example.answers)
         f1_total += token_f1(pred.best_answer, example.answers)
         lengths.append(len(pred.best_answer.split()))
-        labels = [1 if label_spans(p, example.answers) else 0 for p in example.paragraphs]
         scored.append((pred.paragraph_probs, labels))
     map_value, _ = map_from_scores(scored)
     n = len(dataset)
@@ -409,3 +398,11 @@ def evaluate_dataset(model, dataset, mode: AggregationMode, k1: int, k2: int, se
         "avg_answer_len": sum(lengths) / n,
         "n": n,
     }
+
+
+def evaluate_dataset(model, dataset, mode: AggregationMode, k1: int, k2: int, seed: int = 0, threads: int = 1, predictions=None):
+    """EM / F1 / MAP / mean predicted answer length over a dataset, from
+    `predictions` or, when none are given, from predicting it."""
+    if predictions is None:
+        predictions = predict_dataset(model, dataset, mode, k1, k2, seed=seed, threads=threads)
+    return score_predictions(dataset, predictions)

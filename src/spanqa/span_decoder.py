@@ -121,39 +121,3 @@ def span_probability(start_dist: StartDistribution, end_dist: Tensor, start: int
     if end >= start_dist.length:
         raise ValueError(f"span end {end} out of range for length {start_dist.length}")
     return pick(start_dist.probs, start) * pick(end_dist, end)
-
-
-def all_span_probabilities(
-    context: ContextEmbedding, params: SpanDecoderParams, cap: int = 64
-) -> np.ndarray:
-    """Dense (n, n) table of span probabilities: row s holds p(start=s) * p(end | s).
-
-    An exhaustive reference for small paragraphs — it runs one end
-    distribution per start, so n is capped.  Entries below the diagonal are
-    zero by construction.
-    """
-    n = context.length
-    if n > cap:
-        raise ValueError(f"paragraph length {n} exceeds exhaustive-table cap {cap}")
-    start_dist = start_distribution(context, params)
-    table = np.zeros((n, n))
-    for s in range(n):
-        ends = end_distribution(context, start_dist, s, params)
-        table[s] = start_dist.probs.data[s] * ends.data
-    return table
-
-
-def independent_end_distribution(
-    context: ContextEmbedding,
-    start_dist: StartDistribution,
-    rnn: BiGruParams,
-    w_end: Tensor,
-) -> Tensor:
-    """Baseline end distribution that ignores the chosen start entirely.
-
-    Used only as a test-bench contrast: it sees the same context and start
-    states but no indicator and no mask, so it returns one fixed
-    distribution regardless of the start position.
-    """
-    states = bigru(concat_cols([context.values, start_dist.states]), rnn)
-    return row_softmax(reshape(matmul(states, w_end), (-1,)))

@@ -1,10 +1,15 @@
-"""Shared test utilities: finite-difference gradient checking, tiny models."""
+"""Shared test utilities: finite-difference gradient checking, tiny models,
+and exhaustive reference oracles for the span decoder and the encode path."""
 
 import numpy as np
 
-from spanqa.diffmath import backward
-from spanqa.encoder import CharVocab, EncoderConfig, Vocab
+from spanqa.aggregation import group_candidates
+from spanqa.diffmath import BiGruParams, Tensor, backward, bigru, concat_cols, matmul, no_grad, reshape, row_softmax
+from spanqa.encoder import CharVocab, ContextEmbedding, EncoderConfig, Vocab
 from spanqa.model import QaModel
+from spanqa.paragraph_quality import normalize_qualities, quality_logit
+from spanqa.pipeline import beam_candidates, best_answer, combine_scores
+from spanqa.span_decoder import SpanDecoderParams, StartDistribution, end_distribution, start_distribution
 
 TINY_WORDS = ["camels", "store", "fat", "in", "their", "humps", "what", "do", "?", "sand", "dune", "walks"]
 
@@ -62,3 +67,76 @@ def check_grads(build, tensors, tol=1e-4, h=1e-5):
         err = max_rel_err(analytic, numeric)
         assert err < tol, f"gradient mismatch: max rel err {err:.3e} (tol {tol:.0e})"
         t.zero_grad()
+
+
+# ------------------------------------------------------------- oracles
+
+
+def all_span_probabilities(
+    context: ContextEmbedding, params: SpanDecoderParams, cap: int = 64
+) -> np.ndarray:
+    """Dense (n, n) table of span probabilities: row s holds p(start=s) * p(end | s).
+
+    An exhaustive reference for small paragraphs — it runs one end
+    distribution per start, so n is capped.  Entries below the diagonal are
+    zero by construction.
+    """
+    n = context.length
+    if n > cap:
+        raise ValueError(f"paragraph length {n} exceeds exhaustive-table cap {cap}")
+    start_dist = start_distribution(context, params)
+    table = np.zeros((n, n))
+    for s in range(n):
+        ends = end_distribution(context, start_dist, s, params)
+        table[s] = start_dist.probs.data[s] * ends.data
+    return table
+
+
+def independent_end_distribution(
+    context: ContextEmbedding,
+    start_dist: StartDistribution,
+    rnn: BiGruParams,
+    w_end: Tensor,
+) -> Tensor:
+    """Baseline end distribution that ignores the chosen start entirely.
+
+    Used only as a test-bench contrast: it sees the same context and start
+    states but no indicator and no mask, so it returns one fixed
+    distribution regardless of the start position.
+    """
+    states = bigru(concat_cols([context.values, start_dist.states]), rnn)
+    return row_softmax(reshape(matmul(states, w_end), (-1,)))
+
+
+def paragraph_contexts(model, example):
+    """Each paragraph's context embedding, with the question encoded afresh
+    for every paragraph: the reference for sharing one question encoding."""
+    return [
+        model.encode_paragraph(model.encode_question(example.question), p.tokens)
+        for p in example.paragraphs
+    ]
+
+
+def quality_probs(model, example):
+    """Normalized quality of each paragraph, skipping span decoding."""
+    with no_grad():
+        logits = []
+        for ctx in paragraph_contexts(model, example):
+            starts = start_distribution(ctx, model.decoder)
+            logits.append(quality_logit(ctx, starts, model.quality).item())
+    return normalize_qualities(logits).probs
+
+
+def reference_predict(model, example, mode, k1, k2, rng=None):
+    """(answer_scores, paragraph_probs, best_answer) from the same beam and
+    mixture as pipeline.predict, over paragraph_contexts."""
+    with no_grad():
+        logits, groups = [], []
+        for paragraph, ctx in zip(example.paragraphs, paragraph_contexts(model, example)):
+            starts = start_distribution(ctx, model.decoder)
+            cands = beam_candidates(ctx, paragraph, model.decoder, k1, k2, start_dist=starts)
+            groups.append(group_candidates(cands, mode, rng))
+            logits.append(quality_logit(ctx, starts, model.quality).item())
+    probs = normalize_qualities(logits).probs
+    scores = combine_scores(probs, groups)
+    return scores, probs, best_answer(scores)

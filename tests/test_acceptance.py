@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import max_rel_err, numeric_grad, tiny_model
+from helpers import all_span_probabilities, independent_end_distribution, max_rel_err, numeric_grad, tiny_model
 from spanqa.aggregation import AggregationMode, normalize_answer_key
 from spanqa.checkpoint import load_checkpoint, save_checkpoint
 from spanqa.cli import main as cli_main
@@ -29,12 +29,7 @@ from spanqa.pipeline import (
     predict,
     train,
 )
-from spanqa.span_decoder import (
-    all_span_probabilities,
-    end_distribution,
-    independent_end_distribution,
-    start_distribution,
-)
+from spanqa.span_decoder import end_distribution, start_distribution
 
 
 def report(criterion: int, passed: bool, detail: str):
@@ -138,7 +133,7 @@ def test_criterion_1_gradient_suite():
         paragraph = example.paragraphs[0]
 
         def build_span():
-            ctx = model.encode_paragraph(example.question, paragraph.tokens)
+            ctx = model.encode_paragraph(model.encode_question(example.question), paragraph.tokens)
             starts = start_distribution(ctx, model.decoder)
             ends = end_distribution(ctx, starts, 0, model.decoder)
             q = quality_logit(ctx, starts, model.quality)
@@ -164,7 +159,7 @@ def test_criterion_2_normalization():
         with no_grad():
             logits = []
             for paragraph in example.paragraphs:
-                ctx = model.encode_paragraph(example.question, paragraph.tokens)
+                ctx = model.encode_paragraph(model.encode_question(example.question), paragraph.tokens)
                 starts = start_distribution(ctx, model.decoder)
                 worst_dist = max(worst_dist, abs(starts.probs.data.sum() - 1.0))
                 n = len(paragraph.tokens)
@@ -188,7 +183,7 @@ def brute_force_mixture(model, example, mode):
     with no_grad():
         logits, tables = [], []
         for paragraph in example.paragraphs:
-            ctx = model.encode_paragraph(example.question, paragraph.tokens)
+            ctx = model.encode_paragraph(model.encode_question(example.question), paragraph.tokens)
             starts = start_distribution(ctx, model.decoder)
             logits.append(quality_logit(ctx, starts, model.quality).item())
             tables.append(all_span_probabilities(ctx, model.decoder))
@@ -244,7 +239,7 @@ def test_criterion_4_end_distributions_condition_on_start():
         model = tiny_model(hidden_dim=2, words=WORD_POOL, seed=seed + 900)
         d = model.config.hidden_dim
         with no_grad():
-            ctx = model.encode_paragraph(QUESTION, paragraph.tokens)
+            ctx = model.encode_paragraph(model.encode_question(QUESTION), paragraph.tokens)
             starts = start_distribution(ctx, model.decoder)
             e0 = end_distribution(ctx, starts, 0, model.decoder).data
             e1 = end_distribution(ctx, starts, 1, model.decoder).data

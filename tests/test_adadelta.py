@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spanqa.diffmath import ParameterStore, Tensor, adadelta_step, glorot_uniform, make_rng
+from spanqa.diffmath import ParameterStore, Tensor, glorot_uniform, make_rng
 
 # Two-step scalar trace with g = 1, rho = 0.95, eps = 1e-6, lr = 1, computed
 # by an independent reference script:
@@ -103,10 +103,3 @@ def test_glorot_uniform_bounds_and_determinism():
     assert np.all(np.abs(a) <= bound)
     b = glorot_uniform((20, 30), make_rng(41, 2))
     np.testing.assert_array_equal(a, b)
-
-
-def test_adadelta_step_function_wrapper():
-    store, p = scalar_store()
-    p.grad = np.array(1.0)
-    adadelta_step(store)
-    assert p.data == pytest.approx(-STEP1_DELTA, abs=1e-18)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from spanqa.checkpoint import load_checkpoint
+from spanqa.checkpoint import load_checkpoint, save_checkpoint
 from spanqa.cli import main
 
 TINY_CONFIG = {
@@ -285,6 +285,28 @@ def test_predict_threads_do_not_change_output(tmp_path, capsys, trained):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_checkpoint_with_retired_span_table_cap_still_loads(tmp_path, capsys, trained):
+    ckpt, data = trained
+    model, manifest = load_checkpoint(ckpt)
+    old = tmp_path / "old.ckpt"
+    config = dict(manifest["config"], span_table_cap=64)
+    save_checkpoint(old, model, config, epoch=manifest["epoch"], seed=manifest["rng"]["seed"])
+    preds = []
+    for path in (ckpt, str(old)):
+        rc, out, _ = run(capsys, ["predict", "--checkpoint", path, "--data", data])
+        assert rc == 0
+        preds.append(out)
+    assert preds[0] == preds[1]
+    longer = write_json(tmp_path / "longer.json", dict(TINY_CONFIG, epochs=3))
+    resumed = tmp_path / "resumed.ckpt"
+    rc, _, err = run(
+        capsys, ["train", "--config", longer, "--data", data, "--out", str(resumed), "--checkpoint", str(old)]
+    )
+    assert rc == 0
+    assert loss_lines(err)[0].startswith("epoch 3/3 ")
+    assert "span_table_cap" not in load_checkpoint(resumed)[1]["config"]
+
+
 def test_predict_missing_checkpoint_fails(tmp_path, capsys, synth_data):
     rc, _, err = run(
         capsys, ["predict", "--checkpoint", str(tmp_path / "nope.ckpt"), "--data", synth_data]
@@ -380,3 +402,29 @@ def test_evaluate_rejects_paragraph_prob_length_mismatch(tmp_path, capsys):
     assert rc == 1
     message = assert_single_json_error(err)
     assert "'a'" in message and "2 paragraphs" in message
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ({"id": "a", "answer": "sand", "paragraph_probs": [0.5, 0.5]}, "line 2: duplicate id 'a'"),
+        (["a", "fat"], "line 2: expected a JSON object"),
+        ({"answer": "fat", "paragraph_probs": [0.9, 0.1]}, 'line 2: a prediction needs a string "id"'),
+        ({"id": "b", "paragraph_probs": [1.0]}, 'line 2: a prediction needs a string "id" and a string "answer"'),
+        ({"id": "b", "answer": "fat", "paragraph_probs": ["x"]}, 'line 2: "paragraph_probs" must be a list of numbers'),
+    ],
+    ids=["duplicate_id", "not_an_object", "missing_id", "missing_answer", "bad_paragraph_probs"],
+)
+def test_evaluate_rejects_bad_prediction_line(tmp_path, capsys, line, message):
+    data = eval_dataset(tmp_path)
+    preds = write_jsonl(
+        tmp_path / "pred.jsonl",
+        [
+            {"id": "a", "answer": "fat", "paragraph_probs": [0.9, 0.1]},
+            line,
+            {"id": "b", "answer": "body fat", "paragraph_probs": [1.0]},
+        ],
+    )
+    rc, out, err = run(capsys, ["evaluate", "--predictions", preds, "--data", data])
+    assert rc == 1 and out == ""
+    assert f"{preds}: {message}" in assert_single_json_error(err)

@@ -287,7 +287,11 @@ def test_load_missing_field_reports_name(tmp_path):
 
 def test_load_empty_paragraph_rejected(tmp_path):
     path = tmp_path / "d.jsonl"
-    rec = {"id": "q", "question": "q", "answers": ["a"], "paragraphs": [{"id": "p", "text": "  "}]}
-    path.write_text(json.dumps(rec) + "\n")
-    with pytest.raises(ValueError, match="no tokens"):
-        load_dataset(path)
+    for question, paragraph, message in [
+        ("q", "  ", "paragraph 'p' has no tokens"),
+        ("  ", "camels store fat", "question has no tokens"),
+    ]:
+        rec = {"id": "q", "question": question, "answers": ["a"], "paragraphs": [{"id": "p", "text": paragraph}]}
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(ValueError, match=f"line 1: {message}"):
+            load_dataset(path)

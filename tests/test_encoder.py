@@ -165,23 +165,23 @@ def test_self_attend_single_token_is_plain_projection():
 
 def test_encode_is_permutation_sensitive():
     model = tiny_model(seed=3)
-    c1 = model.encode_paragraph(QUESTION, PARAGRAPH)
+    c1 = model.encode_paragraph(model.encode_question(QUESTION), PARAGRAPH)
     shuffled = list(reversed(PARAGRAPH))
-    c2 = model.encode_paragraph(QUESTION, shuffled)
+    c2 = model.encode_paragraph(model.encode_question(QUESTION), shuffled)
     assert np.max(np.abs(c1.values.data - c2.values.data)) > 1e-8
 
 
 def test_encode_finite_for_extreme_inputs():
     model = tiny_model(seed=4)
     model.encoder.word_emb.data *= 50.0
-    out = model.encode_paragraph(QUESTION, PARAGRAPH)
+    out = model.encode_paragraph(model.encode_question(QUESTION), PARAGRAPH)
     assert np.all(np.isfinite(out.values.data))
 
 
 def test_encode_deterministic_in_eval_mode():
     model = tiny_model(seed=5)
-    a = model.encode_paragraph(QUESTION, PARAGRAPH).values.data
-    b = model.encode_paragraph(QUESTION, PARAGRAPH).values.data
+    a = model.encode_paragraph(model.encode_question(QUESTION), PARAGRAPH).values.data
+    b = model.encode_paragraph(model.encode_question(QUESTION), PARAGRAPH).values.data
     np.testing.assert_array_equal(a, b)
 
 
@@ -192,7 +192,7 @@ def test_encoder_end_to_end_gradients():
     w = Tensor(rng.standard_normal((4, 2 * model.config.hidden_dim)))
 
     def build():
-        return tsum(model.encode_paragraph(ques, para).values * w)
+        return tsum(model.encode_paragraph(model.encode_question(ques), para).values * w)
 
     leaves = [
         model.encoder.word_emb,
@@ -212,10 +212,10 @@ def test_encoder_end_to_end_gradients():
 
 def test_dropout_active_only_in_training():
     model = tiny_model(seed=7, keep_prob=0.5)
-    eval_out = model.encode_paragraph(QUESTION, PARAGRAPH, training=False).values.data
-    train_out = model.encode_paragraph(
-        QUESTION, PARAGRAPH, rng=make_rng(7, 3), training=True
-    ).values.data
+    eval_out = model.encode_paragraph(model.encode_question(QUESTION), PARAGRAPH, training=False).values.data
+    rng = make_rng(7, 3)
+    question = model.encode_question(QUESTION, rng, training=True)
+    train_out = model.encode_paragraph(question, PARAGRAPH, rng=rng, training=True).values.data
     assert np.any(eval_out != train_out)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_grads, tiny_model
+from helpers import all_span_probabilities, check_grads, quality_probs, reference_predict, tiny_model
 from spanqa.aggregation import AggregationMode, AnswerGroup, normalize_answer_key
 from spanqa.corpus import QAExample, make_paragraph
 from spanqa.diffmath import make_rng, no_grad
@@ -23,8 +23,6 @@ from spanqa.pipeline import (
     map_from_scores,
     normalize_for_metric,
     paragraph_label_table,
-    paragraph_map,
-    paragraph_quality_probs,
     predict,
     predict_dataset,
     token_f1,
@@ -32,7 +30,6 @@ from spanqa.pipeline import (
     train,
     train_epoch,
 )
-from spanqa.span_decoder import all_span_probabilities
 
 QUESTION = ["what", "do", "camels", "store", "?"]
 
@@ -70,7 +67,7 @@ def components_loss(model, example, mode=AggregationMode.MAX):
 
     pos, neg = example.paragraphs
     with no_grad():
-        ctx = model.encode_paragraph(example.question, pos.tokens)
+        ctx = model.encode_paragraph(model.encode_question(example.question), pos.tokens)
         sd = start_distribution(ctx, model.decoder)
         probs = []
         for lab in label_spans(pos, example.answers):
@@ -78,7 +75,7 @@ def components_loss(model, example, mode=AggregationMode.MAX):
             probs.append(span_probability(sd, ends, lab.start, lab.end).item())
         p_pos = max(probs)
         q_pos = quality_logit(ctx, sd, model.quality).item()
-        ctx_n = model.encode_paragraph(example.question, neg.tokens)
+        ctx_n = model.encode_paragraph(model.encode_question(example.question), neg.tokens)
         sd_n = start_distribution(ctx_n, model.decoder)
         q_neg = quality_logit(ctx_n, sd_n, model.quality).item()
     q = normalize_qualities([q_pos, q_neg]).probs[0]
@@ -236,7 +233,7 @@ def test_exhaustive_beam_covers_all_spans():
     example = POS_NEG
     paragraph = example.paragraphs[0]
     with no_grad():
-        ctx = model.encode_paragraph(example.question, paragraph.tokens)
+        ctx = model.encode_paragraph(model.encode_question(example.question), paragraph.tokens)
         n = len(paragraph.tokens)
         cands = beam_candidates(ctx, paragraph, model.decoder, n, n)
         table = all_span_probabilities(ctx, model.decoder)
@@ -250,7 +247,7 @@ def test_beam_top1_monotone_in_widths():
     model = tiny_model(seed=10)
     paragraph = POS_NEG.paragraphs[0]
     with no_grad():
-        ctx = model.encode_paragraph(POS_NEG.question, paragraph.tokens)
+        ctx = model.encode_paragraph(model.encode_question(POS_NEG.question), paragraph.tokens)
         tops = []
         for k1, k2 in [(1, 1), (2, 1), (2, 2), (3, 3), (6, 6)]:
             cands = beam_candidates(ctx, paragraph, model.decoder, k1, k2)
@@ -301,11 +298,11 @@ def test_predict_rejects_empty_example():
 
 def brute_force_scores(model, example, mode):
     """Independent mixture over every span of every paragraph."""
-    q = paragraph_quality_probs(model, example)
+    q = quality_probs(model, example)
     scores = {}
     with no_grad():
         for q_i, paragraph in zip(q, example.paragraphs):
-            ctx = model.encode_paragraph(example.question, paragraph.tokens)
+            ctx = model.encode_paragraph(model.encode_question(example.question), paragraph.tokens)
             table = all_span_probabilities(ctx, model.decoder)
             per_text = {}
             n = len(paragraph.tokens)
@@ -349,6 +346,24 @@ def test_predict_sum_mass_bounded():
     assert all(0.0 <= v <= 1.0 + 1e-9 for v in pred.answer_scores.values())
     assert sum(pred.answer_scores.values()) <= 1.0 + 1e-6
 
+
+
+def test_predict_encodes_question_once_and_matches_per_paragraph_reference(monkeypatch):
+    model = tiny_model(seed=20)
+    example = qa_example(["camels store fat in humps", "sand dune walks do", "fat in their humps"])
+    scores, probs, best = reference_predict(model, example, AggregationMode.SUM, 3, 2)
+    encode_question, calls = model.encode_question, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return encode_question(*args, **kwargs)
+
+    monkeypatch.setattr(model, "encode_question", counted)
+    pred = predict(model, example, AggregationMode.SUM, 3, 2)
+    assert len(calls) == 1
+    assert pred.answer_scores == scores
+    assert pred.paragraph_probs == probs
+    assert pred.best_answer == best
 
 def test_predict_dataset_threads_match_serial():
     model = tiny_model(seed=15)
@@ -417,7 +432,7 @@ def test_map_random_scores_near_random_baseline():
 def test_paragraph_map_perfect_when_quality_separates():
     model = tiny_model(seed=16)
     dataset = [qa_example(["camels store fat", "sand dune walks"], ex_id="a")]
-    value = paragraph_map(model, dataset)
+    value = evaluate_dataset(model, dataset, AggregationMode.MAX, 1, 1)["map"]
     assert value in (0.5, 1.0)  # single positive at rank 1 or 2
 
 
@@ -457,6 +472,16 @@ def test_evaluate_dataset_hand_fixture():
     assert metrics["em"] == pytest.approx(1 / 3)
     assert metrics["f1"] == pytest.approx((1.0 + 2 / 3 + 0.0) / 3)
 
+
+
+def test_evaluate_dataset_rejects_predictions_that_do_not_line_up():
+    model = tiny_model(seed=18)
+    dataset = [qa_example(["camels store fat"], ex_id="a"), qa_example(["camels store fat"], ex_id="b")]
+    a, b = (Prediction(i, "fat", {"fat": 1.0}, [1.0], [[]]) for i in "ab")
+    with pytest.raises(ValueError, match="1 predictions for 2 examples"):
+        evaluate_dataset(model, dataset, AggregationMode.MAX, 1, 1, predictions=[a])
+    with pytest.raises(ValueError, match="prediction for 'b' where example 'a' was expected"):
+        evaluate_dataset(model, dataset, AggregationMode.MAX, 1, 1, predictions=[b, a])
 
 def test_evaluate_dataset_rejects_empty():
     model = tiny_model(seed=19)

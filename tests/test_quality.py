@@ -20,7 +20,7 @@ PARAGRAPH = ["camels", "store", "fat", "in", "their", "humps"]
 
 
 def context_and_start(model, para=PARAGRAPH):
-    ctx = model.encode_paragraph(QUESTION, para)
+    ctx = model.encode_paragraph(model.encode_question(QUESTION), para)
     return ctx, start_distribution(ctx, model.decoder)
 
 

@@ -3,22 +3,16 @@
 import numpy as np
 import pytest
 
-from helpers import check_grads, tiny_model
+from helpers import all_span_probabilities, check_grads, independent_end_distribution, tiny_model
 from spanqa.diffmath import Tensor, glorot_uniform, init_bigru_params, log, make_rng, pick
-from spanqa.span_decoder import (
-    all_span_probabilities,
-    end_distribution,
-    independent_end_distribution,
-    span_probability,
-    start_distribution,
-)
+from spanqa.span_decoder import end_distribution, span_probability, start_distribution
 
 QUESTION = ["what", "do", "camels", "store", "?"]
 PARAGRAPH = ["camels", "store", "fat", "in", "their", "humps"]
 
 
 def encoded(model, para=PARAGRAPH):
-    return model.encode_paragraph(QUESTION, para)
+    return model.encode_paragraph(model.encode_question(QUESTION), para)
 
 
 # ------------------------------------------------------- start distribution
@@ -140,7 +134,7 @@ def test_span_probability_rejects_reversed_span():
 
 def test_single_token_paragraph_has_unit_span():
     model = tiny_model(seed=11)
-    table = all_span_probabilities(model.encode_paragraph(QUESTION, ["fat"]), model.decoder)
+    table = all_span_probabilities(model.encode_paragraph(model.encode_question(QUESTION), ["fat"]), model.decoder)
     assert table.shape == (1, 1)
     assert table[0, 0] == pytest.approx(1.0, abs=1e-9)
 
