@@ -10,6 +10,8 @@ the trainable ones under their own manifest section.
 
 Because the manifest serialization is canonical (sorted keys, no spaces) and
 the payload is raw bits, load -> save reproduces the file byte for byte.
+A save writes a temporary file beside the target and renames it over the
+target, so a failed save leaves any earlier file as it was.
 
 Optimizer accumulators are deliberately not stored; resuming training
 restarts them from zero.
@@ -17,6 +19,7 @@ restarts them from zero.
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -48,12 +51,19 @@ def save_checkpoint(path, model: QaModel, config_snapshot: dict, epoch: int, see
         "epoch": epoch,
     }
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        for _, array in params + frozen:
-            fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(len(blob).to_bytes(8, "little"))
+            fh.write(blob)
+            for _, array in params + frozen:
+                fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

@@ -78,6 +78,11 @@ def cmd_train(args) -> int:
         file_overrides = read_config_overrides(args.config) if args.config else {}
         flat = {**manifest["config"], **file_overrides, **_apply_overrides({}, args)}
         _, train_config, _ = split_config(flat)
+        if train_config.epochs < start_epoch:
+            raise ValueError(
+                f"{args.checkpoint}: checkpoint is at epoch {start_epoch}, past the configured "
+                f"{train_config.epochs} epochs; set epochs to at least {start_epoch}"
+            )
         _log(f"resuming from {args.checkpoint} at epoch {start_epoch}")
     else:
         vocab = Vocab.from_dataset(dataset)
@@ -143,8 +148,8 @@ def cmd_predict(args) -> int:
 
 
 def _read_predictions(path) -> dict:
-    """Predictions keyed by id; each line is a JSON object with a unique
-    string "id", a string "answer" and a "paragraph_probs" list."""
+    """(line number, Prediction) keyed by id; each line is a JSON object with
+    a unique string "id", a string "answer" and a "paragraph_probs" list."""
     predictions = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -164,7 +169,10 @@ def _read_predictions(path) -> dict:
                 raise ValueError(f"{where}: \"paragraph_probs\" must be a list of numbers")
             if ex_id in predictions:
                 raise ValueError(f"{where}: duplicate id {ex_id!r}")
-            predictions[ex_id] = Prediction(ex_id, answer, answer_scores={}, paragraph_probs=probs, paragraph_groups=[])
+            predictions[ex_id] = (
+                line_no,
+                Prediction(ex_id, answer, answer_scores={}, paragraph_probs=probs, paragraph_groups=[]),
+            )
     return predictions
 
 
@@ -174,7 +182,15 @@ def cmd_evaluate(args) -> int:
     missing = [example.id for example in dataset if example.id not in by_id]
     if missing:
         raise ValueError(f"{args.predictions}: no prediction for example id {missing[0]!r}")
-    predictions = [by_id[example.id] for example in dataset]
+    predictions = []
+    for example in dataset:
+        line_no, pred = by_id[example.id]
+        if len(pred.paragraph_probs) != len(example.paragraphs):
+            raise ValueError(
+                f"{args.predictions}: line {line_no}: example {example.id!r}: {len(pred.paragraph_probs)} "
+                f"paragraph probabilities for {len(example.paragraphs)} paragraphs"
+            )
+        predictions.append(pred)
     print(json.dumps(score_predictions(dataset, predictions), sort_keys=True))
     return 0
 

@@ -7,7 +7,10 @@ The cell is h' = (1 - z) * h + z * c with
 and a zero initial state.  A whole sequence pass is a single graph node:
 the forward loop caches gate activations and the closure runs
 backpropagation-through-time in one sweep, which keeps graphs small and
-fast.  Gate weights are packed [z | r | h] along the output axis.
+fast.  Several sequences of different lengths can share that one loop,
+packed time-first and zero-padded (`pad_stack`); a single sequence is
+the batch of one.  Gate weights are packed [z | r | h] along the output
+axis.
 """
 
 from dataclasses import dataclass
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optim import glorot_uniform
-from .tensor import Tensor, _make, concat_cols, flip_rows
+from .tensor import Tensor, _make, concat_cols, flip_rows, pad_stack, unstack
 
 
 @dataclass
@@ -71,39 +74,41 @@ def init_bigru_params(in_dim: int, hidden: int, rng) -> BiGruParams:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-x) overflows to inf below x ~ -709.8, which gives the exact limit 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _gru_forward_pass(inputs: Tensor, params: GruParams, h0) -> Tensor:
+    """Forward recurrence over axis 0 of a (T, in) or (T, B, in) input; the B
+    sequences of a batch share each step's matrix products."""
     x = inputs.data
     n = x.shape[0]
     d = params.hidden
     w, u_zr, u_h, b = params.w.data, params.u_zr.data, params.u_h.data, params.b.data
 
-    xw = x @ w + b
-    h = np.zeros(d) if h0 is None else np.asarray(h0, dtype=np.float64)
-    hs = np.empty((n, d))
-    hprev = np.empty((n, d))
-    zs = np.empty((n, d))
-    rs = np.empty((n, d))
-    cs = np.empty((n, d))
+    flat_x = x.reshape(-1, x.shape[-1])
+    batch = flat_x.shape[0] // n
+    xw = (flat_x @ w + b).reshape(n, batch, 3 * d)
+    h = np.zeros((batch, d)) if h0 is None else np.broadcast_to(np.asarray(h0, dtype=np.float64), (batch, d))
+    hs = np.empty((n, batch, d))
+    hprev = np.empty((n, batch, d))
+    zs = np.empty((n, batch, d))
+    rs = np.empty((n, batch, d))
+    cs = np.empty((n, batch, d))
     for t in range(n):
         hprev[t] = h
-        zr = _sigmoid(xw[t, : 2 * d] + h @ u_zr)
-        z, r = zr[:d], zr[d:]
-        c = np.tanh(xw[t, 2 * d :] + (r * h) @ u_h)
+        zr = _sigmoid(xw[t, :, : 2 * d] + h @ u_zr)
+        z, r = zr[:, :d], zr[:, d:]
+        c = np.tanh(xw[t, :, 2 * d :] + (r * h) @ u_h)
         h = (1.0 - z) * h + z * c
         zs[t], rs[t], cs[t], hs[t] = z, r, c, h
 
     def back(g):
-        dzr = np.empty((n, 2 * d))
-        dah = np.empty((n, d))
-        dh = np.zeros(d)
+        g = g.reshape(n, batch, d)
+        dzr = np.empty((n, batch, 2 * d))
+        dah = np.empty((n, batch, d))
+        dh = np.zeros((batch, d))
         u_zr_t, u_h_t = u_zr.T, u_h.T
         for t in range(n - 1, -1, -1):
             dht = g[t] + dh
@@ -111,47 +116,69 @@ def _gru_forward_pass(inputs: Tensor, params: GruParams, h0) -> Tensor:
             da = (dht * z) * (1.0 - c * c)
             dah[t] = da
             drh = da @ u_h_t
-            dzr[t, :d] = (dht * (c - hp)) * z * (1.0 - z)
-            dzr[t, d:] = (drh * hp) * r * (1.0 - r)
+            dzr[t, :, :d] = (dht * (c - hp)) * z * (1.0 - z)
+            dzr[t, :, d:] = (drh * hp) * r * (1.0 - r)
             dh = dht * (1.0 - z) + drh * r + dzr[t] @ u_zr_t
-        dxw = np.concatenate([dzr, dah], axis=1)
+        dxw = np.concatenate([dzr, dah], axis=2).reshape(n * batch, 3 * d)
+        hp_flat = hprev.reshape(n * batch, d)
         return (
-            dxw @ w.T,
-            x.T @ dxw,
-            hprev.T @ dzr,
-            (rs * hprev).T @ dah,
+            (dxw @ w.T).reshape(x.shape),
+            flat_x.T @ dxw,
+            hp_flat.T @ dzr.reshape(n * batch, 2 * d),
+            (rs.reshape(n * batch, d) * hp_flat).T @ dah.reshape(n * batch, d),
             dxw.sum(axis=0),
         )
 
-    return _make(hs, (inputs, params.w, params.u_zr, params.u_h, params.b), back)
+    out = hs.reshape(x.shape[:-1] + (d,))
+    return _make(out, (inputs, params.w, params.u_zr, params.u_h, params.b), back)
 
 
-def gru_sequence(inputs: Tensor, params: GruParams, direction: str = "forward", h0=None) -> Tensor:
-    """Run the recurrence over the rows of `inputs`, returning one state per step.
+def gru_sequence(inputs: Tensor, params: GruParams, direction: str = "forward", h0=None, lengths=None) -> Tensor:
+    """Run the recurrence along axis 0 of `inputs`, returning one state per step.
 
-    direction="backward" processes the reversed sequence and re-reverses
-    the output, so row t still describes token t.  `h0` overrides the zero
+    `inputs` is one (T, in) sequence or a batch of B sequences packed
+    time-first as (T, B, in), where column b holds `lengths[b]` steps
+    followed by padding (default: every column is T steps long).  All
+    columns share one time loop.  Each column's states match a separate
+    call on its own steps, and states at padded steps are meaningless.
+
+    direction="backward" reverses each column within its own length,
+    runs forward and reverses back, so step t still describes token t and
+    padded steps stay after the valid ones.  `h0` overrides the zero
     initial state (constant, not differentiated).
     """
-    if inputs.data.ndim != 2 or inputs.data.shape[0] < 1:
-        raise ValueError(f"gru_sequence needs a nonempty (n, in) input, got shape {inputs.data.shape}")
-    if inputs.data.shape[1] != params.w.data.shape[0]:
-        raise ValueError(
-            f"gru_sequence input width {inputs.data.shape[1]} does not match "
-            f"weight shape {params.w.data.shape}"
-        )
+    shape = inputs.data.shape
+    if inputs.data.ndim not in (2, 3) or shape[0] < 1 or 0 in shape[1:-1]:
+        raise ValueError(f"gru_sequence needs a nonempty (T, in) or (T, B, in) input, got shape {shape}")
+    if shape[-1] != params.w.data.shape[0]:
+        raise ValueError(f"gru_sequence input width {shape[-1]} does not match weight shape {params.w.data.shape}")
+    if lengths is not None:
+        lengths = np.asarray(lengths)
+        if len(shape) != 3 or lengths.shape != shape[1:2] or lengths.min() < 1 or lengths.max() > shape[0]:
+            raise ValueError(f"gru_sequence lengths {lengths.tolist()} do not fit input shape {shape}")
     if direction == "forward":
         return _gru_forward_pass(inputs, params, h0)
     if direction == "backward":
-        return flip_rows(_gru_forward_pass(flip_rows(inputs), params, h0))
+        return flip_rows(_gru_forward_pass(flip_rows(inputs, lengths), params, h0), lengths)
     raise ValueError(f"unknown direction: {direction!r}")
 
 
-def bigru(inputs: Tensor, params: BiGruParams) -> Tensor:
-    """Concatenate forward and backward passes along the feature axis: (n, 2d)."""
+def bigru(inputs: Tensor, params: BiGruParams, lengths=None) -> Tensor:
+    """Concatenate forward and backward passes along the feature axis:
+    (T, 2d), or (T, B, 2d) for a packed batch with per-column `lengths`."""
     return concat_cols(
         [
-            gru_sequence(inputs, params.fwd, "forward"),
-            gru_sequence(inputs, params.bwd, "backward"),
+            gru_sequence(inputs, params.fwd, "forward", lengths=lengths),
+            gru_sequence(inputs, params.bwd, "backward", lengths=lengths),
         ]
     )
+
+
+def bigru_each(sequences, params: BiGruParams) -> list:
+    """`bigru` of every (n_i, in) tensor in `sequences`, as a list of
+    (n_i, 2d) tensors: one packed batch, so one time loop per direction
+    for all of them.  A lone sequence runs unpacked."""
+    if len(sequences) == 1:
+        return [bigru(sequences[0], params)]
+    lengths = [s.data.shape[0] for s in sequences]
+    return unstack(bigru(pad_stack(sequences), params, lengths), lengths)

@@ -296,15 +296,15 @@ def reshape(a, shape) -> Tensor:
 
 
 def concat_cols(parts) -> Tensor:
-    """Concatenate 2-D tensors along the feature axis."""
+    """Concatenate tensors along the last (feature) axis."""
     parts = [_lift(p) for p in parts]
-    widths = [p.data.shape[1] for p in parts]
+    widths = [p.data.shape[-1] for p in parts]
     offsets = np.cumsum([0] + widths)
 
     def back(g):
-        return tuple(g[:, offsets[i] : offsets[i + 1]] for i in range(len(parts)))
+        return tuple(g[..., offsets[i] : offsets[i + 1]] for i in range(len(parts)))
 
-    return _make(np.concatenate([p.data for p in parts], axis=1), tuple(parts), back)
+    return _make(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), back)
 
 
 def stack_scalars(parts) -> Tensor:
@@ -388,9 +388,47 @@ def tile_rows(a, n: int) -> Tensor:
     return _make(np.repeat(a.data, n, axis=0), (a,), lambda g: (g.sum(axis=0, keepdims=True),))
 
 
-def flip_rows(a) -> Tensor:
+def flip_rows(a, lengths=None) -> Tensor:
+    """Reverse the leading (time) axis.
+
+    With `lengths`, column b of a (T, B, k) tensor is reversed within its
+    first lengths[b] steps and its padded steps stay in place.  Either way
+    the permutation is its own inverse, so the gradient takes it too.
+    """
     a = _lift(a)
-    return _make(a.data[::-1].copy(), (a,), lambda g: (g[::-1].copy(),))
+    if lengths is None:
+        return _make(a.data[::-1].copy(), (a,), lambda g: (g[::-1].copy(),))
+    steps = np.arange(a.data.shape[0])[:, None]
+    ends = np.asarray(lengths)[None, :]
+    order = (np.where(steps < ends, ends - 1 - steps, steps), np.arange(ends.shape[1])[None, :])
+    return _make(a.data[order], (a,), lambda g: (g[order],))
+
+
+def pad_stack(parts) -> Tensor:
+    """Pack 2-D tensors (n_b, k) time-first into a zero-padded (max n_b, B, k)
+    tensor whose column b holds parts[b]."""
+    parts = [_lift(p) for p in parts]
+    lengths = [p.data.shape[0] for p in parts]
+    out = np.zeros((max(lengths), len(parts), parts[0].data.shape[1]))
+    for b, p in enumerate(parts):
+        out[: lengths[b], b] = p.data
+    return _make(out, tuple(parts), lambda g: tuple(g[:n, b] for b, n in enumerate(lengths)))
+
+
+def unstack(a, lengths) -> list:
+    """Inverse of pad_stack: the first lengths[b] steps of each column b of a
+    (T, B, k) tensor, as a list of (lengths[b], k) tensors."""
+    a = _lift(a)
+
+    def column(b, n):
+        def back(g):
+            out = np.zeros_like(a.data)
+            out[:n, b] = g
+            return (out,)
+
+        return _make(a.data[:n, b], (a,), back)
+
+    return [column(b, n) for b, n in enumerate(lengths)]
 
 
 def pick(a, index: int) -> Tensor:

@@ -18,7 +18,7 @@ import numpy as np
 from .diffmath import (
     BiGruParams,
     Tensor,
-    bigru,
+    bigru_each,
     concat_cols,
     dropout,
     gather_rows,
@@ -208,9 +208,10 @@ def embed_tokens(tokens, vocab: Vocab, char_vocab: CharVocab, params: EncoderPar
     return concat_cols([word_vecs, char_vecs])
 
 
-def contextualize(embedded: Tensor, rnn: BiGruParams, keep_prob: float, rng, training: bool) -> Tensor:
-    """Dropout followed by a bidirectional recurrent pass: (n, 2d)."""
-    return bigru(dropout(embedded, keep_prob, rng, training), rnn)
+def contextualize(embedded, rnn: BiGruParams, keep_prob: float, rng, training: bool) -> list:
+    """Dropout on each (n_i, k) embedding of the list in turn, then one
+    bidirectional recurrent pass over them all: a list of (n_i, 2d)."""
+    return bigru_each([dropout(x, keep_prob, rng, training) for x in embedded], rnn)
 
 
 def bidaf_attention(para: Tensor, ques: Tensor, params: EncoderParams) -> Tensor:
@@ -232,22 +233,24 @@ def bidaf_attention(para: Tensor, ques: Tensor, params: EncoderParams) -> Tensor
     return concat_cols([para, attended, para * attended, para * summary])
 
 
-def self_attend(x: Tensor, params: EncoderParams) -> ContextEmbedding:
+def self_attend(xs, params: EncoderParams) -> list:
     """Dot-product self-attention (a position never attends to itself) with a
-    residual connection, projected to (n, 2d).
+    residual connection, per paragraph of the list; then one recurrent
+    projection pass over them all: a ContextEmbedding (n_i, 2d) each.
 
     A single-token paragraph has nobody to attend to, so its attention term
     is zero and the projection sees the input alone.
     """
-    n = x.data.shape[0]
-    if n == 1:
-        combined = x
-    else:
-        scores = matmul(x, transpose(x))
-        off_diagonal = ~np.eye(n, dtype=bool)
-        attended = matmul(row_softmax(scores, off_diagonal), x)
-        combined = x + attended
-    return ContextEmbedding(values=bigru(combined, params.self_rnn))
+    combined = []
+    for x in xs:
+        n = x.data.shape[0]
+        if n == 1:
+            combined.append(x)
+        else:
+            scores = matmul(x, transpose(x))
+            off_diagonal = ~np.eye(n, dtype=bool)
+            combined.append(x + matmul(row_softmax(scores, off_diagonal), x))
+    return [ContextEmbedding(values=v) for v in bigru_each(combined, params.self_rnn)]
 
 
 def load_word_vectors(path, vocab: Vocab, word_dim: int, init: np.ndarray) -> np.ndarray:

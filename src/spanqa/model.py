@@ -70,11 +70,17 @@ class QaModel:
         keep_prob < 1, so evaluation never touches it.
         """
         embedded = embed_tokens(tokens, self.vocab, self.char_vocab, self.encoder)
-        return contextualize(embedded, self.encoder.q_ctx, self.config.keep_prob, rng, training)
+        return contextualize([embedded], self.encoder.q_ctx, self.config.keep_prob, rng, training)[0]
 
     def encode_paragraph(self, question: Tensor, paragraph_tokens, rng=None, training: bool = False) -> ContextEmbedding:
         """Question-aware context embedding (n, 2d) for one paragraph, given
         the question's `encode_question` output."""
-        embedded = embed_tokens(paragraph_tokens, self.vocab, self.char_vocab, self.encoder)
+        return self.encode_paragraphs(question, [paragraph_tokens], rng, training)[0]
+
+    def encode_paragraphs(self, question: Tensor, paragraphs, rng=None, training: bool = False) -> list:
+        """`encode_paragraph` of every token list in `paragraphs`; each
+        recurrent layer runs once over all of them.  Dropout draws follow
+        the paragraph order."""
+        embedded = [embed_tokens(tokens, self.vocab, self.char_vocab, self.encoder) for tokens in paragraphs]
         p_ctx = contextualize(embedded, self.encoder.p_ctx, self.config.keep_prob, rng, training)
-        return self_attend(bidaf_attention(p_ctx, question, self.encoder), self.encoder)
+        return self_attend([bidaf_attention(p, question, self.encoder) for p in p_ctx], self.encoder)

@@ -14,7 +14,7 @@ import numpy as np
 from .diffmath import (
     BiGruParams,
     Tensor,
-    bigru,
+    bigru_each,
     glorot_uniform,
     init_bigru_params,
     matmul,
@@ -66,10 +66,17 @@ def quality_logit(
     head to the span head; `grad_through_start=False` stops that coupling
     (the weights are then treated as constants) for ablation.
     """
-    states = bigru(context.values, params.rnn)
-    key = start_dist.probs if grad_through_start else start_dist.probs.detach()
-    pooled = matmul(reshape(key, (1, -1)), states)
-    return reshape(matmul(pooled, params.w_c), ())
+    return quality_logits([context], [start_dist], params, grad_through_start)[0]
+
+
+def quality_logits(contexts, start_dists, params: QualityParams, grad_through_start: bool = True) -> list:
+    """`quality_logit` of every paragraph, with one recurrent pass over all of them."""
+    logits = []
+    for start_dist, states in zip(start_dists, bigru_each([c.values for c in contexts], params.rnn)):
+        key = start_dist.probs if grad_through_start else start_dist.probs.detach()
+        pooled = matmul(reshape(key, (1, -1)), states)
+        logits.append(reshape(matmul(pooled, params.w_c), ()))
+    return logits
 
 
 def normalize_qualities(logits) -> ParagraphScores:

@@ -32,13 +32,16 @@ from .paragraph_quality import (
     normalize_qualities,
     normalize_quality_tensors,
     quality_logit,
+    quality_logits,
     sample_pair,
 )
 from .span_decoder import (
     SpanCandidate,
     end_distribution,
+    end_distributions,
     span_probability,
     start_distribution,
+    start_distributions,
 )
 
 PROB_FLOOR = 1e-12
@@ -97,21 +100,20 @@ def example_loss(model, example, pos_index, pos_labels, neg_paragraph, mode, rng
     """-(log q+ + log p+) for one training pair, as a graph scalar.
 
     p+ aggregates span probabilities at the labeled locations; end
-    distributions are computed once per distinct labeled start.  Both
-    probabilities are floored at PROB_FLOOR before the log so early
-    zero-mass labels cannot produce infinities.  Each paragraph of the pair
-    encodes the question itself, so each draws its own dropout masks.
+    distributions are computed once per distinct labeled start, all in one
+    recurrent pass.  Both probabilities are floored at PROB_FLOOR before the
+    log so early zero-mass labels cannot produce infinities.  Each paragraph
+    of the pair encodes the question itself, so each draws its own dropout
+    masks.
     """
     positive = example.paragraphs[pos_index]
     question = model.encode_question(example.question, rng, training=True)
     ctx = model.encode_paragraph(question, positive.tokens, rng, training=True)
     starts = start_distribution(ctx, model.decoder)
-    ends_by_start = {}
-    span_probs = []
-    for label in pos_labels:
-        if label.start not in ends_by_start:
-            ends_by_start[label.start] = end_distribution(ctx, starts, label.start, model.decoder)
-        span_probs.append(span_probability(starts, ends_by_start[label.start], label.start, label.end))
+    distinct = list(dict.fromkeys(label.start for label in pos_labels))
+    ends = end_distributions([(ctx, starts, s) for s in distinct], model.decoder)
+    ends_by_start = dict(zip(distinct, ends))
+    span_probs = [span_probability(starts, ends_by_start[l.start], l.start, l.end) for l in pos_labels]
     answer_prob = aggregate(span_probs, mode, rng)
 
     q_pos = quality_logit(ctx, starts, model.quality, model.grad_through_start)
@@ -222,10 +224,14 @@ def beam_spans(start_probs, end_dist_for, k1: int, k2: int):
     return spans
 
 
-def beam_candidates(context, paragraph, params, k1: int, k2: int, start_dist=None):
-    """Up to k1*k2 scored SpanCandidates for one paragraph."""
+def beam_candidates(context, paragraph, params, k1: int, k2: int, start_dist=None, end_dists=None):
+    """Up to k1*k2 scored SpanCandidates for one paragraph.
+
+    `end_dists` maps a start to its end-probability array when the caller
+    has computed it already; other starts are computed here.
+    """
     starts = start_dist if start_dist is not None else start_distribution(context, params)
-    cache = {}
+    cache = dict(end_dists or {})
 
     def ends_for(s):
         if s not in cache:
@@ -265,20 +271,26 @@ def best_answer(scores: dict) -> str:
 def predict(model, example, mode: AggregationMode, k1: int, k2: int, rng=None) -> Prediction:
     """Scores for every answer string surfaced by the per-paragraph beams.
 
-    With a single paragraph the quality weight collapses to 1 and the score
-    is just the paragraph-level probability.
+    Each recurrent layer runs once over all paragraphs, and the end
+    distributions of every paragraph's top-k1 starts share one pass.  With
+    a single paragraph the quality weight collapses to 1 and the score is
+    just the paragraph-level probability.
     """
     if not example.paragraphs:
         raise ValueError(f"example {example.id} has no paragraphs")
     with no_grad():
         question = model.encode_question(example.question)
-        logits, per_paragraph = [], []
-        for paragraph in example.paragraphs:
-            ctx = model.encode_paragraph(question, paragraph.tokens)
-            starts = start_distribution(ctx, model.decoder)
-            cands = beam_candidates(ctx, paragraph, model.decoder, k1, k2, start_dist=starts)
+        contexts = model.encode_paragraphs(question, [p.tokens for p in example.paragraphs])
+        starts = start_distributions(contexts, model.decoder)
+        beams = [top_indices(sd.probs.data, k1) for sd in starts]
+        rows = [(ctx, sd, s) for ctx, sd, beam in zip(contexts, starts, beams) for s in beam]
+        ends = iter(end_distributions(rows, model.decoder))
+        per_paragraph = []
+        for paragraph, ctx, sd, beam in zip(example.paragraphs, contexts, starts, beams):
+            end_dists = {s: next(ends).data for s in beam}
+            cands = beam_candidates(ctx, paragraph, model.decoder, k1, k2, start_dist=sd, end_dists=end_dists)
             per_paragraph.append(group_candidates(cands, mode, rng))
-            logits.append(quality_logit(ctx, starts, model.quality).item())
+        logits = [q.item() for q in quality_logits(contexts, starts, model.quality)]
         quality = normalize_qualities(logits)
         scores = combine_scores(quality.probs, per_paragraph)
         best = best_answer(scores)

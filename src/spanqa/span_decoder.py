@@ -17,7 +17,7 @@ import numpy as np
 from .diffmath import (
     BiGruParams,
     Tensor,
-    bigru,
+    bigru_each,
     concat_cols,
     glorot_uniform,
     init_bigru_params,
@@ -84,9 +84,16 @@ def init_span_decoder_params(hidden_dim: int, rng) -> SpanDecoderParams:
 
 
 def start_distribution(context: ContextEmbedding, params: SpanDecoderParams) -> StartDistribution:
-    states = bigru(context.values, params.start_rnn)
-    logits = reshape(matmul(states, params.w_start), (-1,))
-    return StartDistribution(probs=row_softmax(logits), states=states)
+    return start_distributions([context], params)[0]
+
+
+def start_distributions(contexts, params: SpanDecoderParams) -> list:
+    """`start_distribution` of every paragraph, with one recurrent pass over all of them."""
+    dists = []
+    for states in bigru_each([c.values for c in contexts], params.start_rnn):
+        logits = reshape(matmul(states, params.w_start), (-1,))
+        dists.append(StartDistribution(probs=row_softmax(logits), states=states))
+    return dists
 
 
 def end_distribution(
@@ -103,15 +110,25 @@ def end_distribution(
     which renormalizes the remaining mass.  Different starts therefore
     yield genuinely different distributions, not one shared end marginal.
     """
-    n = context.length
-    if not 0 <= start < n:
-        raise ValueError(f"start {start} out of range for paragraph length {n}")
-    indicator = np.zeros((n, 1))
-    indicator[start, 0] = 1.0
-    inputs = concat_cols([context.values, start_dist.states, Tensor(indicator)])
-    states = bigru(inputs, params.end_rnn)
-    logits = reshape(matmul(states, params.w_end), (-1,))
-    return row_softmax(logits, np.arange(n) >= start)
+    return end_distributions([(context, start_dist, start)], params)[0]
+
+
+def end_distributions(rows, params: SpanDecoderParams) -> list:
+    """`end_distribution` of every (context, start_dist, start) triple in
+    `rows`, with one recurrent pass over all of them."""
+    inputs = []
+    for context, start_dist, start in rows:
+        n = context.length
+        if not 0 <= start < n:
+            raise ValueError(f"start {start} out of range for paragraph length {n}")
+        indicator = np.zeros((n, 1))
+        indicator[start, 0] = 1.0
+        inputs.append(concat_cols([context.values, start_dist.states, Tensor(indicator)]))
+    dists = []
+    for (_, _, start), states in zip(rows, bigru_each(inputs, params.end_rnn)):
+        logits = reshape(matmul(states, params.w_end), (-1,))
+        dists.append(row_softmax(logits, np.arange(logits.data.shape[0]) >= start))
+    return dists
 
 
 def span_probability(start_dist: StartDistribution, end_dist: Tensor, start: int, end: int) -> Tensor:

@@ -111,6 +111,21 @@ def test_frozen_word_vectors_round_trip(tmp_path):
     assert np.array_equal(loaded.encoder.word_emb.data, word_init)
 
 
+def test_failed_save_keeps_previous_file_and_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    model = scrambled_model()
+    save_checkpoint(path, model, snapshot(), epoch=1, seed=0)
+    before = path.read_bytes()
+    # the last parameter cannot be converted, so the save fails after the
+    # manifest and the other parameters are written
+    _, last = list(model.store.items())[-1]
+    monkeypatch.setattr(last, "data", np.array(["not a number"], dtype=object))
+    with pytest.raises(ValueError):
+        save_checkpoint(path, model, snapshot(), epoch=2, seed=0)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
 def test_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"definitely not a checkpoint")

@@ -220,6 +220,37 @@ def test_train_resume_continues_epoch_numbering(tmp_path, capsys, synth_data):
     assert manifest["epoch"] == 2
 
 
+def test_train_resume_below_checkpoint_epoch_fails(tmp_path, capsys, synth_data):
+    rc, _, _, ckpt = train_once(capsys, tmp_path, synth_data, "two")  # epochs=2
+    assert rc == 0
+    fewer = write_json(tmp_path / "fewer.json", dict(TINY_CONFIG, epochs=1))
+    out = tmp_path / "resumed.ckpt"
+    rc, _, err = run(
+        capsys,
+        ["train", "--config", fewer, "--data", synth_data, "--out", str(out), "--checkpoint", ckpt],
+    )
+    assert rc == 1
+    message = assert_single_json_error(err)
+    assert message.startswith(f"{ckpt}: ")
+    assert "epoch 2" in message and "1 epochs" in message
+    assert not out.exists()
+
+
+def test_train_resume_may_overwrite_its_checkpoint(tmp_path, capsys, synth_data):
+    rc, _, _, ckpt = train_once(capsys, tmp_path, synth_data, "short", config=dict(TINY_CONFIG, epochs=1))
+    assert rc == 0
+    longer = write_json(tmp_path / "longer.json", TINY_CONFIG)
+    rc, _, err = run(
+        capsys,
+        ["train", "--config", longer, "--data", synth_data, "--out", ckpt, "--checkpoint", ckpt],
+    )
+    assert rc == 0
+    assert len(loss_lines(err)) == 1
+    _, manifest = load_checkpoint(ckpt)
+    assert manifest["epoch"] == 2
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
 def test_train_rejects_unknown_config_key(tmp_path, capsys, synth_data):
     rc, _, err, _ = train_once(
         capsys, tmp_path, synth_data, "bad", config=dict(TINY_CONFIG, bogus=1)
@@ -402,6 +433,7 @@ def test_evaluate_rejects_paragraph_prob_length_mismatch(tmp_path, capsys):
     assert rc == 1
     message = assert_single_json_error(err)
     assert "'a'" in message and "2 paragraphs" in message
+    assert message.startswith(f"{preds}: line 1: ")
 
 
 @pytest.mark.parametrize(

@@ -85,7 +85,7 @@ def test_embed_tokens_rejects_empty():
 def test_contextualize_shape():
     model = tiny_model()
     emb = embed_tokens(PARAGRAPH, model.vocab, model.char_vocab, model.encoder)
-    out = contextualize(emb, model.encoder.p_ctx, 1.0, None, training=False)
+    (out,) = contextualize([emb], model.encoder.p_ctx, 1.0, None, training=False)
     assert out.shape == (len(PARAGRAPH), 2 * model.config.hidden_dim)
 
 
@@ -94,7 +94,7 @@ def test_contextualize_zero_weights_gives_zeros():
     for _, t in model.encoder.p_ctx.tensors():
         t.data[:] = 0.0
     emb = embed_tokens(PARAGRAPH, model.vocab, model.char_vocab, model.encoder)
-    out = contextualize(emb, model.encoder.p_ctx, 1.0, None, training=False)
+    (out,) = contextualize([emb], model.encoder.p_ctx, 1.0, None, training=False)
     np.testing.assert_array_equal(out.data, 0.0)
 
 
@@ -102,12 +102,12 @@ def test_contextualize_zero_weights_gives_zeros():
 
 
 def encoded_pair(model, para=PARAGRAPH, ques=QUESTION):
-    q = contextualize(
-        embed_tokens(ques, model.vocab, model.char_vocab, model.encoder),
+    (q,) = contextualize(
+        [embed_tokens(ques, model.vocab, model.char_vocab, model.encoder)],
         model.encoder.q_ctx, 1.0, None, False,
     )
-    p = contextualize(
-        embed_tokens(para, model.vocab, model.char_vocab, model.encoder),
+    (p,) = contextualize(
+        [embed_tokens(para, model.vocab, model.char_vocab, model.encoder)],
         model.encoder.p_ctx, 1.0, None, False,
     )
     return p, q
@@ -146,7 +146,7 @@ def test_bidaf_single_question_token_attends_to_it():
 def test_self_attend_shape():
     model = tiny_model()
     p, q = encoded_pair(model)
-    ctx = self_attend(bidaf_attention(p, q, model.encoder), model.encoder)
+    (ctx,) = self_attend([bidaf_attention(p, q, model.encoder)], model.encoder)
     assert ctx.values.shape == (len(PARAGRAPH), 2 * model.config.hidden_dim)
     assert ctx.length == len(PARAGRAPH)
 
@@ -155,7 +155,7 @@ def test_self_attend_single_token_is_plain_projection():
     model = tiny_model()
     p, q = encoded_pair(model, para=["fat"])
     x = bidaf_attention(p, q, model.encoder)
-    ctx = self_attend(x, model.encoder)
+    (ctx,) = self_attend([x], model.encoder)
     direct = bigru(x, model.encoder.self_rnn)
     np.testing.assert_array_equal(ctx.values.data, direct.data)
 

@@ -1,21 +1,29 @@
 """Recurrent sequence kernel: cell fixtures, direction contract, BPTT gradients."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import check_grads
 from spanqa.diffmath import (
     BiGruParams,
     GruParams,
     Tensor,
+    backward,
     bigru,
     flip_rows,
     gru_sequence,
     init_bigru_params,
     init_gru_params,
     make_rng,
+    pad_stack,
     tsum,
+    unstack,
 )
+from spanqa.diffmath.rnn import _sigmoid
 
 
 def random_params(in_dim, d, seed):
@@ -133,3 +141,129 @@ def test_param_registration_names():
         "fwd/w", "fwd/u_zr", "fwd/u_h", "fwd/b",
         "bwd/w", "bwd/u_zr", "bwd/u_h", "bwd/b",
     ]
+
+
+# ------------------------------------------------------------ sigmoid
+
+
+def masked_sigmoid(x):
+    """The former branching form: exp of -x where x >= 0, of x elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_masked_form_without_warnings():
+    x = np.linspace(-700.0, 700.0, 200_001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sigmoid(x)
+        extremes = _sigmoid(np.array([-1e4, -800.0, 800.0, 1e4]))
+    ref = masked_sigmoid(x)
+    assert np.max(np.abs(got - ref) / ref) <= 1e-15
+    np.testing.assert_array_equal(extremes, [0.0, 0.0, 1.0, 1.0])
+
+
+# ------------------------------------------------------ packed batches
+
+
+def rel_diff(a, b):
+    """Largest absolute difference, relative to the reference's largest entry."""
+    scale = np.max(np.abs(b))
+    return float(np.max(np.abs(a - b)) / scale) if scale > 0 else float(np.max(np.abs(a)))
+
+
+def run_rows(layer, params, inputs, lengths, weights):
+    """Outputs and gradients of every row, taken through one packed call of
+    `layer` (backward once per row, so each gradient is that row's alone)."""
+    xs = [Tensor(x, requires_grad=True) for x in inputs]
+    leaves = [t for _, t in params.tensors()]
+    outs = unstack(layer(pad_stack(xs), params, lengths), lengths)
+    results = []
+    for b, (out, w) in enumerate(zip(outs, weights)):
+        backward(tsum(out * w))
+        results.append((out.data, xs[b].grad, [t.grad for t in leaves]))
+        for t in xs + leaves:
+            t.zero_grad()
+    return results
+
+
+def run_single(layer, params, x, w):
+    xt = Tensor(x, requires_grad=True)
+    leaves = [t for _, t in params.tensors()]
+    out = layer(xt, params)
+    backward(tsum(out * w))
+    result = (out.data, xt.grad, [t.grad for t in leaves])
+    for t in [xt] + leaves:
+        t.zero_grad()
+    return result
+
+
+@given(
+    st.lists(st.integers(1, 12), min_size=1, max_size=6),
+    st.sampled_from(["forward", "backward", "bi"]),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_packed_rows_match_single_sequence_calls(lengths, layer_name, seed):
+    rng = make_rng(seed, 41)
+    in_dim, d = 3, 4
+    if layer_name == "bi":
+        layer, params, width = bigru, init_bigru_params(in_dim, d, make_rng(seed, 42)), 2 * d
+    else:
+        params, width = random_params(in_dim, d, seed), d
+
+        def layer(inputs, params, lengths=None):
+            return gru_sequence(inputs, params, layer_name, lengths=lengths)
+
+    inputs = [rng.standard_normal((n, in_dim)) for n in lengths]
+    weights = [rng.standard_normal((n, width)) for n in lengths]
+    packed = run_rows(layer, params, inputs, lengths, weights)
+    for (out, dx, dparams), x, w in zip(packed, inputs, weights):
+        ref_out, ref_dx, ref_dparams = run_single(layer, params, x, w)
+        assert out.shape == ref_out.shape
+        assert rel_diff(out, ref_out) <= 1e-12
+        assert rel_diff(dx, ref_dx) <= 1e-12
+        for got, ref in zip(dparams, ref_dparams):
+            assert rel_diff(got, ref) <= 1e-12
+
+
+def test_packed_gradients_match_finite_differences():
+    rng = make_rng(43, 1)
+    lengths = [2, 4, 3]
+    xs = [Tensor(rng.standard_normal((n, 3)), requires_grad=True) for n in lengths]
+    params = init_bigru_params(3, 2, make_rng(43, 2))
+    weights = [Tensor(rng.standard_normal((n, 4))) for n in lengths]
+
+    def build():
+        outs = unstack(bigru(pad_stack(xs), params, lengths), lengths)
+        loss = tsum(outs[0] * weights[0])
+        for out, w in zip(outs[1:], weights[1:]):
+            loss = loss + tsum(out * w)
+        return loss
+
+    check_grads(build, xs + [t for _, t in params.tensors()])
+
+
+def test_packed_padding_does_not_leak_into_valid_steps():
+    rng = make_rng(44, 1)
+    params = random_params(3, 4, 44)
+    short = rng.standard_normal((2, 3))
+    packed = pad_stack([Tensor(short), Tensor(rng.standard_normal((5, 3)))]).data.copy()
+    packed[2:, 0] = 1e3  # padding content must not matter
+    out = gru_sequence(Tensor(packed), params, "backward", lengths=[2, 5])
+    ref = gru_sequence(Tensor(short), params, "backward")
+    assert rel_diff(out.data[:2, 0], ref.data) <= 1e-12
+
+
+def test_lengths_must_fit_the_packed_input():
+    params = random_params(3, 2, 45)
+    with pytest.raises(ValueError, match="lengths"):
+        gru_sequence(Tensor(np.zeros((4, 2, 3))), params, lengths=[4, 5])
+    with pytest.raises(ValueError, match="lengths"):
+        gru_sequence(Tensor(np.zeros((4, 2, 3))), params, lengths=[4])
+    with pytest.raises(ValueError, match="lengths"):
+        gru_sequence(Tensor(np.zeros((4, 3))), params, lengths=[4])

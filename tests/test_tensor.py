@@ -21,6 +21,7 @@ from spanqa.diffmath import (
     max_axis1,
     maximum,
     no_grad,
+    pad_stack,
     pick,
     relu,
     reshape,
@@ -28,6 +29,7 @@ from spanqa.diffmath import (
     stack_scalars,
     tile_rows,
     transpose,
+    unstack,
     tsum,
 )
 
@@ -252,6 +254,31 @@ def test_concat_cols_values_and_gradient():
     np.testing.assert_array_equal(out.data[:, 2:], b.data)
     w = Tensor(rng.standard_normal((2, 5)))
     check_grads(lambda: tsum(concat_cols([a, b]) * w), [a, b])
+
+
+def test_pad_stack_unstack_and_per_column_flip():
+    rng = make_rng(20, 1)
+    a = leaf(None, rng, (2, 3))
+    b = leaf(None, rng, (4, 3))
+    packed = pad_stack([a, b])
+    assert packed.shape == (4, 2, 3)
+    np.testing.assert_array_equal(packed.data[:2, 0], a.data)
+    np.testing.assert_array_equal(packed.data[2:, 0], 0.0)
+    np.testing.assert_array_equal(packed.data[:, 1], b.data)
+    flipped = flip_rows(packed, [2, 4]).data
+    np.testing.assert_array_equal(flipped[:2, 0], a.data[::-1])
+    np.testing.assert_array_equal(flipped[2:, 0], 0.0)
+    np.testing.assert_array_equal(flipped[:, 1], b.data[::-1])
+    first, second = unstack(packed, [2, 4])
+    np.testing.assert_array_equal(first.data, a.data)
+    np.testing.assert_array_equal(second.data, b.data)
+    wa, wb = Tensor(rng.standard_normal((2, 3))), Tensor(rng.standard_normal((4, 3)))
+
+    def build():
+        x, y = unstack(flip_rows(pad_stack([a, b]), [2, 4]), [2, 4])
+        return tsum(x * wa) + tsum(y * wb)
+
+    check_grads(build, [a, b])
 
 
 def test_stack_scalars_and_pick_gradients():
