@@ -66,17 +66,52 @@ def save_checkpoint(path, model: QaModel, config_snapshot: dict, epoch: int, see
         raise
 
 
+_MANIFEST_FIELDS = {
+    "config": dict,
+    "vocab": list,
+    "chars": list,
+    "params": list,
+    "frozen": list,
+    "rng": dict,
+    "epoch": int,
+}
+
+
+def _read_manifest(path, fh) -> dict:
+    """The manifest that follows the magic, checked for the fields and the
+    parameter entries `load_checkpoint` reads; a corrupt one fails with a
+    ValueError naming the file."""
+    length = int.from_bytes(fh.read(8), "little")
+    try:
+        manifest = json.loads(fh.read(length).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: corrupt checkpoint manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: corrupt checkpoint manifest: not a JSON object")
+    if manifest.get("format_version") != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint format {manifest.get('format_version')!r}")
+    for key, kind in _MANIFEST_FIELDS.items():
+        if not isinstance(manifest.get(key), kind):
+            raise ValueError(f"{path}: corrupt checkpoint manifest: {key!r} missing or not a {kind.__name__}")
+    if not isinstance(manifest["rng"].get("seed"), int):
+        raise ValueError(f"{path}: corrupt checkpoint manifest: no rng seed")
+    for entry in manifest["params"] + manifest["frozen"]:
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(isinstance(n, int) and n >= 0 for n in entry["shape"])
+        ):
+            raise ValueError(f"{path}: corrupt checkpoint manifest: bad parameter entry {entry!r}")
+    return manifest
+
+
 def load_checkpoint(path):
     """Rebuild the model from a checkpoint; returns (model, manifest)."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        length = int.from_bytes(fh.read(8), "little")
-        manifest = json.loads(fh.read(length).decode("utf-8"))
-        if manifest.get("format_version") != FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported checkpoint format {manifest.get('format_version')!r}"
-            )
+        manifest = _read_manifest(path, fh)
         arrays = {}
         for entry in manifest["params"] + manifest["frozen"]:
             shape = tuple(entry["shape"])

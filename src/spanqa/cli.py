@@ -9,6 +9,7 @@ nonzero.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 
@@ -165,8 +166,10 @@ def _read_predictions(path) -> dict:
             ex_id, answer, probs = record.get("id"), record.get("answer"), record.get("paragraph_probs")
             if not isinstance(ex_id, str) or not isinstance(answer, str):
                 raise ValueError(f"{where}: a prediction needs a string \"id\" and a string \"answer\"")
-            if not isinstance(probs, list) or not all(isinstance(p, (int, float)) for p in probs):
-                raise ValueError(f"{where}: \"paragraph_probs\" must be a list of numbers")
+            if not isinstance(probs, list) or not all(
+                isinstance(p, (int, float)) and not isinstance(p, bool) and math.isfinite(p) for p in probs
+            ):
+                raise ValueError(f"{where}: \"paragraph_probs\" must be a list of numbers (finite, not booleans)")
             if ex_id in predictions:
                 raise ValueError(f"{where}: duplicate id {ex_id!r}")
             predictions[ex_id] = (

@@ -282,50 +282,66 @@ def generate_synthetic(config: SynthConfig):
 # JSONL I/O.
 
 
-def _require(record, key, line_no):
+def _field(record, key, kind, what, where):
+    """record[key], which must be an instance of `kind` (bool never counts)."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where}: expected a JSON object")
     if key not in record:
-        raise ValueError(f"line {line_no}: missing field {key!r}")
-    return record[key]
+        raise ValueError(f"{where}: missing field {key!r}")
+    value = record[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{where}: field {key!r} must be {what}, got {type(value).__name__}")
+    return value
 
 
 def load_dataset(path, max_paragraphs: int = 20, max_paragraph_tokens: int = 400):
     """Read a JSONL dataset, truncating to the first `max_paragraphs` paragraphs
-    and the first `max_paragraph_tokens` tokens of each paragraph."""
+    and the first `max_paragraph_tokens` tokens of each paragraph.
+
+    Each line is an object with an "id" (string or integer), a "question"
+    string, a nonempty "answers" list of strings and a nonempty
+    "paragraphs" list of {"id", "text"} objects; any other shape fails with
+    a ValueError naming the file and the line.
+    """
     dataset = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}: line {line_no}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: invalid JSON: {exc}") from exc
-            ex_id = str(_require(record, "id", line_no))
-            question_text = _require(record, "question", line_no)
-            answers = _require(record, "answers", line_no)
-            raw_paragraphs = _require(record, "paragraphs", line_no)
+                raise ValueError(f"{where}: invalid JSON: {exc}") from exc
+            ex_id = str(_field(record, "id", (str, int), "a string or an integer", where))
+            question_text = _field(record, "question", str, "a string", where)
+            answers = _field(record, "answers", list, "a list of strings", where)
+            if not all(isinstance(a, str) for a in answers):
+                raise ValueError(f"{where}: field 'answers' must be a list of strings")
+            raw_paragraphs = _field(record, "paragraphs", list, "a list", where)
             if not answers:
-                raise ValueError(f"line {line_no}: empty answers list")
+                raise ValueError(f"{where}: empty answers list")
             if not raw_paragraphs:
-                raise ValueError(f"line {line_no}: empty paragraphs list")
+                raise ValueError(f"{where}: empty paragraphs list")
             paragraphs = []
-            for p in raw_paragraphs[:max_paragraphs]:
+            for k, p in enumerate(raw_paragraphs[:max_paragraphs]):
+                at = f"{where}: paragraph {k}"
                 paragraph = make_paragraph(
-                    str(_require(p, "id", line_no)),
-                    _require(p, "text", line_no),
+                    str(_field(p, "id", (str, int), "a string or an integer", at)),
+                    _field(p, "text", str, "a string", at),
                     max_tokens=max_paragraph_tokens,
                 )
                 if not paragraph.tokens:
-                    raise ValueError(f"line {line_no}: paragraph {paragraph.id!r} has no tokens")
+                    raise ValueError(f"{where}: paragraph {paragraph.id!r} has no tokens")
                 paragraphs.append(paragraph)
             question_tokens, _ = tokenize(question_text)
             if not question_tokens:
-                raise ValueError(f"line {line_no}: question has no tokens")
+                raise ValueError(f"{where}: question has no tokens")
             dataset.append(
                 QAExample(
                     id=ex_id,
                     question=question_tokens,
-                    answers=[str(a) for a in answers],
+                    answers=answers,
                     paragraphs=paragraphs,
                     question_text=question_text,
                 )

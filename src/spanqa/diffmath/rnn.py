@@ -79,7 +79,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _gru_forward_pass(inputs: Tensor, params: GruParams, h0) -> Tensor:
+def _gru_forward_pass(inputs: Tensor, params: GruParams) -> Tensor:
     """Forward recurrence over axis 0 of a (T, in) or (T, B, in) input; the B
     sequences of a batch share each step's matrix products."""
     x = inputs.data
@@ -90,19 +90,19 @@ def _gru_forward_pass(inputs: Tensor, params: GruParams, h0) -> Tensor:
     flat_x = x.reshape(-1, x.shape[-1])
     batch = flat_x.shape[0] // n
     xw = (flat_x @ w + b).reshape(n, batch, 3 * d)
-    h = np.zeros((batch, d)) if h0 is None else np.broadcast_to(np.asarray(h0, dtype=np.float64), (batch, d))
-    hs = np.empty((n, batch, d))
-    hprev = np.empty((n, batch, d))
+    # hs[t] is the state before step t (row 0 the zero state), hs[t + 1] after it
+    hs = np.zeros((n + 1, batch, d))
     zs = np.empty((n, batch, d))
     rs = np.empty((n, batch, d))
     cs = np.empty((n, batch, d))
     for t in range(n):
-        hprev[t] = h
+        h = hs[t]
         zr = _sigmoid(xw[t, :, : 2 * d] + h @ u_zr)
         z, r = zr[:, :d], zr[:, d:]
         c = np.tanh(xw[t, :, 2 * d :] + (r * h) @ u_h)
-        h = (1.0 - z) * h + z * c
-        zs[t], rs[t], cs[t], hs[t] = z, r, c, h
+        hs[t + 1] = (1.0 - z) * h + z * c
+        zs[t], rs[t], cs[t] = z, r, c
+    hprev = hs[:-1]
 
     def back(g):
         g = g.reshape(n, batch, d)
@@ -129,11 +129,11 @@ def _gru_forward_pass(inputs: Tensor, params: GruParams, h0) -> Tensor:
             dxw.sum(axis=0),
         )
 
-    out = hs.reshape(x.shape[:-1] + (d,))
+    out = hs[1:].reshape(x.shape[:-1] + (d,))
     return _make(out, (inputs, params.w, params.u_zr, params.u_h, params.b), back)
 
 
-def gru_sequence(inputs: Tensor, params: GruParams, direction: str = "forward", h0=None, lengths=None) -> Tensor:
+def gru_sequence(inputs: Tensor, params: GruParams, direction: str = "forward", lengths=None) -> Tensor:
     """Run the recurrence along axis 0 of `inputs`, returning one state per step.
 
     `inputs` is one (T, in) sequence or a batch of B sequences packed
@@ -144,8 +144,7 @@ def gru_sequence(inputs: Tensor, params: GruParams, direction: str = "forward", 
 
     direction="backward" reverses each column within its own length,
     runs forward and reverses back, so step t still describes token t and
-    padded steps stay after the valid ones.  `h0` overrides the zero
-    initial state (constant, not differentiated).
+    padded steps stay after the valid ones.
     """
     shape = inputs.data.shape
     if inputs.data.ndim not in (2, 3) or shape[0] < 1 or 0 in shape[1:-1]:
@@ -157,9 +156,9 @@ def gru_sequence(inputs: Tensor, params: GruParams, direction: str = "forward", 
         if len(shape) != 3 or lengths.shape != shape[1:2] or lengths.min() < 1 or lengths.max() > shape[0]:
             raise ValueError(f"gru_sequence lengths {lengths.tolist()} do not fit input shape {shape}")
     if direction == "forward":
-        return _gru_forward_pass(inputs, params, h0)
+        return _gru_forward_pass(inputs, params)
     if direction == "backward":
-        return flip_rows(_gru_forward_pass(flip_rows(inputs, lengths), params, h0), lengths)
+        return flip_rows(_gru_forward_pass(flip_rows(inputs, lengths), params), lengths)
     raise ValueError(f"unknown direction: {direction!r}")
 
 

@@ -72,6 +72,7 @@ class QaModel:
         embedded = embed_tokens(tokens, self.vocab, self.char_vocab, self.encoder)
         return contextualize([embedded], self.encoder.q_ctx, self.config.keep_prob, rng, training)[0]
 
+    # No caller in the package; the benchmark's tracer and the tests' B=1 references use it.
     def encode_paragraph(self, question: Tensor, paragraph_tokens, rng=None, training: bool = False) -> ContextEmbedding:
         """Question-aware context embedding (n, 2d) for one paragraph, given
         the question's `encode_question` output."""

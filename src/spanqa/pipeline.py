@@ -6,6 +6,12 @@ the pair-normalized quality softmax and p+ aggregates the span probabilities
 at the weakly labeled answer locations.  Batches average example losses into
 one Adadelta step.
 
+Training and inference share one forward path: the question is encoded
+once per example, then each recurrent layer runs once over the example's
+paragraphs (the pair in training, all of them at inference) through the
+batched calls `encode_paragraphs`, `start_distributions`,
+`end_distributions` and `quality_logits`.
+
 Inference runs a start/end beam per paragraph, groups candidate spans by
 normalized answer text, aggregates within each paragraph, and mixes across
 paragraphs with the quality weights:  S(A) = sum_i q_i * p_i(A).  The best
@@ -28,21 +34,12 @@ from .aggregation import AggregationMode, aggregate, group_candidates
 from .corpus import label_spans
 from .diffmath import backward, clip_min, log, no_grad, pick
 from .diffmath.rng import STREAM_PREDICT, STREAM_TRAIN, make_rng
-from .paragraph_quality import (
-    normalize_qualities,
-    normalize_quality_tensors,
-    quality_logit,
-    quality_logits,
-    sample_pair,
-)
-from .span_decoder import (
-    SpanCandidate,
-    end_distribution,
-    end_distributions,
-    span_probability,
-    start_distribution,
-    start_distributions,
-)
+from .paragraph_quality import normalize_qualities, normalize_quality_tensors, quality_logits, sample_pair
+from .span_decoder import SpanCandidate, end_distributions, span_probability, start_distributions
+
+# Not called here: the benchmark's tracer (perfbench/run.py) rebinds these names in this module.
+from .paragraph_quality import quality_logit  # noqa: F401
+from .span_decoder import end_distribution, start_distribution  # noqa: F401
 
 PROB_FLOOR = 1e-12
 
@@ -99,29 +96,28 @@ def paragraph_label_table(dataset):
 def example_loss(model, example, pos_index, pos_labels, neg_paragraph, mode, rng):
     """-(log q+ + log p+) for one training pair, as a graph scalar.
 
-    p+ aggregates span probabilities at the labeled locations; end
-    distributions are computed once per distinct labeled start, all in one
-    recurrent pass.  Both probabilities are floored at PROB_FLOOR before the
-    log so early zero-mass labels cannot produce infinities.  Each paragraph
-    of the pair encodes the question itself, so each draws its own dropout
-    masks.
+    The question is encoded once and the pair runs through the same
+    batched calls as `predict`: each recurrent layer runs once over
+    (positive, negative).  p+ aggregates span probabilities at the labeled
+    locations; end distributions are computed once per distinct labeled
+    start, all in one recurrent pass.  Both probabilities are floored at
+    PROB_FLOOR before the log so early zero-mass labels cannot produce
+    infinities.  Dropout masks are drawn for the question, the positive and
+    then the negative paragraph; the `rand` aggregation draw comes last.
     """
-    positive = example.paragraphs[pos_index]
     question = model.encode_question(example.question, rng, training=True)
-    ctx = model.encode_paragraph(question, positive.tokens, rng, training=True)
-    starts = start_distribution(ctx, model.decoder)
+    pair = [example.paragraphs[pos_index].tokens, neg_paragraph.tokens]
+    contexts = model.encode_paragraphs(question, pair, rng, training=True)
+    starts = start_distributions(contexts, model.decoder)
+    ctx, pos_starts = contexts[0], starts[0]
     distinct = list(dict.fromkeys(label.start for label in pos_labels))
-    ends = end_distributions([(ctx, starts, s) for s in distinct], model.decoder)
+    ends = end_distributions([(ctx, pos_starts, s) for s in distinct], model.decoder)
     ends_by_start = dict(zip(distinct, ends))
-    span_probs = [span_probability(starts, ends_by_start[l.start], l.start, l.end) for l in pos_labels]
+    span_probs = [span_probability(pos_starts, ends_by_start[l.start], l.start, l.end) for l in pos_labels]
     answer_prob = aggregate(span_probs, mode, rng)
-
-    q_pos = quality_logit(ctx, starts, model.quality, model.grad_through_start)
-    question_neg = model.encode_question(example.question, rng, training=True)
-    ctx_neg = model.encode_paragraph(question_neg, neg_paragraph.tokens, rng, training=True)
-    starts_neg = start_distribution(ctx_neg, model.decoder)
-    q_neg = quality_logit(ctx_neg, starts_neg, model.quality, model.grad_through_start)
-    pair_probs = normalize_quality_tensors([q_pos, q_neg])
+    pair_probs = normalize_quality_tensors(
+        quality_logits(contexts, starts, model.quality, model.grad_through_start)
+    )
 
     loss = -(log(clip_min(pick(pair_probs, 0), PROB_FLOOR)) + log(clip_min(answer_prob, PROB_FLOOR)))
     if not np.isfinite(loss.data):
@@ -224,20 +220,12 @@ def beam_spans(start_probs, end_dist_for, k1: int, k2: int):
     return spans
 
 
-def beam_candidates(context, paragraph, params, k1: int, k2: int, start_dist=None, end_dists=None):
+def beam_candidates(paragraph, start_dist, end_dists, k1: int, k2: int):
     """Up to k1*k2 scored SpanCandidates for one paragraph.
 
-    `end_dists` maps a start to its end-probability array when the caller
-    has computed it already; other starts are computed here.
+    `end_dists` maps each of the top-k1 starts of `start_dist` to its
+    end-probability array.
     """
-    starts = start_dist if start_dist is not None else start_distribution(context, params)
-    cache = dict(end_dists or {})
-
-    def ends_for(s):
-        if s not in cache:
-            cache[s] = end_distribution(context, starts, s, params).data
-        return cache[s]
-
     return [
         SpanCandidate(
             start=s,
@@ -247,7 +235,7 @@ def beam_candidates(context, paragraph, params, k1: int, k2: int, start_dist=Non
             span_prob=sp * ep,
             answer_text=paragraph.span_text(s, e),
         )
-        for s, e, sp, ep in beam_spans(starts.probs.data, ends_for, k1, k2)
+        for s, e, sp, ep in beam_spans(start_dist.probs.data, end_dists.__getitem__, k1, k2)
     ]
 
 
@@ -286,9 +274,9 @@ def predict(model, example, mode: AggregationMode, k1: int, k2: int, rng=None) -
         rows = [(ctx, sd, s) for ctx, sd, beam in zip(contexts, starts, beams) for s in beam]
         ends = iter(end_distributions(rows, model.decoder))
         per_paragraph = []
-        for paragraph, ctx, sd, beam in zip(example.paragraphs, contexts, starts, beams):
+        for paragraph, sd, beam in zip(example.paragraphs, starts, beams):
             end_dists = {s: next(ends).data for s in beam}
-            cands = beam_candidates(ctx, paragraph, model.decoder, k1, k2, start_dist=sd, end_dists=end_dists)
+            cands = beam_candidates(paragraph, sd, end_dists, k1, k2)
             per_paragraph.append(group_candidates(cands, mode, rng))
         logits = [q.item() for q in quality_logits(contexts, starts, model.quality)]
         quality = normalize_qualities(logits)

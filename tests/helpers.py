@@ -3,13 +3,32 @@ and exhaustive reference oracles for the span decoder and the encode path."""
 
 import numpy as np
 
-from spanqa.aggregation import group_candidates
-from spanqa.diffmath import BiGruParams, Tensor, backward, bigru, concat_cols, matmul, no_grad, reshape, row_softmax
+from spanqa.aggregation import aggregate, group_candidates
+from spanqa.diffmath import (
+    BiGruParams,
+    Tensor,
+    backward,
+    bigru,
+    clip_min,
+    concat_cols,
+    log,
+    matmul,
+    no_grad,
+    pick,
+    reshape,
+    row_softmax,
+)
 from spanqa.encoder import CharVocab, ContextEmbedding, EncoderConfig, Vocab
 from spanqa.model import QaModel
-from spanqa.paragraph_quality import normalize_qualities, quality_logit
-from spanqa.pipeline import beam_candidates, best_answer, combine_scores
-from spanqa.span_decoder import SpanDecoderParams, StartDistribution, end_distribution, start_distribution
+from spanqa.paragraph_quality import normalize_qualities, normalize_quality_tensors, quality_logit
+from spanqa.pipeline import PROB_FLOOR, beam_candidates, best_answer, combine_scores, top_indices
+from spanqa.span_decoder import (
+    SpanDecoderParams,
+    StartDistribution,
+    end_distribution,
+    span_probability,
+    start_distribution,
+)
 
 TINY_WORDS = ["camels", "store", "fat", "in", "their", "humps", "what", "do", "?", "sand", "dune", "walks"]
 
@@ -127,15 +146,45 @@ def quality_probs(model, example):
     return normalize_qualities(logits).probs
 
 
+def reference_example_loss(model, example, pos_index, pos_labels, neg_paragraph, mode, rng):
+    """pipeline.example_loss from the one-item (B=1) calls: each paragraph of
+    the pair, and each distinct labelled start, gets its own recurrent pass.
+    Random draws come in the same order: question, positive, negative, then
+    aggregation."""
+    question = model.encode_question(example.question, rng, training=True)
+    pos_ctx = model.encode_paragraph(question, example.paragraphs[pos_index].tokens, rng, training=True)
+    neg_ctx = model.encode_paragraph(question, neg_paragraph.tokens, rng, training=True)
+    pos_starts = start_distribution(pos_ctx, model.decoder)
+    neg_starts = start_distribution(neg_ctx, model.decoder)
+    ends = {s: end_distribution(pos_ctx, pos_starts, s, model.decoder) for s in {l.start for l in pos_labels}}
+    span_probs = [span_probability(pos_starts, ends[l.start], l.start, l.end) for l in pos_labels]
+    answer_prob = aggregate(span_probs, mode, rng)
+    pair_probs = normalize_quality_tensors(
+        [
+            quality_logit(pos_ctx, pos_starts, model.quality, model.grad_through_start),
+            quality_logit(neg_ctx, neg_starts, model.quality, model.grad_through_start),
+        ]
+    )
+    return -(log(clip_min(pick(pair_probs, 0), PROB_FLOOR)) + log(clip_min(answer_prob, PROB_FLOOR)))
+
+
+def reference_beam(context, paragraph, params, k1, k2):
+    """beam_candidates over one paragraph, with one start distribution and
+    one end distribution per top-k1 start, each its own B=1 pass."""
+    starts = start_distribution(context, params)
+    ends = {s: end_distribution(context, starts, s, params).data for s in top_indices(starts.probs.data, k1)}
+    return beam_candidates(paragraph, starts, ends, k1, k2)
+
+
 def reference_predict(model, example, mode, k1, k2, rng=None):
     """(answer_scores, paragraph_probs, best_answer) from the same beam and
     mixture as pipeline.predict, over paragraph_contexts."""
     with no_grad():
         logits, groups = [], []
         for paragraph, ctx in zip(example.paragraphs, paragraph_contexts(model, example)):
-            starts = start_distribution(ctx, model.decoder)
-            cands = beam_candidates(ctx, paragraph, model.decoder, k1, k2, start_dist=starts)
+            cands = reference_beam(ctx, paragraph, model.decoder, k1, k2)
             groups.append(group_candidates(cands, mode, rng))
+            starts = start_distribution(ctx, model.decoder)
             logits.append(quality_logit(ctx, starts, model.quality).item())
     probs = normalize_qualities(logits).probs
     scores = combine_scores(probs, groups)

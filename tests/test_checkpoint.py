@@ -141,6 +141,40 @@ def test_rejects_unsupported_version(tmp_path):
         load_checkpoint(path)
 
 
+def cut_manifest(path):
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(MAGIC) + 8 + 40])
+
+
+def non_utf8_manifest(path):
+    raw = bytearray(path.read_bytes())
+    raw[len(MAGIC) + 8 + 1] = 0xFF
+    path.write_bytes(bytes(raw))
+
+
+def negative_shape(manifest):
+    manifest["params"][0]["shape"] = [-1]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (cut_manifest, "Unterminated string"),
+        (non_utf8_manifest, "'utf-8' codec can't decode"),
+        (lambda path: rewrite_manifest(path, lambda m: m.pop("params")), "'params' missing or not a list"),
+        (lambda path: rewrite_manifest(path, negative_shape), "bad parameter entry"),
+    ],
+    ids=["truncated", "not_utf8", "missing_params", "negative_shape"],
+)
+def test_corrupt_manifest_names_the_file(tmp_path, corrupt, message):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, scrambled_model(), snapshot(), epoch=0, seed=0)
+    corrupt(path)
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: corrupt checkpoint manifest: {message}")
+
+
 def test_rejects_truncated_payload(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, scrambled_model(), snapshot(), epoch=0, seed=0)

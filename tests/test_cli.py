@@ -444,8 +444,18 @@ def test_evaluate_rejects_paragraph_prob_length_mismatch(tmp_path, capsys):
         ({"answer": "fat", "paragraph_probs": [0.9, 0.1]}, 'line 2: a prediction needs a string "id"'),
         ({"id": "b", "paragraph_probs": [1.0]}, 'line 2: a prediction needs a string "id" and a string "answer"'),
         ({"id": "b", "answer": "fat", "paragraph_probs": ["x"]}, 'line 2: "paragraph_probs" must be a list of numbers'),
+        ({"id": "b", "answer": "fat", "paragraph_probs": [float("nan")]}, 'line 2: "paragraph_probs" must be a list'),
+        ({"id": "b", "answer": "fat", "paragraph_probs": [True]}, 'line 2: "paragraph_probs" must be a list'),
     ],
-    ids=["duplicate_id", "not_an_object", "missing_id", "missing_answer", "bad_paragraph_probs"],
+    ids=[
+        "duplicate_id",
+        "not_an_object",
+        "missing_id",
+        "missing_answer",
+        "bad_paragraph_probs",
+        "nan_paragraph_prob",
+        "bool_paragraph_prob",
+    ],
 )
 def test_evaluate_rejects_bad_prediction_line(tmp_path, capsys, line, message):
     data = eval_dataset(tmp_path)

@@ -295,3 +295,40 @@ def test_load_empty_paragraph_rejected(tmp_path):
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(ValueError, match=f"line 1: {message}"):
             load_dataset(path)
+
+
+GOOD_RECORD = {"id": "q", "question": "what", "answers": ["fat"], "paragraphs": [{"id": "p", "text": "fat"}]}
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("a string", "expected a JSON object"),
+        ({**GOOD_RECORD, "answers": "fat"}, "field 'answers' must be a list of strings, got str"),
+        ({**GOOD_RECORD, "answers": ["fat", 3]}, "field 'answers' must be a list of strings"),
+        ({**GOOD_RECORD, "question": 7}, "field 'question' must be a string, got int"),
+        ({**GOOD_RECORD, "id": True}, "field 'id' must be a string or an integer, got bool"),
+        ({**GOOD_RECORD, "paragraphs": {"id": "p", "text": "fat"}}, "field 'paragraphs' must be a list, got dict"),
+        ({**GOOD_RECORD, "paragraphs": ["fat"]}, "paragraph 0: expected a JSON object"),
+        (
+            {**GOOD_RECORD, "paragraphs": [{"id": "p", "text": 5}]},
+            "paragraph 0: field 'text' must be a string, got int",
+        ),
+    ],
+    ids=[
+        "string_record",
+        "string_answers",
+        "number_answer",
+        "number_question",
+        "bool_id",
+        "dict_paragraphs",
+        "string_paragraph",
+        "number_text",
+    ],
+)
+def test_load_rejects_wrongly_typed_record_naming_file_and_line(tmp_path, record, message):
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(ValueError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"{path}: line 2: {message}"

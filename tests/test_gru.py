@@ -40,13 +40,16 @@ def zero_params(in_dim, d):
 
 
 def test_zero_weights_halve_initial_state():
-    # z = sigmoid(0) = 0.5 and the candidate is tanh(0) = 0, so each step
-    # leaves h' = 0.5 * h.
+    # With only the candidate bias b_h nonzero, z = sigmoid(0) = 0.5 and the
+    # candidate is c = tanh(b_h) at every step, so h' = (h + c) / 2: each step
+    # halves the gap between the state and c, starting from the zero state.
     d = 3
-    h0 = np.array([2.0, -4.0, 1.0])
-    out = gru_sequence(Tensor(np.zeros((2, 2))), zero_params(2, d), h0=h0)
-    np.testing.assert_allclose(out.data[0], 0.5 * h0)
-    np.testing.assert_allclose(out.data[1], 0.25 * h0)
+    params = zero_params(2, d)
+    params.b.data[2 * d :] = [2.0, -4.0, 0.5]
+    c = np.tanh(params.b.data[2 * d :])
+    out = gru_sequence(Tensor(np.ones((2, 2))), params)
+    np.testing.assert_allclose(out.data[0], 0.5 * c, rtol=1e-15)
+    np.testing.assert_allclose(out.data[1], 0.75 * c, rtol=1e-15)
 
 
 def test_zero_weights_zero_init_gives_zeros():

@@ -5,15 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_span_probabilities, check_grads, quality_probs, reference_predict, tiny_model
+from helpers import (
+    all_span_probabilities,
+    check_grads,
+    quality_probs,
+    reference_beam,
+    reference_example_loss,
+    reference_predict,
+    tiny_model,
+)
 from spanqa.aggregation import AggregationMode, AnswerGroup, normalize_answer_key
 from spanqa.corpus import QAExample, make_paragraph
-from spanqa.diffmath import make_rng, no_grad
+from spanqa.diffmath import backward, make_rng, no_grad
 from spanqa.pipeline import (
     Prediction,
     TrainConfig,
     average_precision,
-    beam_candidates,
     beam_spans,
     best_answer,
     combine_scores,
@@ -89,6 +96,44 @@ def test_example_loss_matches_component_arithmetic():
         model, POS_NEG, 0, labels[0], POS_NEG.paragraphs[1], AggregationMode.MAX, make_rng(1, 3)
     )
     assert loss.item() == pytest.approx(components_loss(model, POS_NEG), abs=1e-10)
+
+
+def test_example_loss_encodes_question_once_and_batches_the_pair(monkeypatch):
+    import spanqa.pipeline as pipeline
+
+    model = tiny_model(seed=21, keep_prob=0.7)
+    example = qa_example(["camels store fat in their fat humps", "sand dune walks do"])
+    labels = paragraph_label_table([example])[0]
+    assert len(labels[0]) == 2
+
+    def loss_and_grads(fn):
+        model.store.zero_grads()
+        loss = fn(model, example, 0, labels[0], example.paragraphs[1], AggregationMode.RAND, make_rng(21, 3))
+        backward(loss)
+        return loss.item(), {name: t.grad.copy() for name, t in model.store.items()}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    ref_loss, ref_grads = loss_and_grads(reference_example_loss)
+    calls = []
+    count(model, "encode_question")
+    count(model, "encode_paragraphs")
+    count(pipeline, "start_distributions")
+    count(pipeline, "quality_logits")
+    loss, grads = loss_and_grads(example_loss)
+    assert sorted(calls) == ["encode_paragraphs", "encode_question", "quality_logits", "start_distributions"]
+    # same dropout masks and rand draw as the one-item path; the packed pair
+    # only reorders float64 sums
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+    for name, grad in ref_grads.items():
+        np.testing.assert_allclose(grads[name], grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max(), err_msg=name)
 
 
 def test_example_loss_analytic_value():
@@ -235,7 +280,7 @@ def test_exhaustive_beam_covers_all_spans():
     with no_grad():
         ctx = model.encode_paragraph(model.encode_question(example.question), paragraph.tokens)
         n = len(paragraph.tokens)
-        cands = beam_candidates(ctx, paragraph, model.decoder, n, n)
+        cands = reference_beam(ctx, paragraph, model.decoder, n, n)
         table = all_span_probabilities(ctx, model.decoder)
     assert len(cands) == n * (n + 1) // 2
     for c in cands:
@@ -250,7 +295,7 @@ def test_beam_top1_monotone_in_widths():
         ctx = model.encode_paragraph(model.encode_question(POS_NEG.question), paragraph.tokens)
         tops = []
         for k1, k2 in [(1, 1), (2, 1), (2, 2), (3, 3), (6, 6)]:
-            cands = beam_candidates(ctx, paragraph, model.decoder, k1, k2)
+            cands = reference_beam(ctx, paragraph, model.decoder, k1, k2)
             tops.append(max(c.span_prob for c in cands))
     assert all(b >= a - 1e-15 for a, b in zip(tops, tops[1:]))
 
