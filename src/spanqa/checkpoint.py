@@ -125,7 +125,10 @@ def load_checkpoint(path):
 
     # the retired `span_table_cap` key, still present in older checkpoints
     manifest["config"].pop("span_table_cap", None)
-    encoder_config, _, grad_through_start = split_config(manifest["config"])
+    try:
+        encoder_config, _, grad_through_start = split_config(manifest["config"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     vocab = Vocab(manifest["vocab"])
     if vocab.tokens != manifest["vocab"]:
         raise ValueError(f"{path}: vocabulary layout mismatch")

@@ -11,11 +11,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from .aggregation import AggregationMode
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import default_config, load_config, read_config_overrides, split_config
+from .config import default_config, read_config_overrides, split_config
 from .corpus import SynthConfig, corpus_stats, generate_synthetic, load_dataset, save_dataset
 from .encoder import CharVocab, Vocab, load_word_vectors
 from .model import QaModel
@@ -68,17 +68,25 @@ def cmd_make_synthetic(args) -> int:
 
 
 def cmd_train(args) -> int:
-    flat = load_config(args.config) if args.config else default_config()
-    _apply_overrides(flat, args)
+    overrides = read_config_overrides(args.config) if args.config else {}
+    if args.checkpoint:
+        model, manifest = load_checkpoint(args.checkpoint)
+        base, start_epoch = manifest["config"], manifest["epoch"]
+    else:
+        model, base, start_epoch = None, default_config(), 0
+    flat = _apply_overrides({**base, **overrides}, args)
     encoder_config, train_config, grad_through_start = split_config(flat)
     dataset = _load_data(args)
 
-    if args.checkpoint:
-        model, manifest = load_checkpoint(args.checkpoint)
-        start_epoch = manifest["epoch"]
-        file_overrides = read_config_overrides(args.config) if args.config else {}
-        flat = {**manifest["config"], **file_overrides, **_apply_overrides({}, args)}
-        _, train_config, _ = split_config(flat)
+    if model is not None:
+        stored = {**asdict(model.config), "grad_through_start": model.grad_through_start}
+        wanted = {**asdict(encoder_config), "grad_through_start": grad_through_start}
+        clashes = [f"{key} {stored[key]!r} -> {wanted[key]!r}" for key in stored if wanted[key] != stored[key]]
+        if clashes:
+            raise ValueError(
+                f"{args.config}: changes the model of checkpoint {args.checkpoint} "
+                f"({', '.join(clashes)}); a resume keeps the checkpoint's model"
+            )
         if train_config.epochs < start_epoch:
             raise ValueError(
                 f"{args.checkpoint}: checkpoint is at epoch {start_epoch}, past the configured "
@@ -105,7 +113,6 @@ def cmd_train(args) -> int:
             word_init=word_init,
             grad_through_start=grad_through_start,
         )
-        start_epoch = 0
 
     def log(stats):
         loss = "none" if stats.mean_loss is None else repr(stats.mean_loss)

@@ -5,6 +5,7 @@ One flat dict carries every encoder and training field plus
 """
 
 import json
+import math
 from dataclasses import fields
 
 from .encoder import EncoderConfig
@@ -24,27 +25,46 @@ def default_config() -> dict:
     return flat
 
 
+def _check_type(key, value, kind):
+    """An int field takes an int, a float field a finite int or float; a
+    boolean passes for neither."""
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"config key {key!r} must be a {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"config key {key!r} must be finite, got {value!r}")
+
+
 def split_config(flat: dict):
     """Validate a flat dict and split it into (EncoderConfig, TrainConfig,
-    grad_through_start).  Unknown keys are rejected by name."""
+    grad_through_start).  Unknown keys, wrongly typed values and values out
+    of range are rejected by key."""
     enc_keys, train_keys = _field_names(EncoderConfig), _field_names(TrainConfig)
     unknown = set(flat) - enc_keys - train_keys - _MODEL_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     merged = {**default_config(), **flat}
+    for cls in (EncoderConfig, TrainConfig):
+        for f in fields(cls):
+            _check_type(f.name, merged[f.name], f.type)
+    _check_type("grad_through_start", merged["grad_through_start"], bool)
     encoder = EncoderConfig(**{k: merged[k] for k in enc_keys})
     training = TrainConfig(**{k: merged[k] for k in train_keys})
-    return encoder, training, bool(merged["grad_through_start"])
+    return encoder, training, merged["grad_through_start"]
 
 
 def read_config_overrides(path) -> dict:
-    """Read a JSON config file and validate its keys, without filling in
-    defaults — callers choose what the overrides sit on top of."""
-    with open(path, encoding="utf-8") as fh:
-        overrides = json.load(fh)
-    if not isinstance(overrides, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    split_config({**default_config(), **overrides})  # validation
+    """Read a JSON config file and validate its keys and values, without
+    filling in defaults — callers choose what the overrides sit on top of.
+    Every error names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise ValueError("config must be a JSON object")
+        split_config(overrides)  # validation
+    except ValueError as exc:  # also bad JSON and bad UTF-8
+        raise ValueError(f"{path}: {exc}") from exc
     return overrides
 
 

@@ -176,8 +176,6 @@ def bigru(inputs: Tensor, params: BiGruParams, lengths=None) -> Tensor:
 def bigru_each(sequences, params: BiGruParams) -> list:
     """`bigru` of every (n_i, in) tensor in `sequences`, as a list of
     (n_i, 2d) tensors: one packed batch, so one time loop per direction
-    for all of them.  A lone sequence runs unpacked."""
-    if len(sequences) == 1:
-        return [bigru(sequences[0], params)]
+    for all of them."""
     lengths = [s.data.shape[0] for s in sequences]
     return unstack(bigru(pad_stack(sequences), params, lengths), lengths)

@@ -11,6 +11,7 @@ stages are pure functions over explicit parameter bundles so the same code
 serves training (graphs recorded) and inference (inside no_grad).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,13 @@ class EncoderConfig:
     char_out_dim: int = 16
     hidden_dim: int = 32
     keep_prob: float = 1.0
+
+    def __post_init__(self):
+        for name in ("word_dim", "char_dim", "char_conv_width", "char_out_dim", "hidden_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if not 0.0 < self.keep_prob <= 1.0:
+            raise ValueError(f"keep_prob must be in (0, 1], got {self.keep_prob!r}")
 
     @property
     def token_dim(self) -> int:
@@ -100,17 +108,6 @@ class CharVocab:
     @classmethod
     def from_vocab(cls, vocab: Vocab) -> "CharVocab":
         return cls({c for t in vocab.tokens for c in t})
-
-
-@dataclass
-class ContextEmbedding:
-    """Final per-token representation of one paragraph: values is (n, 2d)."""
-
-    values: Tensor
-
-    @property
-    def length(self) -> int:
-        return self.values.data.shape[0]
 
 
 @dataclass
@@ -236,7 +233,7 @@ def bidaf_attention(para: Tensor, ques: Tensor, params: EncoderParams) -> Tensor
 def self_attend(xs, params: EncoderParams) -> list:
     """Dot-product self-attention (a position never attends to itself) with a
     residual connection, per paragraph of the list; then one recurrent
-    projection pass over them all: a ContextEmbedding (n_i, 2d) each.
+    projection pass over them all: the context embedding (n_i, 2d) of each.
 
     A single-token paragraph has nobody to attend to, so its attention term
     is zero and the projection sees the input alone.
@@ -250,29 +247,39 @@ def self_attend(xs, params: EncoderParams) -> list:
             scores = matmul(x, transpose(x))
             off_diagonal = ~np.eye(n, dtype=bool)
             combined.append(x + matmul(row_softmax(scores, off_diagonal), x))
-    return [ContextEmbedding(values=v) for v in bigru_each(combined, params.self_rnn)]
+    return bigru_each(combined, params.self_rnn)
 
 
 def load_word_vectors(path, vocab: Vocab, word_dim: int, init: np.ndarray) -> np.ndarray:
     """Overlay vectors from a text file (token then floats per line) onto `init`.
 
     Tokens absent from the file keep their `init` row; extra tokens in the
-    file are ignored.  Returns a new (len(vocab), word_dim) array.
+    file are ignored, but every line must be UTF-8 text holding word_dim
+    finite numbers (an error names the file and line).  Returns a new (len(vocab), word_dim)
+    array.
     """
     table = np.array(init, dtype=np.float64, copy=True)
     if table.shape != (len(vocab), word_dim):
         raise ValueError(f"init table shape {table.shape} != ({len(vocab)}, {word_dim})")
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split()
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            where = f"{path}: line {line_no}"
+            try:
+                parts = raw.decode("utf-8").split()
+            except UnicodeDecodeError:
+                raise ValueError(f"{where}: not UTF-8 text") from None
             if not parts:
                 continue
             token, values = parts[0], parts[1:]
             if len(values) != word_dim:
-                raise ValueError(
-                    f"line {line_no}: expected {word_dim} values for {token!r}, got {len(values)}"
-                )
+                raise ValueError(f"{where}: expected {word_dim} values for {token!r}, got {len(values)}")
+            try:
+                row = [float(v) for v in values]
+            except ValueError:
+                raise ValueError(f"{where}: values for {token!r} must be numbers") from None
+            if not all(math.isfinite(v) for v in row):
+                raise ValueError(f"{where}: values for {token!r} must be finite")
             idx = vocab.id(token)
             if idx != 0 or token == Vocab.UNK:
-                table[idx] = [float(v) for v in values]
+                table[idx] = row
     return table

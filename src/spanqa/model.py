@@ -6,7 +6,6 @@ from .diffmath import ParameterStore, Tensor
 from .diffmath.rng import STREAM_INIT, make_rng
 from .encoder import (
     CharVocab,
-    ContextEmbedding,
     EncoderConfig,
     EncoderParams,
     Vocab,
@@ -73,7 +72,7 @@ class QaModel:
         return contextualize([embedded], self.encoder.q_ctx, self.config.keep_prob, rng, training)[0]
 
     # No caller in the package; the benchmark's tracer and the tests' B=1 references use it.
-    def encode_paragraph(self, question: Tensor, paragraph_tokens, rng=None, training: bool = False) -> ContextEmbedding:
+    def encode_paragraph(self, question: Tensor, paragraph_tokens, rng=None, training: bool = False) -> Tensor:
         """Question-aware context embedding (n, 2d) for one paragraph, given
         the question's `encode_question` output."""
         return self.encode_paragraphs(question, [paragraph_tokens], rng, training)[0]

@@ -9,8 +9,6 @@ softmax — over all retrieved paragraphs at inference, over just the sampled
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .diffmath import (
     BiGruParams,
     Tensor,
@@ -22,17 +20,7 @@ from .diffmath import (
     row_softmax,
     stack_scalars,
 )
-from .encoder import ContextEmbedding
 from .span_decoder import StartDistribution
-
-
-@dataclass
-class ParagraphScores:
-    """Per-paragraph quality: raw logits and their normalized probabilities,
-    in the original paragraph (retrieval-rank) order."""
-
-    logits: list
-    probs: list
 
 
 @dataclass
@@ -54,7 +42,7 @@ def init_quality_params(hidden_dim: int, rng) -> QualityParams:
 
 
 def quality_logit(
-    context: ContextEmbedding,
+    context: Tensor,
     start_dist: StartDistribution,
     params: QualityParams,
     grad_through_start: bool = True,
@@ -72,25 +60,17 @@ def quality_logit(
 def quality_logits(contexts, start_dists, params: QualityParams, grad_through_start: bool = True) -> list:
     """`quality_logit` of every paragraph, with one recurrent pass over all of them."""
     logits = []
-    for start_dist, states in zip(start_dists, bigru_each([c.values for c in contexts], params.rnn)):
+    for start_dist, states in zip(start_dists, bigru_each(contexts, params.rnn)):
         key = start_dist.probs if grad_through_start else start_dist.probs.detach()
         pooled = matmul(reshape(key, (1, -1)), states)
         logits.append(reshape(matmul(pooled, params.w_c), ()))
     return logits
 
 
-def normalize_qualities(logits) -> ParagraphScores:
-    """Softmax (max-subtracted) over plain float logits, one per paragraph."""
-    values = [float(x) for x in logits]
-    if not values:
-        raise ValueError("normalize_qualities needs at least one paragraph")
-    arr = np.array(values)
-    arr = np.exp(arr - arr.max())
-    return ParagraphScores(logits=values, probs=(arr / arr.sum()).tolist())
-
-
 def normalize_quality_tensors(logits) -> Tensor:
-    """Differentiable counterpart of normalize_qualities for training graphs."""
+    """Softmax (max-subtracted) over scalar quality logits, one per paragraph,
+    in the original paragraph (retrieval-rank) order: the paragraph weights
+    q_i at inference and the pair probabilities in training."""
     if not logits:
         raise ValueError("normalize_quality_tensors needs at least one paragraph")
     return row_softmax(stack_scalars(logits))

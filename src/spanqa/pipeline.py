@@ -34,7 +34,7 @@ from .aggregation import AggregationMode, aggregate, group_candidates
 from .corpus import label_spans
 from .diffmath import backward, clip_min, log, no_grad, pick
 from .diffmath.rng import STREAM_PREDICT, STREAM_TRAIN, make_rng
-from .paragraph_quality import normalize_qualities, normalize_quality_tensors, quality_logits, sample_pair
+from .paragraph_quality import normalize_quality_tensors, quality_logits, sample_pair
 from .span_decoder import SpanCandidate, end_distributions, span_probability, start_distributions
 
 # Not called here: the benchmark's tracer (perfbench/run.py) rebinds these names in this module.
@@ -63,9 +63,7 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-
-    def aggregation_mode(self) -> AggregationMode:
-        return AggregationMode.parse(self.mode)
+        AggregationMode.parse(self.mode)  # an unknown mode fails here, not mid-training
 
 
 @dataclass
@@ -141,7 +139,7 @@ def train_epoch(model, dataset, labels, config: TrainConfig, epoch: int) -> Epoc
     Examples whose pair cannot be formed (no positive paragraph, or no
     negative available anywhere in the batch) are skipped and counted.
     """
-    mode = config.aggregation_mode()
+    mode = AggregationMode.parse(config.mode)
     order = make_rng(config.seed, STREAM_TRAIN, epoch).permutation(len(dataset)).tolist()
     loss_total, counted, skipped = 0.0, 0, 0
     for batch_start in range(0, len(order), config.batch_size):
@@ -200,43 +198,31 @@ def top_indices(values: np.ndarray, k: int):
     return order[: max(k, 0)].tolist()
 
 
-def beam_spans(start_probs, end_dist_for, k1: int, k2: int):
-    """Generic start/end beam over plain arrays.
-
-    `end_dist_for(s)` returns the end-probability array conditioned on start
-    s.  Yields (start, end, start_prob, end_prob) for the top-k1 starts and
-    top-k2 ends each; positions before the start carry zero probability and
-    are dropped.
+def beam_candidates(paragraph, start_dist, end_dists, k1: int, k2: int):
+    """Up to k1*k2 scored SpanCandidates for one paragraph: the top-k1 starts
+    of `start_dist`, and for each the top-k2 ends of its end-probability
+    array `end_dists[start]`.  Ends before the start carry zero probability
+    and are dropped.
     """
-    if k1 < 1 or k2 < 1:
-        raise ValueError(f"beam sizes must be >= 1, got k1={k1}, k2={k2}")
-    spans = []
+    start_probs = start_dist.probs.data
+    candidates = []
     for s in top_indices(start_probs, k1):
-        ends = end_dist_for(s)
+        ends = end_dists[s]
         for e in top_indices(ends, k2):
             if e < s:
                 continue
-            spans.append((s, e, float(start_probs[s]), float(ends[e])))
-    return spans
-
-
-def beam_candidates(paragraph, start_dist, end_dists, k1: int, k2: int):
-    """Up to k1*k2 scored SpanCandidates for one paragraph.
-
-    `end_dists` maps each of the top-k1 starts of `start_dist` to its
-    end-probability array.
-    """
-    return [
-        SpanCandidate(
-            start=s,
-            end=e,
-            start_prob=sp,
-            end_prob=ep,
-            span_prob=sp * ep,
-            answer_text=paragraph.span_text(s, e),
-        )
-        for s, e, sp, ep in beam_spans(start_dist.probs.data, end_dists.__getitem__, k1, k2)
-    ]
+            sp, ep = float(start_probs[s]), float(ends[e])
+            candidates.append(
+                SpanCandidate(
+                    start=s,
+                    end=e,
+                    start_prob=sp,
+                    end_prob=ep,
+                    span_prob=sp * ep,
+                    answer_text=paragraph.span_text(s, e),
+                )
+            )
+    return candidates
 
 
 def combine_scores(quality_probs, groups_per_paragraph) -> dict:
@@ -264,6 +250,8 @@ def predict(model, example, mode: AggregationMode, k1: int, k2: int, rng=None) -
     a single paragraph the quality weight collapses to 1 and the score is
     just the paragraph-level probability.
     """
+    if k1 < 1 or k2 < 1:
+        raise ValueError(f"beam sizes must be >= 1, got k1={k1}, k2={k2}")
     if not example.paragraphs:
         raise ValueError(f"example {example.id} has no paragraphs")
     with no_grad():
@@ -278,15 +266,14 @@ def predict(model, example, mode: AggregationMode, k1: int, k2: int, rng=None) -
             end_dists = {s: next(ends).data for s in beam}
             cands = beam_candidates(paragraph, sd, end_dists, k1, k2)
             per_paragraph.append(group_candidates(cands, mode, rng))
-        logits = [q.item() for q in quality_logits(contexts, starts, model.quality)]
-        quality = normalize_qualities(logits)
-        scores = combine_scores(quality.probs, per_paragraph)
+        quality = normalize_quality_tensors(quality_logits(contexts, starts, model.quality)).data.tolist()
+        scores = combine_scores(quality, per_paragraph)
         best = best_answer(scores)
         return Prediction(
             example_id=example.id,
             best_answer=best,
             answer_scores=scores,
-            paragraph_probs=quality.probs,
+            paragraph_probs=quality,
             paragraph_groups=per_paragraph,
         )
 

@@ -26,7 +26,6 @@ from .diffmath import (
     reshape,
     row_softmax,
 )
-from .encoder import ContextEmbedding
 
 
 @dataclass
@@ -83,21 +82,21 @@ def init_span_decoder_params(hidden_dim: int, rng) -> SpanDecoderParams:
     )
 
 
-def start_distribution(context: ContextEmbedding, params: SpanDecoderParams) -> StartDistribution:
+def start_distribution(context: Tensor, params: SpanDecoderParams) -> StartDistribution:
     return start_distributions([context], params)[0]
 
 
 def start_distributions(contexts, params: SpanDecoderParams) -> list:
     """`start_distribution` of every paragraph, with one recurrent pass over all of them."""
     dists = []
-    for states in bigru_each([c.values for c in contexts], params.start_rnn):
+    for states in bigru_each(contexts, params.start_rnn):
         logits = reshape(matmul(states, params.w_start), (-1,))
         dists.append(StartDistribution(probs=row_softmax(logits), states=states))
     return dists
 
 
 def end_distribution(
-    context: ContextEmbedding,
+    context: Tensor,
     start_dist: StartDistribution,
     start: int,
     params: SpanDecoderParams,
@@ -118,12 +117,12 @@ def end_distributions(rows, params: SpanDecoderParams) -> list:
     `rows`, with one recurrent pass over all of them."""
     inputs = []
     for context, start_dist, start in rows:
-        n = context.length
+        n = context.shape[0]
         if not 0 <= start < n:
             raise ValueError(f"start {start} out of range for paragraph length {n}")
         indicator = np.zeros((n, 1))
         indicator[start, 0] = 1.0
-        inputs.append(concat_cols([context.values, start_dist.states, Tensor(indicator)]))
+        inputs.append(concat_cols([context, start_dist.states, Tensor(indicator)]))
     dists = []
     for (_, _, start), states in zip(rows, bigru_each(inputs, params.end_rnn)):
         logits = reshape(matmul(states, params.w_end), (-1,))

@@ -18,9 +18,9 @@ from spanqa.diffmath import (
     reshape,
     row_softmax,
 )
-from spanqa.encoder import CharVocab, ContextEmbedding, EncoderConfig, Vocab
+from spanqa.encoder import CharVocab, EncoderConfig, Vocab
 from spanqa.model import QaModel
-from spanqa.paragraph_quality import normalize_qualities, normalize_quality_tensors, quality_logit
+from spanqa.paragraph_quality import normalize_quality_tensors, quality_logit
 from spanqa.pipeline import PROB_FLOOR, beam_candidates, best_answer, combine_scores, top_indices
 from spanqa.span_decoder import (
     SpanDecoderParams,
@@ -91,16 +91,22 @@ def check_grads(build, tensors, tol=1e-4, h=1e-5):
 # ------------------------------------------------------------- oracles
 
 
-def all_span_probabilities(
-    context: ContextEmbedding, params: SpanDecoderParams, cap: int = 64
-) -> np.ndarray:
+def softmax(logits) -> list:
+    """Max-subtracted softmax of plain floats in numpy: the independent
+    reference for the paragraph weights q_i."""
+    arr = np.array([float(x) for x in logits])
+    arr = np.exp(arr - arr.max())
+    return (arr / arr.sum()).tolist()
+
+
+def all_span_probabilities(context: Tensor, params: SpanDecoderParams, cap: int = 64) -> np.ndarray:
     """Dense (n, n) table of span probabilities: row s holds p(start=s) * p(end | s).
 
     An exhaustive reference for small paragraphs — it runs one end
     distribution per start, so n is capped.  Entries below the diagonal are
     zero by construction.
     """
-    n = context.length
+    n = context.shape[0]
     if n > cap:
         raise ValueError(f"paragraph length {n} exceeds exhaustive-table cap {cap}")
     start_dist = start_distribution(context, params)
@@ -112,7 +118,7 @@ def all_span_probabilities(
 
 
 def independent_end_distribution(
-    context: ContextEmbedding,
+    context: Tensor,
     start_dist: StartDistribution,
     rnn: BiGruParams,
     w_end: Tensor,
@@ -123,7 +129,7 @@ def independent_end_distribution(
     states but no indicator and no mask, so it returns one fixed
     distribution regardless of the start position.
     """
-    states = bigru(concat_cols([context.values, start_dist.states]), rnn)
+    states = bigru(concat_cols([context, start_dist.states]), rnn)
     return row_softmax(reshape(matmul(states, w_end), (-1,)))
 
 
@@ -143,7 +149,7 @@ def quality_probs(model, example):
         for ctx in paragraph_contexts(model, example):
             starts = start_distribution(ctx, model.decoder)
             logits.append(quality_logit(ctx, starts, model.quality).item())
-    return normalize_qualities(logits).probs
+    return softmax(logits)
 
 
 def reference_example_loss(model, example, pos_index, pos_labels, neg_paragraph, mode, rng):
@@ -186,6 +192,6 @@ def reference_predict(model, example, mode, k1, k2, rng=None):
             groups.append(group_candidates(cands, mode, rng))
             starts = start_distribution(ctx, model.decoder)
             logits.append(quality_logit(ctx, starts, model.quality).item())
-    probs = normalize_qualities(logits).probs
+    probs = softmax(logits)
     scores = combine_scores(probs, groups)
     return scores, probs, best_answer(scores)

@@ -12,7 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from helpers import all_span_probabilities, independent_end_distribution, max_rel_err, numeric_grad, tiny_model
+from helpers import (
+    all_span_probabilities,
+    independent_end_distribution,
+    max_rel_err,
+    numeric_grad,
+    softmax,
+    tiny_model,
+)
 from spanqa.aggregation import AggregationMode, normalize_answer_key
 from spanqa.checkpoint import load_checkpoint, save_checkpoint
 from spanqa.cli import main as cli_main
@@ -20,7 +27,7 @@ from spanqa.corpus import SynthConfig, generate_synthetic, corpus_stats
 from spanqa.diffmath import Tensor, backward, make_rng, no_grad
 from spanqa.encoder import CharVocab, EncoderConfig, Vocab
 from spanqa.model import QaModel
-from spanqa.paragraph_quality import normalize_qualities, quality_logit
+from spanqa.paragraph_quality import quality_logit
 from spanqa.pipeline import (
     TrainConfig,
     evaluate_dataset,
@@ -169,7 +176,7 @@ def test_criterion_2_normalization():
                 table = all_span_probabilities(ctx, model.decoder)
                 worst_mass = max(worst_mass, abs(table.sum() - 1.0))
                 logits.append(quality_logit(ctx, starts, model.quality).item())
-            q = normalize_qualities(logits).probs
+            q = softmax(logits)
             worst_dist = max(worst_dist, abs(sum(q) - 1.0))
     passed = worst_dist < 1e-9 and worst_mass < 1e-6
     report(2, passed, f"max |Σ dist - 1| {worst_dist:.2e}, max |Σ span mass - 1| {worst_mass:.2e}")
@@ -187,7 +194,7 @@ def brute_force_mixture(model, example, mode):
             starts = start_distribution(ctx, model.decoder)
             logits.append(quality_logit(ctx, starts, model.quality).item())
             tables.append(all_span_probabilities(ctx, model.decoder))
-    q = normalize_qualities(logits).probs
+    q = softmax(logits)
     scores = {}
     for q_i, paragraph, table in zip(q, example.paragraphs, tables):
         per_text = {}

@@ -1,10 +1,13 @@
-"""The benchmark's tracer (perfbench/run.py) rebinds program functions by
-name and raises on a missing one, so `--trace 1` breaks silently when a
-traced name moves.  These tests pin what it looks up."""
+"""The benchmark (perfbench/run.py) lives outside tier-1 and changes only
+in its own changes, so these tests pin what it needs of the program.  Its
+tracer rebinds program functions by name and raises on a missing one, so
+`--trace 1` breaks silently when a traced name moves; and a tiny run goes
+through every program call the benchmark makes, with its checks."""
 
 import importlib.util
 import inspect
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
@@ -27,3 +30,15 @@ def test_every_trace_target_resolves(monkeypatch):
     assert targets and not missing
     # the beam counter reads k1 and k2 as positional arguments 3 and 4
     assert list(inspect.signature(sq.pipeline.beam_candidates).parameters)[3:5] == ["k1", "k2"]
+
+
+def test_tiny_benchmark_run_passes_its_checks(monkeypatch, tmp_path):
+    """Every program call the benchmark makes, on a small `long` shape, with
+    its checks (probabilities, argmax, repeat and reload reproduce, traced
+    replay reproduces) and the per-layer trace."""
+    bench = load_bench(monkeypatch)
+    sq = bench.import_program()
+    tiny = replace(bench.WORKLOADS["long"], paragraph_lengths=(20, 25, 30), train_examples=20, eval_examples=6)
+    result, report = bench.run(sq, tiny, seed=5, seconds=0.0, trace=1, workdir=tmp_path / "run")
+    assert result["correct"] and result["failed"] == 0
+    assert set(report["end_to_end"]) == set(bench.END_TO_END)

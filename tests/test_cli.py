@@ -259,6 +259,63 @@ def test_train_rejects_unknown_config_key(tmp_path, capsys, synth_data):
     assert "bogus" in assert_single_json_error(err)
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"k1": 1.5}', "'k1'"),
+        ('{"hidden_dim": "8"}', "'hidden_dim'"),
+        ('{"hidden_dim": 0}', "hidden_dim"),
+        ('{"epochs": 1.0}', "'epochs'"),
+        ('{"batch_size": true}', "'batch_size'"),
+        ('{"lr": false}', "'lr'"),
+        ('{"lr": NaN}', "'lr'"),
+        ('{"keep_prob": 0}', "keep_prob"),
+        ('{"keep_prob": 1.5}', "keep_prob"),
+        ('{"mode": 3}', "'mode'"),
+        ('{"mode": "median"}', "'median'"),
+        ('{"grad_through_start": 1}', "'grad_through_start'"),
+        ('{"epochs": 2, "k1":', "Expecting value"),
+        ("[1, 2]", "JSON object"),
+    ],
+)
+def test_train_rejects_bad_config_value_naming_file_and_key(tmp_path, capsys, synth_data, text, key):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "model.ckpt"
+    rc, _, err = run(capsys, ["train", "--config", str(cfg), "--data", synth_data, "--out", str(out)])
+    assert rc == 1
+    message = assert_single_json_error(err)
+    assert message.startswith(f"{cfg}: ") and key in message
+    assert not out.exists()
+
+
+def test_bundled_train_configs_load():
+    from pathlib import Path
+
+    from spanqa.config import load_config, split_config
+
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for name in ("desk.json", "full.json"):
+        split_config(load_config(configs / name))
+
+
+def test_train_resume_cannot_change_the_model(tmp_path, capsys, synth_data):
+    rc, _, _, ckpt = train_once(capsys, tmp_path, synth_data, "short", config=dict(TINY_CONFIG, epochs=1))
+    assert rc == 0
+    changed = write_json(tmp_path / "changed.json", {"epochs": 2, "hidden_dim": 16, "grad_through_start": False})
+    out = tmp_path / "resumed.ckpt"
+    rc, _, err = run(
+        capsys,
+        ["train", "--config", changed, "--data", synth_data, "--out", str(out), "--checkpoint", ckpt],
+    )
+    assert rc == 1
+    message = assert_single_json_error(err)
+    assert message.startswith(f"{changed}: ") and ckpt in message
+    assert "hidden_dim 2 -> 16" in message and "grad_through_start True -> False" in message
+    assert "epochs" not in message
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ predict
 
 

@@ -147,8 +147,7 @@ def test_self_attend_shape():
     model = tiny_model()
     p, q = encoded_pair(model)
     (ctx,) = self_attend([bidaf_attention(p, q, model.encoder)], model.encoder)
-    assert ctx.values.shape == (len(PARAGRAPH), 2 * model.config.hidden_dim)
-    assert ctx.length == len(PARAGRAPH)
+    assert ctx.shape == (len(PARAGRAPH), 2 * model.config.hidden_dim)
 
 
 def test_self_attend_single_token_is_plain_projection():
@@ -157,7 +156,7 @@ def test_self_attend_single_token_is_plain_projection():
     x = bidaf_attention(p, q, model.encoder)
     (ctx,) = self_attend([x], model.encoder)
     direct = bigru(x, model.encoder.self_rnn)
-    np.testing.assert_array_equal(ctx.values.data, direct.data)
+    np.testing.assert_array_equal(ctx.data, direct.data)
 
 
 # ------------------------------------------------------ end-to-end behavior
@@ -168,20 +167,20 @@ def test_encode_is_permutation_sensitive():
     c1 = model.encode_paragraph(model.encode_question(QUESTION), PARAGRAPH)
     shuffled = list(reversed(PARAGRAPH))
     c2 = model.encode_paragraph(model.encode_question(QUESTION), shuffled)
-    assert np.max(np.abs(c1.values.data - c2.values.data)) > 1e-8
+    assert np.max(np.abs(c1.data - c2.data)) > 1e-8
 
 
 def test_encode_finite_for_extreme_inputs():
     model = tiny_model(seed=4)
     model.encoder.word_emb.data *= 50.0
     out = model.encode_paragraph(model.encode_question(QUESTION), PARAGRAPH)
-    assert np.all(np.isfinite(out.values.data))
+    assert np.all(np.isfinite(out.data))
 
 
 def test_encode_deterministic_in_eval_mode():
     model = tiny_model(seed=5)
-    a = model.encode_paragraph(model.encode_question(QUESTION), PARAGRAPH).values.data
-    b = model.encode_paragraph(model.encode_question(QUESTION), PARAGRAPH).values.data
+    a = model.encode_paragraph(model.encode_question(QUESTION), PARAGRAPH).data
+    b = model.encode_paragraph(model.encode_question(QUESTION), PARAGRAPH).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -192,7 +191,7 @@ def test_encoder_end_to_end_gradients():
     w = Tensor(rng.standard_normal((4, 2 * model.config.hidden_dim)))
 
     def build():
-        return tsum(model.encode_paragraph(model.encode_question(ques), para).values * w)
+        return tsum(model.encode_paragraph(model.encode_question(ques), para) * w)
 
     leaves = [
         model.encoder.word_emb,
@@ -212,10 +211,10 @@ def test_encoder_end_to_end_gradients():
 
 def test_dropout_active_only_in_training():
     model = tiny_model(seed=7, keep_prob=0.5)
-    eval_out = model.encode_paragraph(model.encode_question(QUESTION), PARAGRAPH, training=False).values.data
+    eval_out = model.encode_paragraph(model.encode_question(QUESTION), PARAGRAPH, training=False).data
     rng = make_rng(7, 3)
     question = model.encode_question(QUESTION, rng, training=True)
-    train_out = model.encode_paragraph(question, PARAGRAPH, rng=rng, training=True).values.data
+    train_out = model.encode_paragraph(question, PARAGRAPH, rng=rng, training=True).data
     assert np.any(eval_out != train_out)
 
 
@@ -240,6 +239,24 @@ def test_load_word_vectors_dimension_mismatch(tmp_path):
     path.write_text("fat 1 2\n")
     with pytest.raises(ValueError, match="line 1"):
         load_word_vectors(path, vocab, 3, np.zeros((len(vocab), 3)))
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (b"fat 1 x 3", "must be numbers"),
+        (b"fat 1 nan 3", "must be finite"),
+        (b"other inf 0 0", "must be finite"),
+        (b"fat 1 \xff 3", "not UTF-8"),
+    ],
+)
+def test_load_word_vectors_rejects_bad_value_naming_file_and_line(tmp_path, line, message):
+    vocab = Vocab(["fat"])
+    path = tmp_path / "vecs.txt"
+    path.write_bytes(b"fat 0 0 0\n" + line + b"\n")
+    with pytest.raises(ValueError, match=message) as info:
+        load_word_vectors(path, vocab, 3, np.zeros((len(vocab), 3)))
+    assert str(info.value).startswith(f"{path}: line 2: ")
 
 
 def test_frozen_word_vectors_not_trainable():

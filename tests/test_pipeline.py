@@ -12,16 +12,17 @@ from helpers import (
     reference_beam,
     reference_example_loss,
     reference_predict,
+    softmax,
     tiny_model,
 )
 from spanqa.aggregation import AggregationMode, AnswerGroup, normalize_answer_key
 from spanqa.corpus import QAExample, make_paragraph
-from spanqa.diffmath import backward, make_rng, no_grad
+from spanqa.diffmath import Tensor, backward, make_rng, no_grad
 from spanqa.pipeline import (
     Prediction,
     TrainConfig,
     average_precision,
-    beam_spans,
+    beam_candidates,
     best_answer,
     combine_scores,
     evaluate_dataset,
@@ -37,6 +38,7 @@ from spanqa.pipeline import (
     train,
     train_epoch,
 )
+from spanqa.span_decoder import StartDistribution
 
 QUESTION = ["what", "do", "camels", "store", "?"]
 
@@ -59,7 +61,7 @@ def test_train_config_validation():
         TrainConfig(k1=0)
     with pytest.raises(ValueError, match="batch_size"):
         TrainConfig(batch_size=0)
-    assert TrainConfig().aggregation_mode() is AggregationMode.MAX
+    assert AggregationMode.parse(TrainConfig().mode) is AggregationMode.MAX
 
 
 # --------------------------------------------------------------- example_loss
@@ -67,8 +69,7 @@ def test_train_config_validation():
 
 def components_loss(model, example, mode=AggregationMode.MAX):
     """Recompute the pair loss from the public pieces, for cross-checking."""
-    from spanqa.diffmath import Tensor
-    from spanqa.paragraph_quality import normalize_qualities, quality_logit
+    from spanqa.paragraph_quality import quality_logit
     from spanqa.span_decoder import end_distribution, span_probability, start_distribution
     from spanqa.corpus import label_spans
 
@@ -85,7 +86,7 @@ def components_loss(model, example, mode=AggregationMode.MAX):
         ctx_n = model.encode_paragraph(model.encode_question(example.question), neg.tokens)
         sd_n = start_distribution(ctx_n, model.decoder)
         q_neg = quality_logit(ctx_n, sd_n, model.quality).item()
-    q = normalize_qualities([q_pos, q_neg]).probs[0]
+    q = softmax([q_pos, q_neg])[0]
     return -(np.log(q) + np.log(p_pos))
 
 
@@ -248,6 +249,14 @@ def test_top_indices_ties_prefer_lower():
     assert top_indices(np.array([0.1, 0.9, 0.1]), 2) == [1, 0]
 
 
+def beam_tuples(start_probs, end_dists, k1, k2):
+    """(start, end, start_prob, end_prob) of beam_candidates over plain arrays."""
+    paragraph = make_paragraph("p", " ".join(f"w{i}" for i in range(len(start_probs))))
+    start_dist = StartDistribution(probs=Tensor(start_probs), states=None)
+    cands = beam_candidates(paragraph, start_dist, end_dists, k1, k2)
+    return [(c.start, c.end, c.start_prob, c.end_prob) for c in cands]
+
+
 def test_beam_spans_fixture():
     start = np.array([0.6, 0.3, 0.1])
     ends = {
@@ -255,7 +264,7 @@ def test_beam_spans_fixture():
         1: np.array([0.0, 0.5, 0.5]),
         2: np.array([0.0, 0.0, 1.0]),
     }
-    spans = beam_spans(start, lambda s: ends[s], k1=2, k2=1)
+    spans = beam_tuples(start, ends, k1=2, k2=1)
     assert spans == [
         (0, 1, 0.6, 0.7),
         (1, 1, pytest.approx(0.3), 0.5),  # tie 0.5/0.5 resolves to the lower end index
@@ -264,13 +273,15 @@ def test_beam_spans_fixture():
 
 def test_beam_greedy_single():
     start = np.array([0.2, 0.8])
-    spans = beam_spans(start, lambda s: np.array([0.0, 1.0]), 1, 1)
+    spans = beam_tuples(start, {1: np.array([0.0, 1.0])}, 1, 1)
     assert spans == [(1, 1, pytest.approx(0.8), 1.0)]
 
 
 def test_beam_rejects_bad_widths():
-    with pytest.raises(ValueError, match="beam sizes"):
-        beam_spans(np.array([1.0]), lambda s: np.array([1.0]), 0, 1)
+    model = tiny_model(seed=8)
+    for k1, k2 in [(0, 1), (1, 0), (-1, 1)]:
+        with pytest.raises(ValueError, match="beam sizes"):
+            predict(model, POS_NEG, AggregationMode.MAX, k1, k2)
 
 
 def test_exhaustive_beam_covers_all_spans():

@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_grads, tiny_model
+from helpers import check_grads, softmax, tiny_model
 from spanqa.diffmath import Tensor, backward, bigru, make_rng
-from spanqa.paragraph_quality import (
-    normalize_qualities,
-    normalize_quality_tensors,
-    quality_logit,
-    sample_pair,
-)
+from spanqa.paragraph_quality import normalize_quality_tensors, quality_logit, sample_pair
 from spanqa.span_decoder import StartDistribution, start_distribution
 
 QUESTION = ["what", "do", "camels", "store", "?"]
@@ -34,10 +29,10 @@ def test_zero_projection_gives_zero_logit():
 def test_uniform_key_pools_to_row_mean():
     model = tiny_model(seed=2)
     ctx, sd = context_and_start(model)
-    n = ctx.length
+    n = ctx.shape[0]
     uniform = StartDistribution(probs=Tensor(np.full(n, 1.0 / n)), states=sd.states)
     got = quality_logit(ctx, uniform, model.quality).item()
-    states = bigru(ctx.values, model.quality.rnn).data
+    states = bigru(ctx, model.quality.rnn).data
     expected = float(states.mean(axis=0) @ model.quality.w_c.data.reshape(-1))
     assert got == pytest.approx(expected, abs=1e-12)
 
@@ -76,23 +71,23 @@ def test_grad_through_start_toggle():
 # ------------------------------------------------------------ normalization
 
 
+def normalized(logits):
+    return normalize_quality_tensors([Tensor(np.asarray(float(x))) for x in logits]).data.tolist()
+
+
 def test_normalize_symmetric():
-    scores = normalize_qualities([0.0, 0.0])
-    assert scores.probs == pytest.approx([0.5, 0.5])
+    assert normalized([0.0, 0.0]) == pytest.approx([0.5, 0.5])
 
 
 def test_normalize_single_paragraph():
-    assert normalize_qualities([2.7]).probs == [1.0]
+    assert normalized([2.7]) == [1.0]
 
 
 def test_normalize_analytic():
-    scores = normalize_qualities([np.log(3.0), 0.0])
-    assert scores.probs == pytest.approx([0.75, 0.25])
+    assert normalized([np.log(3.0), 0.0]) == pytest.approx([0.75, 0.25])
 
 
 def test_normalize_empty_rejected():
-    with pytest.raises(ValueError):
-        normalize_qualities([])
     with pytest.raises(ValueError):
         normalize_quality_tensors([])
 
@@ -100,8 +95,8 @@ def test_normalize_empty_rejected():
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=6), st.floats(-100, 100))
 @settings(max_examples=60, deadline=None)
 def test_normalize_shift_invariant(logits, shift):
-    a = normalize_qualities(logits).probs
-    b = normalize_qualities([x + shift for x in logits]).probs
+    a = normalized(logits)
+    b = normalized([x + shift for x in logits])
     assert sum(a) == pytest.approx(1.0, abs=1e-9)
     assert max(abs(x - y) for x, y in zip(a, b)) < 1e-9
 
@@ -109,7 +104,7 @@ def test_normalize_shift_invariant(logits, shift):
 def test_normalize_tensor_matches_float_path():
     logits = [1.2, -0.3, 0.8]
     t = normalize_quality_tensors([Tensor(np.asarray(x), requires_grad=True) for x in logits])
-    np.testing.assert_allclose(t.data, normalize_qualities(logits).probs, atol=1e-12)
+    np.testing.assert_allclose(t.data, softmax(logits), atol=1e-12)
 
 
 # ------------------------------------------------------------- pair sampling
