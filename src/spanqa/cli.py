@@ -11,11 +11,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, replace
 
 from .aggregation import AggregationMode
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import default_config, read_config_overrides, split_config
+from .config import default_config, read_config_overrides, read_synth_config, split_config
 from .corpus import SynthConfig, corpus_stats, generate_synthetic, load_dataset, save_dataset
 from .encoder import CharVocab, Vocab, load_word_vectors
 from .model import QaModel
@@ -51,23 +51,20 @@ def cmd_stats(args) -> int:
 
 
 def cmd_make_synthetic(args) -> int:
-    overrides = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            overrides = json.load(fh)
-        known = {f.name for f in fields(SynthConfig)}
-        unknown = set(overrides) - known
-        if unknown:
-            raise ValueError(f"unknown synthetic config keys: {sorted(unknown)}")
+    config = read_synth_config(args.config) if args.config else SynthConfig()
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    dataset = generate_synthetic(SynthConfig(**overrides))
+        config = replace(config, seed=args.seed)
+    dataset = generate_synthetic(config)
     save_dataset(dataset, args.out)
     _log(f"wrote {len(dataset)} examples to {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
+    if args.checkpoint and args.word_vectors:
+        raise ValueError(
+            "--word-vectors cannot be combined with --checkpoint: a resume keeps the checkpoint's word vectors"
+        )
     overrides = read_config_overrides(args.config) if args.config else {}
     if args.checkpoint:
         model, manifest = load_checkpoint(args.checkpoint)

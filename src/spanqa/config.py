@@ -8,6 +8,7 @@ import json
 import math
 from dataclasses import fields
 
+from .corpus import SynthConfig
 from .encoder import EncoderConfig
 from .pipeline import TrainConfig
 
@@ -53,19 +54,41 @@ def split_config(flat: dict):
     return encoder, training, merged["grad_through_start"]
 
 
-def read_config_overrides(path) -> dict:
-    """Read a JSON config file and validate its keys and values, without
-    filling in defaults — callers choose what the overrides sit on top of.
-    Every error names the file."""
+def _check_synth(values: dict):
+    """Keys, types and ranges of `make-synthetic` overrides, checked as
+    `split_config` checks its own."""
+    unknown = set(values) - _field_names(SynthConfig)
+    if unknown:
+        raise ValueError(f"unknown synthetic config keys: {sorted(unknown)}")
+    for f in fields(SynthConfig):
+        if f.name in values:
+            _check_type(f.name, values[f.name], f.type)
+    SynthConfig(**values)  # ranges
+
+
+def _read_json_object(path, check) -> dict:
+    """The JSON object in the file at `path`, after `check(object)` passes.
+    Every error, bad JSON and bad UTF-8 included, names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            overrides = json.load(fh)
-        if not isinstance(overrides, dict):
+            values = json.load(fh)
+        if not isinstance(values, dict):
             raise ValueError("config must be a JSON object")
-        split_config(overrides)  # validation
-    except ValueError as exc:  # also bad JSON and bad UTF-8
+        check(values)
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return overrides
+    return values
+
+
+def read_config_overrides(path) -> dict:
+    """Read a JSON config file and validate its keys and values, without
+    filling in defaults — callers choose what the overrides sit on top of."""
+    return _read_json_object(path, split_config)
+
+
+def read_synth_config(path) -> SynthConfig:
+    """Read a `make-synthetic` JSON config file over the generator defaults."""
+    return SynthConfig(**_read_json_object(path, _check_synth))
 
 
 def load_config(path) -> dict:

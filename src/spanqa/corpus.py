@@ -196,6 +196,24 @@ class SynthConfig:
     multi_span_prob: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("num_examples", "paragraphs_per_question"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.vocab_size < N_CUE_TOKENS + _MAX_ANSWER_LEN + 4:
+            raise ValueError(f"vocab_size {self.vocab_size} too small to plant answers")
+        if not 0.0 <= self.multi_span_prob <= 1.0:
+            raise ValueError(f"multi_span_prob must be in [0, 1], got {self.multi_span_prob}")
+        max_occurrences = 3 if self.multi_span_prob > 0 else 1
+        need = max_occurrences * (_BLOCK_OVERHEAD + _MAX_ANSWER_LEN)
+        if self.paragraph_len < need:
+            raise ValueError(
+                f"paragraph_len {self.paragraph_len} cannot hold {max_occurrences} "
+                f"answer occurrence(s); need at least {need}"
+            )
+        if not 0 <= round(self.distractor_ratio * self.paragraphs_per_question) < self.paragraphs_per_question:
+            raise ValueError(f"distractor_ratio {self.distractor_ratio} leaves no positive paragraph")
+
 
 N_CUE_TOKENS = 3
 _MAX_ANSWER_LEN = 2
@@ -219,22 +237,7 @@ def synth_vocab(size: int):
 def generate_synthetic(config: SynthConfig):
     """Deterministic synthetic dataset; same config (incl. seed) → same records."""
     k = config.paragraphs_per_question
-    max_occurrences = 3 if config.multi_span_prob > 0 else 1
-    need = max_occurrences * (_BLOCK_OVERHEAD + _MAX_ANSWER_LEN)
-    if config.paragraph_len < need:
-        raise ValueError(
-            f"paragraph_len {config.paragraph_len} cannot hold {max_occurrences} "
-            f"answer occurrence(s); need at least {need}"
-        )
-    if config.vocab_size < N_CUE_TOKENS + _MAX_ANSWER_LEN + 4:
-        raise ValueError(f"vocab_size {config.vocab_size} too small to plant answers")
-    if not 0.0 <= config.multi_span_prob <= 1.0:
-        raise ValueError(f"multi_span_prob must be in [0, 1], got {config.multi_span_prob}")
     n_distractors = int(round(config.distractor_ratio * k))
-    if not 0 <= n_distractors < k:
-        raise ValueError(
-            f"distractor_ratio {config.distractor_ratio} leaves no positive paragraph"
-        )
 
     vocab = synth_vocab(config.vocab_size)
     cue_a, cue_b, cue_c = vocab[:N_CUE_TOKENS]

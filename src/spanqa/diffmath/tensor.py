@@ -388,22 +388,6 @@ def tile_rows(a, n: int) -> Tensor:
     return _make(np.repeat(a.data, n, axis=0), (a,), lambda g: (g.sum(axis=0, keepdims=True),))
 
 
-def flip_rows(a, lengths=None) -> Tensor:
-    """Reverse the leading (time) axis.
-
-    With `lengths`, column b of a (T, B, k) tensor is reversed within its
-    first lengths[b] steps and its padded steps stay in place.  Either way
-    the permutation is its own inverse, so the gradient takes it too.
-    """
-    a = _lift(a)
-    if lengths is None:
-        return _make(a.data[::-1].copy(), (a,), lambda g: (g[::-1].copy(),))
-    steps = np.arange(a.data.shape[0])[:, None]
-    ends = np.asarray(lengths)[None, :]
-    order = (np.where(steps < ends, ends - 1 - steps, steps), np.arange(ends.shape[1])[None, :])
-    return _make(a.data[order], (a,), lambda g: (g[order],))
-
-
 def pad_stack(parts) -> Tensor:
     """Pack 2-D tensors (n_b, k) time-first into a zero-padded (max n_b, B, k)
     tensor whose column b holds parts[b]."""

@@ -11,6 +11,8 @@ from spanqa.diffmath import (
     bigru,
     clip_min,
     concat_cols,
+    gather_rows,
+    gru_sequence,
     log,
     matmul,
     no_grad,
@@ -89,6 +91,24 @@ def check_grads(build, tensors, tol=1e-4, h=1e-5):
 
 
 # ------------------------------------------------------------- oracles
+
+
+def reverse_columns(a: Tensor, lengths) -> Tensor:
+    """Reverse column b of a packed (T, B, k) tensor within its first
+    lengths[b] steps, leaving its padded steps in place."""
+    n, batch, k = a.shape
+    steps, ends = np.arange(n)[:, None], np.asarray(lengths)[None, :]
+    rows = np.where(steps < ends, ends - 1 - steps, steps) * batch + np.arange(batch)[None, :]
+    return reshape(gather_rows(reshape(a, (n * batch, k)), rows.reshape(-1)), (n, batch, k))
+
+
+def two_loop_bigru(inputs: Tensor, params: BiGruParams, lengths) -> Tensor:
+    """bigru of a packed (T, B, in) batch as two separate forward passes, the
+    second over the input reversed within each column: the reference for
+    the kernel that steps both directions in one loop."""
+    fwd = gru_sequence(inputs, params.fwd, "forward")
+    bwd = reverse_columns(gru_sequence(reverse_columns(inputs, lengths), params.bwd, "forward"), lengths)
+    return concat_cols([fwd, bwd])
 
 
 def softmax(logits) -> list:

@@ -42,3 +42,6 @@ def test_tiny_benchmark_run_passes_its_checks(monkeypatch, tmp_path):
     result, report = bench.run(sq, tiny, seed=5, seconds=0.0, trace=1, workdir=tmp_path / "run")
     assert result["correct"] and result["failed"] == 0
     assert set(report["end_to_end"]) == set(bench.END_TO_END)
+    # the tracer still sees the recurrent kernel's calls and time steps
+    assert result["metrics"]["diffmath.gru_sequence.calls"]["value"] > 0
+    assert result["metrics"]["diffmath.gru_steps"]["value"] > 0

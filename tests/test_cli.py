@@ -155,6 +155,46 @@ def test_make_synthetic_rejects_unknown_keys(tmp_path, capsys):
     assert "bogus" in assert_single_json_error(err)
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"num_examples": "6"}', "'num_examples'"),
+        ('{"num_examples": 6.5}', "'num_examples'"),
+        ('{"num_examples": true}', "'num_examples'"),
+        ('{"num_examples": 0}', "num_examples"),
+        ('{"paragraphs_per_question": 0}', "paragraphs_per_question"),
+        ('{"paragraph_len": 3}', "paragraph_len"),
+        ('{"vocab_size": 5}', "vocab_size"),
+        ('{"distractor_ratio": "half"}', "'distractor_ratio'"),
+        ('{"distractor_ratio": 1.0}', "distractor_ratio"),
+        ('{"multi_span_prob": NaN}', "'multi_span_prob'"),
+        ('{"multi_span_prob": 1.5}', "multi_span_prob"),
+        ('{"seed": 1.0}', "'seed'"),
+        ('{"bogus": 1}', "bogus"),
+        ('{"num_examples": 6,', "Expecting"),
+        ("[1, 2]", "JSON object"),
+    ],
+)
+def test_make_synthetic_rejects_bad_config_naming_file_and_key(tmp_path, capsys, text, key):
+    config = tmp_path / "bad.json"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "x.jsonl"
+    rc, _, err = run(capsys, ["make-synthetic", "--config", str(config), "--out", str(out)])
+    assert rc == 1
+    message = assert_single_json_error(err)
+    assert message.startswith(f"{config}: ") and key in message
+    assert not out.exists()
+
+
+def test_bundled_synth_config_loads():
+    from pathlib import Path
+
+    from spanqa.config import read_synth_config
+
+    config = read_synth_config(Path(__file__).resolve().parents[1] / "configs" / "synth.json")
+    assert config.num_examples == 500 and config.multi_span_prob == 0.35
+
+
 # -------------------------------------------------------------------- train
 
 
@@ -313,6 +353,24 @@ def test_train_resume_cannot_change_the_model(tmp_path, capsys, synth_data):
     assert message.startswith(f"{changed}: ") and ckpt in message
     assert "hidden_dim 2 -> 16" in message and "grad_through_start True -> False" in message
     assert "epochs" not in message
+    assert not out.exists()
+
+
+def test_train_resume_rejects_word_vectors(tmp_path, capsys, synth_data):
+    rc, _, _, ckpt = train_once(capsys, tmp_path, synth_data, "short", config=dict(TINY_CONFIG, epochs=1))
+    assert rc == 0
+    longer = write_json(tmp_path / "longer.json", {"epochs": 2})
+    out = tmp_path / "resumed.ckpt"
+    rc, _, err = run(
+        capsys,
+        [
+            "train", "--config", longer, "--data", synth_data, "--out", str(out),
+            "--checkpoint", ckpt, "--word-vectors", str(tmp_path / "missing-vectors.txt"),
+        ],
+    )
+    assert rc == 1
+    message = assert_single_json_error(err)
+    assert "--word-vectors" in message and "--checkpoint" in message
     assert not out.exists()
 
 

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_grads
+from helpers import check_grads, two_loop_bigru
 from spanqa.diffmath import (
     BiGruParams,
     GruParams,
     Tensor,
     backward,
     bigru,
-    flip_rows,
     gru_sequence,
     init_bigru_params,
     init_gru_params,
@@ -77,8 +76,8 @@ def test_backward_direction_equals_reversed_forward():
     x = Tensor(rng.standard_normal((6, 3)))
     params = random_params(3, 4, 34)
     rev = gru_sequence(x, params, direction="backward")
-    manual = flip_rows(gru_sequence(flip_rows(x), params, direction="forward"))
-    np.testing.assert_array_equal(rev.data, manual.data)
+    manual = gru_sequence(Tensor(x.data[::-1]), params, direction="forward").data[::-1]
+    np.testing.assert_array_equal(rev.data, manual)
 
 
 def test_unknown_direction_rejected():
@@ -160,14 +159,33 @@ def masked_sigmoid(x):
 
 
 def test_sigmoid_matches_masked_form_without_warnings():
+    # the kernel holds np.errstate(over="ignore") around its whole time loop,
+    # so the bare sigmoid is called the same way here
     x = np.linspace(-700.0, 700.0, 200_001)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
         warnings.simplefilter("error")
         got = _sigmoid(x)
         extremes = _sigmoid(np.array([-1e4, -800.0, 800.0, 1e4]))
     ref = masked_sigmoid(x)
     assert np.max(np.abs(got - ref) / ref) <= 1e-15
     np.testing.assert_array_equal(extremes, [0.0, 0.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward", "both"])
+def test_saturated_gates_stay_finite_without_warnings(direction):
+    # gate pre-activations of +-1e4 overflow exp(-x) inside the time loop;
+    # the loop's errstate must keep that silent under the suite's
+    # error::RuntimeWarning filter, and the states must stay finite
+    rng = make_rng(46, 1)
+    x = Tensor(np.sign(rng.standard_normal((5, 3, 2))) * 1e4, requires_grad=True)
+    bi = init_bigru_params(2, 3, make_rng(46, 2))
+    params = bi if direction == "both" else bi.fwd
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = gru_sequence(x, params, direction, lengths=[5, 2, 4])
+        backward(tsum(out))
+    assert np.isfinite(out.data).all() and np.isfinite(x.grad).all()
+    assert all(np.isfinite(t.grad).all() for _, t in params.tensors())
 
 
 # ------------------------------------------------------ packed batches
@@ -249,6 +267,41 @@ def test_packed_gradients_match_finite_differences():
         return loss
 
     check_grads(build, xs + [t for _, t in params.tensors()])
+
+
+@given(
+    st.lists(st.integers(1, 12), min_size=1, max_size=6),
+    st.sampled_from([3, 8]),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_fused_bigru_matches_two_loop_reference(lengths, d, seed):
+    """Both directions in one loop give the outputs and all gradients of a
+    forward pass plus a separately reversed backward pass."""
+    rng = make_rng(seed, 47)
+    in_dim = 3
+    params = init_bigru_params(in_dim, d, make_rng(seed, 48))
+    inputs = [rng.standard_normal((n, in_dim)) for n in lengths]
+    weights = [rng.standard_normal((n, 2 * d)) for n in lengths]
+    got = run_rows(bigru, params, inputs, lengths, weights)
+    ref = run_rows(two_loop_bigru, params, inputs, lengths, weights)
+    for (out, dx, dparams), (ref_out, ref_dx, ref_dparams) in zip(got, ref):
+        assert out.shape == ref_out.shape and len(dparams) == len(ref_dparams) == 8
+        assert rel_diff(out, ref_out) <= 1e-12
+        assert rel_diff(dx, ref_dx) <= 1e-12
+        for g, r in zip(dparams, ref_dparams):
+            assert rel_diff(g, r) <= 1e-12
+
+
+def test_fused_bigru_packed_gradients_match_finite_differences():
+    # every entry of the packed output, padded steps included, is a smooth
+    # function of the packed input, so the whole (T, B, in) gradient is checked
+    rng = make_rng(49, 1)
+    lengths = [2, 4, 3]
+    x = Tensor(rng.standard_normal((4, 3, 3)), requires_grad=True)
+    params = init_bigru_params(3, 3, make_rng(49, 2))
+    w = Tensor(rng.standard_normal((4, 3, 6)))
+    check_grads(lambda: tsum(bigru(x, params, lengths) * w), [x] + [t for _, t in params.tensors()])
 
 
 def test_packed_padding_does_not_leak_into_valid_steps():

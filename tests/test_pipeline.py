@@ -424,6 +424,28 @@ def test_predict_encodes_question_once_and_matches_per_paragraph_reference(monke
     np.testing.assert_allclose(pred.paragraph_probs, probs, rtol=1e-12, atol=0)
     assert pred.best_answer == best
 
+def test_one_gru_call_per_bidirectional_layer(monkeypatch):
+    # question, paragraph, self-attention, start, end and quality layers each
+    # run both directions of all their sequences in one kernel call
+    import spanqa.diffmath.rnn as rnn
+
+    model = tiny_model(seed=22)
+    example = qa_example(["camels store fat in humps", "sand dune walks do", "fat in their humps"])
+    labels = paragraph_label_table([example])[0]
+    gru_sequence, calls = rnn.gru_sequence, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return gru_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(rnn, "gru_sequence", counted)
+    predict(model, example, AggregationMode.SUM, 3, 2)
+    assert len(calls) == 6
+    calls.clear()
+    example_loss(model, example, 0, labels[0], example.paragraphs[1], AggregationMode.MAX, make_rng(22, 3))
+    assert len(calls) == 6
+
+
 def test_predict_dataset_threads_match_serial():
     model = tiny_model(seed=15)
     dataset = [
