@@ -125,7 +125,7 @@ def _gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
         gs = np.empty((n, dirs, batch, d))
         for g, rev in enumerate(reverse):
             gs[:, g] = grad[:, :, g][order] if rev else grad[:, :, g]
-        # stacked transposes live only while the closure runs
+        # built here, not captured, so no stacked weight copy stays alive in the graph
         u_zr_t = np.stack([u.T for u in u_zrs])
         u_h_t = np.stack([u.T for u in u_hs])
         dzr = np.empty((n, dirs, batch, 2 * d))
