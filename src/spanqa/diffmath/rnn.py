@@ -100,11 +100,15 @@ def _gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
     batch, dirs, d = x3.shape[1], len(cells), cells[0].hidden
     order = _reversal(n, [n] * batch if lengths is None else lengths) if any(reverse) else None
     ws, u_zrs, u_hs = [c.w.data for c in cells], [c.u_zr.data for c in cells], [c.u_h.data for c in cells]
-    # each direction's input in its own time order, flattened for the GEMMs
-    flat = [(x3[order] if rev else x3).reshape(n * batch, -1) for rev in reverse]
+
+    def flat_input(rev):
+        # the input in one direction's time order, flattened for the GEMMs;
+        # `back` gathers it again rather than keep the reversed copy alive
+        return (x3[order] if rev else x3).reshape(n * batch, -1)
+
     xw = np.empty((n, dirs, batch, 3 * d))
-    for g, c in enumerate(cells):
-        np.add((flat[g] @ ws[g]).reshape(n, batch, 3 * d), c.b.data, out=xw[:, g])
+    for g, (c, rev) in enumerate(zip(cells, reverse)):
+        np.add((flat_input(rev) @ ws[g]).reshape(n, batch, 3 * d), c.b.data, out=xw[:, g])
     u_zr, u_h = np.stack(u_zrs), np.stack(u_hs)
     # hs[t] is the state before step t (row 0 the zero state), hs[t + 1] after it
     hs = np.zeros((n + 1, dirs, batch, d))
@@ -128,29 +132,30 @@ def _gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
         # built here, not captured, so no stacked weight copy stays alive in the graph
         u_zr_t = np.stack([u.T for u in u_zrs])
         u_h_t = np.stack([u.T for u in u_hs])
-        dzr = np.empty((n, dirs, batch, 2 * d))
-        dah = np.empty((n, dirs, batch, d))
+        # gate pre-activation adjoints [dz | dr | dc], direction-major so that
+        # each direction's (T * B, 3d) block is contiguous for the epilogue
+        dxws = np.empty((dirs, n, batch, 3 * d))
         dh = np.zeros((dirs, batch, d))
         for t in range(n - 1, -1, -1):
             dht = gs[t] + dh
             z, r, c, hp = zs[t], rs[t], cs[t], hs[t]
             da = (dht * z) * (1.0 - c * c)
-            dah[t] = da
+            dxws[:, t, :, 2 * d :] = da
             drh = da @ u_h_t
-            dzr[t, ..., :d] = (dht * (c - hp)) * z * (1.0 - z)
-            dzr[t, ..., d:] = (drh * hp) * r * (1.0 - r)
-            dh = dht * (1.0 - z) + drh * r + dzr[t] @ u_zr_t
+            dxws[:, t, :, :d] = (dht * (c - hp)) * z * (1.0 - z)
+            dxws[:, t, :, d : 2 * d] = (drh * hp) * r * (1.0 - r)
+            dh = dht * (1.0 - z) + drh * r + dxws[:, t, :, : 2 * d] @ u_zr_t
         dx, dparams = None, []
         for g, rev in enumerate(reverse):
-            dxw = np.concatenate([dzr[:, g], dah[:, g]], axis=-1).reshape(n * batch, 3 * d)
+            dxw = dxws[g].reshape(n * batch, 3 * d)
             hp = hs[:-1, g].reshape(n * batch, d)
             dxg = (dxw @ ws[g].T).reshape(x3.shape)
             dxg = dxg[order] if rev else dxg
             dx = dxg if dx is None else dx + dxg
             dparams += [
-                flat[g].T @ dxw,
-                hp.T @ dzr[:, g].reshape(n * batch, 2 * d),
-                (rs[:, g].reshape(n * batch, d) * hp).T @ dah[:, g].reshape(n * batch, d),
+                flat_input(rev).T @ dxw,
+                hp.T @ dxw[:, : 2 * d],
+                (rs[:, g].reshape(n * batch, d) * hp).T @ dxw[:, 2 * d :],
                 dxw.sum(axis=0),
             ]
         return (dx.reshape(x.shape), *dparams)

@@ -338,7 +338,8 @@ def gather_rows(a, indices) -> Tensor:
 
 
 def group_max_rows(a, group_sizes) -> Tensor:
-    """Per-column max over consecutive row groups of the given sizes."""
+    """Per-column max over consecutive row groups of the given sizes; the
+    gradient goes to each group's first maximal row (its first NaN, if any)."""
     a = _lift(a)
     sizes = list(group_sizes)
     if sum(sizes) != a.data.shape[0]:
@@ -346,19 +347,16 @@ def group_max_rows(a, group_sizes) -> Tensor:
     if any(s < 1 for s in sizes):
         raise ValueError("group sizes must be positive")
     starts = np.cumsum([0] + sizes[:-1])
-    argmax_rows = np.empty((len(sizes), a.data.shape[1]), dtype=np.intp)
-    out = np.empty((len(sizes), a.data.shape[1]))
-    for gi, (s0, size) in enumerate(zip(starts, sizes)):
-        block = a.data[s0 : s0 + size]
-        local = block.argmax(axis=0)
-        argmax_rows[gi] = s0 + local
-        out[gi] = block[local, np.arange(block.shape[1])]
+    out = np.maximum.reduceat(a.data, starts, axis=0)
+    # the first row of each group that holds its max, as argmax picks it
+    hits = (a.data == np.repeat(out, sizes, axis=0)) | np.isnan(a.data)
+    rows = np.where(hits, np.arange(a.data.shape[0])[:, None], a.data.shape[0])
+    argmax_rows = np.minimum.reduceat(rows, starts, axis=0)
+    cols = np.arange(a.data.shape[1])
 
     def back(g):
         full = np.zeros_like(a.data)
-        cols = np.arange(a.data.shape[1])
-        for gi in range(len(sizes)):
-            np.add.at(full, (argmax_rows[gi], cols), g[gi])
+        full[argmax_rows, cols] = g  # the groups are disjoint, so no row is hit twice
         return (full,)
 
     return _make(out, (a,), back)

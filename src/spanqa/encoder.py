@@ -205,10 +205,12 @@ def embed_tokens(tokens, vocab: Vocab, char_vocab: CharVocab, params: EncoderPar
     return concat_cols([word_vecs, char_vecs])
 
 
-def contextualize(embedded, rnn: BiGruParams, keep_prob: float, rng, training: bool) -> list:
-    """Dropout on each (n_i, k) embedding of the list in turn, then one
+def contextualize(embedded, rnn: BiGruParams, keep_prob: float, rngs, training: bool) -> list:
+    """Dropout on each (n_i, k) embedding of the list in turn, the i-th
+    drawing from rngs[i] (`rngs` may be None outside training), then one
     bidirectional recurrent pass over them all: a list of (n_i, 2d)."""
-    return bigru_each([dropout(x, keep_prob, rng, training) for x in embedded], rnn)
+    rngs = [None] * len(embedded) if rngs is None else rngs
+    return bigru_each([dropout(x, keep_prob, rng, training) for x, rng in zip(embedded, rngs, strict=True)], rnn)
 
 
 def bidaf_attention(para: Tensor, ques: Tensor, params: EncoderParams) -> Tensor:

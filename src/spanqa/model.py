@@ -61,26 +61,34 @@ class QaModel:
             grad_through_start=grad_through_start,
         )
 
+    # No caller in the package; the tests' B=1 references use it.
     def encode_question(self, tokens, rng=None, training: bool = False) -> Tensor:
         """Contextual question encoding (m, 2d), shared by every paragraph of
-        one example.
+        one example: `encode_questions` of one question."""
+        return self.encode_questions([tokens], [rng], training)[0]
 
-        `rng` drives dropout and is only consulted in training mode with
-        keep_prob < 1, so evaluation never touches it.
+    def encode_questions(self, questions, rngs=None, training: bool = False) -> list:
+        """`encode_question` of every token list in `questions`, with one
+        recurrent pass over all of them.
+
+        rngs[i] drives question i's dropout and is only consulted in
+        training mode with keep_prob < 1, so evaluation never touches it.
         """
-        embedded = embed_tokens(tokens, self.vocab, self.char_vocab, self.encoder)
-        return contextualize([embedded], self.encoder.q_ctx, self.config.keep_prob, rng, training)[0]
+        embedded = [embed_tokens(tokens, self.vocab, self.char_vocab, self.encoder) for tokens in questions]
+        return contextualize(embedded, self.encoder.q_ctx, self.config.keep_prob, rngs, training)
 
     # No caller in the package; the benchmark's tracer and the tests' B=1 references use it.
     def encode_paragraph(self, question: Tensor, paragraph_tokens, rng=None, training: bool = False) -> Tensor:
         """Question-aware context embedding (n, 2d) for one paragraph, given
         the question's `encode_question` output."""
-        return self.encode_paragraphs(question, [paragraph_tokens], rng, training)[0]
+        return self.encode_paragraphs([question], [paragraph_tokens], [rng], training)[0]
 
-    def encode_paragraphs(self, question: Tensor, paragraphs, rng=None, training: bool = False) -> list:
-        """`encode_paragraph` of every token list in `paragraphs`; each
-        recurrent layer runs once over all of them.  Dropout draws follow
-        the paragraph order."""
+    def encode_paragraphs(self, questions, paragraphs, rngs=None, training: bool = False) -> list:
+        """`encode_paragraph` of every token list in `paragraphs`, where
+        paragraph i attends to the encoded question questions[i] and draws
+        its dropout from rngs[i]; each recurrent layer runs once over all of
+        them."""
         embedded = [embed_tokens(tokens, self.vocab, self.char_vocab, self.encoder) for tokens in paragraphs]
-        p_ctx = contextualize(embedded, self.encoder.p_ctx, self.config.keep_prob, rng, training)
-        return self_attend([bidaf_attention(p, question, self.encoder) for p in p_ctx], self.encoder)
+        p_ctx = contextualize(embedded, self.encoder.p_ctx, self.config.keep_prob, rngs, training)
+        attended = [bidaf_attention(p, q, self.encoder) for p, q in zip(p_ctx, questions, strict=True)]
+        return self_attend(attended, self.encoder)

@@ -6,11 +6,14 @@ the pair-normalized quality softmax and p+ aggregates the span probabilities
 at the weakly labeled answer locations.  Batches average example losses into
 one Adadelta step.
 
-Training and inference share one forward path: the question is encoded
-once per example, then each recurrent layer runs once over the example's
-paragraphs (the pair in training, all of them at inference) through the
-batched calls `encode_paragraphs`, `start_distributions`,
-`end_distributions` and `quality_logits`.
+Training and inference share one forward path, `encode_items`, over a
+batch of items (question, paragraphs, dropout stream): each recurrent
+layer runs once over the whole batch, through the batched calls
+`encode_questions`, `encode_paragraphs`, `start_distributions` and
+`quality_logits`, and the end distributions share one more pass through
+`end_distributions`.  Training sends a whole Adadelta batch through it,
+one (positive, negative) pair per example; inference sends one example
+with all its paragraphs.
 
 Inference runs a start/end beam per paragraph, groups candidate spans by
 normalized answer text, aggregates within each paragraph, and mixes across
@@ -91,36 +94,81 @@ def paragraph_label_table(dataset):
     return [[label_spans(p, ex.answers) for p in ex.paragraphs] for ex in dataset]
 
 
-def example_loss(model, example, pos_index, pos_labels, neg_paragraph, mode, rng):
-    """-(log q+ + log p+) for one training pair, as a graph scalar.
+@dataclass
+class ItemEncoding:
+    """One item's share of `encode_items`, one entry per paragraph of the item."""
 
-    The question is encoded once and the pair runs through the same
-    batched calls as `predict`: each recurrent layer runs once over
-    (positive, negative).  p+ aggregates span probabilities at the labeled
-    locations; end distributions are computed once per distinct labeled
-    start, all in one recurrent pass.  Both probabilities are floored at
-    PROB_FLOOR before the log so early zero-mass labels cannot produce
-    infinities.  Dropout masks are drawn for the question, the positive and
-    then the negative paragraph; the `rand` aggregation draw comes last.
+    contexts: list  # (n_i, 2d) context embeddings
+    starts: list  # StartDistributions
+    quality: list  # scalar quality logits
+
+
+def encode_items(model, items, training: bool = False) -> list:
+    """The forward pass shared by training and inference, over a batch of
+    (question tokens, list of paragraph token lists, rng) items: one
+    ItemEncoding per item.
+
+    Each recurrent layer runs once over the whole batch: the question layer
+    over every item's question, then the paragraph, self-attention, start and
+    quality layers over every paragraph of every item, each paragraph
+    attending to its own item's question.  An item's rng drives only its own
+    dropout masks (question first, then its paragraphs in order) and is not
+    consulted outside training.
     """
-    question = model.encode_question(example.question, rng, training=True)
-    pair = [example.paragraphs[pos_index].tokens, neg_paragraph.tokens]
-    contexts = model.encode_paragraphs(question, pair, rng, training=True)
-    starts = start_distributions(contexts, model.decoder)
-    ctx, pos_starts = contexts[0], starts[0]
-    distinct = list(dict.fromkeys(label.start for label in pos_labels))
-    ends = end_distributions([(ctx, pos_starts, s) for s in distinct], model.decoder)
-    ends_by_start = dict(zip(distinct, ends))
-    span_probs = [span_probability(pos_starts, ends_by_start[l.start], l.start, l.end) for l in pos_labels]
-    answer_prob = aggregate(span_probs, mode, rng)
-    pair_probs = normalize_quality_tensors(
-        quality_logits(contexts, starts, model.quality, model.grad_through_start)
+    questions, paragraph_lists, rngs = zip(*items)
+    owners = [i for i, paragraphs in enumerate(paragraph_lists) for _ in paragraphs]
+    encoded_questions = model.encode_questions(questions, rngs, training)
+    contexts = model.encode_paragraphs(
+        [encoded_questions[i] for i in owners],
+        [p for paragraphs in paragraph_lists for p in paragraphs],
+        [rngs[i] for i in owners],
+        training,
     )
+    starts = start_distributions(contexts, model.decoder)
+    quality = quality_logits(contexts, starts, model.quality, model.grad_through_start)
+    bounds = np.cumsum([0] + [len(paragraphs) for paragraphs in paragraph_lists]).tolist()
+    return [ItemEncoding(contexts[a:b], starts[a:b], quality[a:b]) for a, b in zip(bounds, bounds[1:])]
 
-    loss = -(log(clip_min(pick(pair_probs, 0), PROB_FLOOR)) + log(clip_min(answer_prob, PROB_FLOOR)))
-    if not np.isfinite(loss.data):
-        raise FloatingPointError(f"non-finite loss for example {example.id}")
-    return loss
+
+def batch_losses(model, pairs, mode) -> list:
+    """-(log q+ + log p+) of every training pair in `pairs`, as graph scalars.
+
+    A pair is (example, positive index, positive's labels, negative
+    paragraph, rng).  All pairs share one `encode_items` pass, and the end
+    distributions of every positive's distinct labeled starts share one
+    more recurrent pass.  p+ aggregates span probabilities at the labeled
+    locations.  Both probabilities are floored at PROB_FLOOR before the log
+    so early zero-mass labels cannot produce infinities.  Each pair's rng
+    gives the dropout masks for its question, positive and negative
+    paragraph, and then the `rand` aggregation draw.
+    """
+    encoded = encode_items(
+        model,
+        [(ex.question, [ex.paragraphs[pos].tokens, neg.tokens], rng) for ex, pos, _, neg, rng in pairs],
+        training=True,
+    )
+    distinct = [list(dict.fromkeys(label.start for label in labels)) for _, _, labels, _, _ in pairs]
+    rows = [(enc.contexts[0], enc.starts[0], s) for enc, starts in zip(encoded, distinct) for s in starts]
+    ends = iter(end_distributions(rows, model.decoder))
+    losses = []
+    for (example, _, labels, _, rng), enc, starts in zip(pairs, encoded, distinct):
+        ends_by_start = {s: next(ends) for s in starts}
+        pos_starts = enc.starts[0]
+        span_probs = [span_probability(pos_starts, ends_by_start[l.start], l.start, l.end) for l in labels]
+        answer_prob = aggregate(span_probs, mode, rng)
+        pair_probs = normalize_quality_tensors(enc.quality)
+        loss = -(log(clip_min(pick(pair_probs, 0), PROB_FLOOR)) + log(clip_min(answer_prob, PROB_FLOOR)))
+        if not np.isfinite(loss.data):
+            raise FloatingPointError(f"non-finite loss for example {example.id}")
+        losses.append(loss)
+    return losses
+
+
+# No caller in the package; the benchmark's tracer rebinds it and the tests call it.
+def example_loss(model, example, pos_index, pos_labels, neg_paragraph, mode, rng):
+    """`batch_losses` of the one pair (example, pos_index, pos_labels,
+    neg_paragraph, rng)."""
+    return batch_losses(model, [(example, pos_index, pos_labels, neg_paragraph, rng)], mode)[0]
 
 
 def _fallback_negative(dataset, batch, ex_idx, rng):
@@ -144,7 +192,7 @@ def train_epoch(model, dataset, labels, config: TrainConfig, epoch: int) -> Epoc
     loss_total, counted, skipped = 0.0, 0, 0
     for batch_start in range(0, len(order), config.batch_size):
         batch = order[batch_start : batch_start + config.batch_size]
-        losses = []
+        pairs = []
         for offset, ex_idx in enumerate(batch):
             example = dataset[ex_idx]
             rng = make_rng(config.seed, STREAM_TRAIN, epoch, batch_start + offset + 1)
@@ -160,10 +208,9 @@ def train_epoch(model, dataset, labels, config: TrainConfig, epoch: int) -> Epoc
                 if negative is None:
                     skipped += 1
                     continue
-            losses.append(
-                example_loss(model, example, pos_idx, labels[ex_idx][pos_idx], negative, mode, rng)
-            )
-        if losses:
+            pairs.append((example, pos_idx, labels[ex_idx][pos_idx], negative, rng))
+        if pairs:
+            losses = batch_losses(model, pairs, mode)
             batch_loss = losses[0]
             for extra in losses[1:]:
                 batch_loss = batch_loss + extra
@@ -245,8 +292,9 @@ def best_answer(scores: dict) -> str:
 def predict(model, example, mode: AggregationMode, k1: int, k2: int, rng=None) -> Prediction:
     """Scores for every answer string surfaced by the per-paragraph beams.
 
-    Each recurrent layer runs once over all paragraphs, and the end
-    distributions of every paragraph's top-k1 starts share one pass.  With
+    The example is `encode_items`' one item, so each recurrent layer runs
+    once over all its paragraphs, and the end distributions of every
+    paragraph's top-k1 starts share one pass.  With
     a single paragraph the quality weight collapses to 1 and the score is
     just the paragraph-level probability.
     """
@@ -255,18 +303,16 @@ def predict(model, example, mode: AggregationMode, k1: int, k2: int, rng=None) -
     if not example.paragraphs:
         raise ValueError(f"example {example.id} has no paragraphs")
     with no_grad():
-        question = model.encode_question(example.question)
-        contexts = model.encode_paragraphs(question, [p.tokens for p in example.paragraphs])
-        starts = start_distributions(contexts, model.decoder)
-        beams = [top_indices(sd.probs.data, k1) for sd in starts]
-        rows = [(ctx, sd, s) for ctx, sd, beam in zip(contexts, starts, beams) for s in beam]
+        (encoded,) = encode_items(model, [(example.question, [p.tokens for p in example.paragraphs], None)])
+        beams = [top_indices(sd.probs.data, k1) for sd in encoded.starts]
+        rows = [(ctx, sd, s) for ctx, sd, beam in zip(encoded.contexts, encoded.starts, beams) for s in beam]
         ends = iter(end_distributions(rows, model.decoder))
         per_paragraph = []
-        for paragraph, sd, beam in zip(example.paragraphs, starts, beams):
+        for paragraph, sd, beam in zip(example.paragraphs, encoded.starts, beams):
             end_dists = {s: next(ends).data for s in beam}
             cands = beam_candidates(paragraph, sd, end_dists, k1, k2)
             per_paragraph.append(group_candidates(cands, mode, rng))
-        quality = normalize_quality_tensors(quality_logits(contexts, starts, model.quality)).data.tolist()
+        quality = normalize_quality_tensors(encoded.quality).data.tolist()
         scores = combine_scores(quality, per_paragraph)
         best = best_answer(scores)
         return Prediction(

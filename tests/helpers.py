@@ -20,6 +20,8 @@ from spanqa.diffmath import (
     reshape,
     row_softmax,
 )
+from spanqa.diffmath.rnn import _reversal, _sigmoid
+from spanqa.diffmath.tensor import _make
 from spanqa.encoder import CharVocab, EncoderConfig, Vocab
 from spanqa.model import QaModel
 from spanqa.paragraph_quality import normalize_quality_tensors, quality_logit
@@ -109,6 +111,90 @@ def two_loop_bigru(inputs: Tensor, params: BiGruParams, lengths) -> Tensor:
     fwd = gru_sequence(inputs, params.fwd, "forward")
     bwd = reverse_columns(gru_sequence(reverse_columns(inputs, lengths), params.bwd, "forward"), lengths)
     return concat_cols([fwd, bwd])
+
+
+def copying_gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
+    """The recurrent kernel (`diffmath.rnn._gru_pass`, same arguments) as it
+    was before its BPTT buffers were shared: the closure keeps the backward
+    direction's reversed copy of the input, and the epilogue concatenates
+    separate dzr and dah arrays per direction.  The reference that the
+    shared-buffer kernel must match bit for bit."""
+    x = inputs.data
+    n = x.shape[0]
+    x3 = x.reshape(n, -1, x.shape[-1])
+    batch, dirs, d = x3.shape[1], len(cells), cells[0].hidden
+    order = _reversal(n, [n] * batch if lengths is None else lengths) if any(reverse) else None
+    ws, u_zrs, u_hs = [c.w.data for c in cells], [c.u_zr.data for c in cells], [c.u_h.data for c in cells]
+    flat = [(x3[order] if rev else x3).reshape(n * batch, -1) for rev in reverse]
+    xw = np.empty((n, dirs, batch, 3 * d))
+    for g, c in enumerate(cells):
+        np.add((flat[g] @ ws[g]).reshape(n, batch, 3 * d), c.b.data, out=xw[:, g])
+    u_zr, u_h = np.stack(u_zrs), np.stack(u_hs)
+    hs = np.zeros((n + 1, dirs, batch, d))
+    zs = np.empty((n, dirs, batch, d))
+    rs = np.empty((n, dirs, batch, d))
+    cs = np.empty((n, dirs, batch, d))
+    with np.errstate(over="ignore"):
+        for t in range(n):
+            h = hs[t]
+            zr = _sigmoid(xw[t, :, :, : 2 * d] + h @ u_zr)
+            z, r = zr[..., :d], zr[..., d:]
+            c = np.tanh(xw[t, :, :, 2 * d :] + (r * h) @ u_h)
+            hs[t + 1] = (1.0 - z) * h + z * c
+            zs[t], rs[t], cs[t] = z, r, c
+
+    def back(grad):
+        grad = grad.reshape(n, batch, dirs, d)
+        gs = np.empty((n, dirs, batch, d))
+        for g, rev in enumerate(reverse):
+            gs[:, g] = grad[:, :, g][order] if rev else grad[:, :, g]
+        u_zr_t = np.stack([u.T for u in u_zrs])
+        u_h_t = np.stack([u.T for u in u_hs])
+        dzr = np.empty((n, dirs, batch, 2 * d))
+        dah = np.empty((n, dirs, batch, d))
+        dh = np.zeros((dirs, batch, d))
+        for t in range(n - 1, -1, -1):
+            dht = gs[t] + dh
+            z, r, c, hp = zs[t], rs[t], cs[t], hs[t]
+            da = (dht * z) * (1.0 - c * c)
+            dah[t] = da
+            drh = da @ u_h_t
+            dzr[t, ..., :d] = (dht * (c - hp)) * z * (1.0 - z)
+            dzr[t, ..., d:] = (drh * hp) * r * (1.0 - r)
+            dh = dht * (1.0 - z) + drh * r + dzr[t] @ u_zr_t
+        dx, dparams = None, []
+        for g, rev in enumerate(reverse):
+            dxw = np.concatenate([dzr[:, g], dah[:, g]], axis=-1).reshape(n * batch, 3 * d)
+            hp = hs[:-1, g].reshape(n * batch, d)
+            dxg = (dxw @ ws[g].T).reshape(x3.shape)
+            dxg = dxg[order] if rev else dxg
+            dx = dxg if dx is None else dx + dxg
+            dparams += [
+                flat[g].T @ dxw,
+                hp.T @ dzr[:, g].reshape(n * batch, 2 * d),
+                (rs[:, g].reshape(n * batch, d) * hp).T @ dah[:, g].reshape(n * batch, d),
+                dxw.sum(axis=0),
+            ]
+        return (dx.reshape(x.shape), *dparams)
+
+    out = np.empty((n, batch, dirs, d))
+    for g, rev in enumerate(reverse):
+        out[:, :, g] = hs[1:, g][order] if rev else hs[1:, g]
+    parents = (inputs,) + tuple(t for c in cells for t in (c.w, c.u_zr, c.u_h, c.b))
+    return _make(out.reshape(x.shape[:-1] + (dirs * d,)), parents, back)
+
+
+def loop_group_max_rows(a: np.ndarray, group_sizes):
+    """group_max_rows as one argmax per group: (per-column group maxima, the
+    first row holding each) -- the reference for the vectorized op."""
+    starts = np.cumsum([0] + list(group_sizes)[:-1])
+    out = np.empty((len(group_sizes), a.shape[1]))
+    rows = np.empty((len(group_sizes), a.shape[1]), dtype=np.intp)
+    for gi, (s0, size) in enumerate(zip(starts, group_sizes)):
+        local = a[s0 : s0 + size].argmax(axis=0)
+        rows[gi] = s0 + local
+        out[gi] = a[s0 + local, np.arange(a.shape[1])]
+    return out, rows
 
 
 def softmax(logits) -> list:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_grads, two_loop_bigru
+from helpers import check_grads, copying_gru_pass, two_loop_bigru
 from spanqa.diffmath import (
     BiGruParams,
     GruParams,
@@ -22,7 +22,7 @@ from spanqa.diffmath import (
     tsum,
     unstack,
 )
-from spanqa.diffmath.rnn import _sigmoid
+from spanqa.diffmath.rnn import _REVERSE, _sigmoid
 
 
 def random_params(in_dim, d, seed):
@@ -302,6 +302,41 @@ def test_fused_bigru_packed_gradients_match_finite_differences():
     params = init_bigru_params(3, 3, make_rng(49, 2))
     w = Tensor(rng.standard_normal((4, 3, 6)))
     check_grads(lambda: tsum(bigru(x, params, lengths) * w), [x] + [t for _, t in params.tensors()])
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward", "both"])
+@pytest.mark.parametrize(
+    "lengths, d",
+    [([1], 2), ([6], 3), ([5, 2, 4], 2), ([5, 2, 4], 8), ([1, 7, 7, 3, 2], 3), ([4, 4], 32), ([5, 2, 4], 1)],
+)
+def test_shared_bptt_buffers_are_bit_exact(direction, lengths, d):
+    """The kernel regathers the backward direction's input in BPTT and keeps
+    the gate adjoints of all directions in one array; outputs and every
+    gradient equal those of the kernel that held the reversed copy and
+    concatenated per-direction arrays, bit for bit.  At hidden size 1 a
+    parameter-gradient product reads a single strided column, which BLAS
+    sums in another order, so there the bound is 1e-12 relative."""
+    rng = make_rng(sum(lengths) * d, 50)
+    bi = init_bigru_params(3, d, make_rng(d, 51))
+    params = bi if direction == "both" else bi.fwd
+    cells = (bi.fwd, bi.bwd) if direction == "both" else (bi.fwd,)
+    x = rng.standard_normal((max(lengths), len(lengths), 3))
+    w = rng.standard_normal((max(lengths), len(lengths), len(cells) * d))
+    results = []
+    for run in (
+        lambda xt: gru_sequence(xt, params, direction, lengths),
+        lambda xt: copying_gru_pass(xt, cells, _REVERSE[direction], lengths),
+    ):
+        xt = Tensor(x, requires_grad=True)
+        out = run(xt)
+        backward(tsum(out * w))
+        results.append([out.data, xt.grad] + [t.grad for c in cells for _, t in c.tensors()])
+        for c in cells:
+            for _, t in c.tensors():
+                t.zero_grad()
+    for got, ref in zip(*results):
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref) if d > 1 else rel_diff(got, ref) <= 1e-12
 
 
 def test_packed_padding_does_not_leak_into_valid_steps():

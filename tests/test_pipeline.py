@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    TINY_WORDS,
     all_span_probabilities,
     check_grads,
     quality_probs,
@@ -18,10 +19,14 @@ from helpers import (
 from spanqa.aggregation import AggregationMode, AnswerGroup, normalize_answer_key
 from spanqa.corpus import QAExample, make_paragraph
 from spanqa.diffmath import Tensor, backward, make_rng, no_grad
+from spanqa.diffmath.rng import STREAM_TRAIN
+from spanqa.paragraph_quality import sample_pair
 from spanqa.pipeline import (
     Prediction,
     TrainConfig,
+    _fallback_negative,
     average_precision,
+    batch_losses,
     beam_candidates,
     best_answer,
     combine_scores,
@@ -124,12 +129,12 @@ def test_example_loss_encodes_question_once_and_batches_the_pair(monkeypatch):
 
     ref_loss, ref_grads = loss_and_grads(reference_example_loss)
     calls = []
-    count(model, "encode_question")
+    count(model, "encode_questions")
     count(model, "encode_paragraphs")
     count(pipeline, "start_distributions")
     count(pipeline, "quality_logits")
     loss, grads = loss_and_grads(example_loss)
-    assert sorted(calls) == ["encode_paragraphs", "encode_question", "quality_logits", "start_distributions"]
+    assert sorted(calls) == ["encode_paragraphs", "encode_questions", "quality_logits", "start_distributions"]
     # same dropout masks and rand draw as the one-item path; the packed pair
     # only reorders float64 sums
     assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
@@ -239,6 +244,141 @@ def test_training_is_deterministic():
         return [(h.mean_loss, h.skipped, h.steps) for h in history]
 
     assert run() == run()
+
+
+# ----------------------------------------------------- batched training
+
+
+BATCH = [
+    qa_example(["camels store fat in their fat humps", "sand dune walks do"], ex_id="two-labels"),
+    qa_example(["camels store fat", "fat in humps"], ex_id="all-positive"),
+    qa_example(["sand dune walks", "their humps do"], answers=["zzz"], ex_id="no-positive"),
+    qa_example(["what do camels store in their humps ? fat", "dune"], ex_id="long-short"),
+    qa_example(["fat", "sand dune walks in their humps do"], ex_id="short-long", question=["store", "?"]),
+]
+
+
+def capture_steps(monkeypatch, model, on_step):
+    """Replace the model's Adadelta step by `on_step()` followed by zeroing
+    the gradients, so a test sees each batch's accumulated gradients."""
+
+    def step(**kwargs):
+        on_step()
+        model.store.zero_grads()
+
+    monkeypatch.setattr(model.store, "adadelta_step", step)
+
+
+def grads_of(model):
+    return {name: t.grad.copy() for name, t in model.store.items() if t.grad is not None}
+
+
+def test_train_batch_matches_sum_of_one_item_references(monkeypatch):
+    # one Adadelta batch of the whole dataset: dropout, `rand` aggregation,
+    # a negative borrowed from another example and a skipped example
+    model = tiny_model(seed=23, keep_prob=0.7)
+    labels = paragraph_label_table(BATCH)
+    config = TrainConfig(batch_size=len(BATCH), seed=23, mode="rand")
+    steps = []
+    capture_steps(monkeypatch, model, lambda: steps.append(grads_of(model)))
+    stats = train_epoch(model, BATCH, labels, config, epoch=0)
+    assert (stats.steps, stats.skipped, len(steps)) == (4, 1, 1)
+
+    # the same draws, each pair through the one-item (B=1) calls
+    order = make_rng(23, STREAM_TRAIN, 0).permutation(len(BATCH)).tolist()
+    losses, borrowed = [], 0
+    for offset, ex_idx in enumerate(order):
+        rng = make_rng(23, STREAM_TRAIN, 0, offset + 1)
+        pair = sample_pair([len(l) for l in labels[ex_idx]], rng)
+        if pair is None:
+            continue
+        example, (pos, neg) = BATCH[ex_idx], pair
+        if neg is None:
+            borrowed += 1
+            negative = _fallback_negative(BATCH, order, ex_idx, rng)
+        else:
+            negative = example.paragraphs[neg]
+        losses.append(
+            reference_example_loss(model, example, pos, labels[ex_idx][pos], negative, AggregationMode.RAND, rng)
+        )
+    assert borrowed == 1
+    total = losses[0]
+    for extra in losses[1:]:
+        total = total + extra
+    total = total / float(len(losses))
+    backward(total)
+    ref_grads = grads_of(model)
+    assert stats.mean_loss == pytest.approx(total.item(), rel=1e-12, abs=0)
+    assert set(steps[0]) == set(ref_grads)
+    for name, grad in ref_grads.items():
+        np.testing.assert_allclose(steps[0][name], grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max(), err_msg=name)
+
+
+def test_batch_mates_do_not_change_an_example_loss():
+    # paragraphs of 1 to 7 tokens share each packed pass, so padding must not
+    # leak into a shorter example's loss or gradients
+    model = tiny_model(seed=24, keep_prob=0.7)
+    labels = paragraph_label_table(BATCH)
+    pairs = [(i, 0, 1) for i in (0, 3, 4)]
+
+    def batch(indices):
+        return [
+            (BATCH[i], pos, labels[i][pos], BATCH[i].paragraphs[neg], make_rng(24, i))
+            for i, pos, neg in indices
+        ]
+
+    together = batch_losses(model, batch(pairs), AggregationMode.SUM)
+    for got, one in zip(together, pairs):
+        (alone,) = batch_losses(model, batch([one]), AggregationMode.SUM)
+        assert got.item() == pytest.approx(alone.item(), rel=1e-12, abs=0)
+    model.store.zero_grads()
+    backward(batch_losses(model, batch(pairs), AggregationMode.SUM)[2])
+    together_grads = grads_of(model)
+    model.store.zero_grads()
+    backward(batch_losses(model, batch(pairs[2:]), AggregationMode.SUM)[0])
+    for name, grad in grads_of(model).items():
+        np.testing.assert_allclose(
+            together_grads[name], grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max(), err_msg=name
+        )
+
+
+@pytest.mark.parametrize("batch_size", [1, 2, 5])
+def test_one_gru_call_per_layer_per_training_batch(monkeypatch, batch_size):
+    import spanqa.diffmath.rnn as rnn
+
+    model = tiny_model(seed=25)
+    dataset = [
+        qa_example(["camels store fat in humps", "sand dune walks do"], ex_id=f"e{i}", question=QUESTION[i:])
+        for i in range(5)
+    ]
+    gru_sequence, calls, per_step = rnn.gru_sequence, [], []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return gru_sequence(*args, **kwargs)
+
+    def on_step():
+        per_step.append(len(calls))
+        calls.clear()
+
+    monkeypatch.setattr(rnn, "gru_sequence", counted)
+    capture_steps(monkeypatch, model, on_step)
+    stats = train_epoch(model, dataset, paragraph_label_table(dataset), TrainConfig(batch_size=batch_size), epoch=0)
+    assert stats.steps == 5
+    assert per_step == [6] * -(-5 // batch_size)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_loss_in_a_batch_names_its_example():
+    model = tiny_model(seed=26, words=TINY_WORDS + ["oasis"])
+    model.encoder.word_emb.data[model.vocab.id("oasis")] = np.inf
+    dataset = [
+        qa_example(["camels store fat", "sand dune walks"], ex_id="fine-1"),
+        qa_example(["camels store fat", "sand dune walks"], ex_id="poisoned", question=["oasis", "?"]),
+        qa_example(["fat in their humps", "dune walks"], ex_id="fine-2"),
+    ]
+    with pytest.raises(FloatingPointError, match="for example poisoned$"):
+        train_epoch(model, dataset, paragraph_label_table(dataset), TrainConfig(batch_size=3, seed=26), epoch=0)
 
 
 # -------------------------------------------------------------- beam search
@@ -408,15 +548,15 @@ def test_predict_encodes_question_once_and_matches_per_paragraph_reference(monke
     model = tiny_model(seed=20)
     example = qa_example(["camels store fat in humps", "sand dune walks do", "fat in their humps"])
     scores, probs, best = reference_predict(model, example, AggregationMode.SUM, 3, 2)
-    encode_question, calls = model.encode_question, []
+    encode_questions, calls = model.encode_questions, []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return encode_question(*args, **kwargs)
+    def counted(questions, *args, **kwargs):
+        calls.append(len(questions))
+        return encode_questions(questions, *args, **kwargs)
 
-    monkeypatch.setattr(model, "encode_question", counted)
+    monkeypatch.setattr(model, "encode_questions", counted)
     pred = predict(model, example, AggregationMode.SUM, 3, 2)
-    assert len(calls) == 1
+    assert calls == [1]  # one pass, over the one question
     # predict batches paragraphs and beam starts, which reorders float64 sums
     assert set(pred.answer_scores) == set(scores)
     keys = sorted(scores)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_grads, max_rel_err, numeric_grad
+from helpers import check_grads, loop_group_max_rows, max_rel_err, numeric_grad
 from spanqa.diffmath import (
     Tensor,
     backward,
@@ -305,6 +305,31 @@ def test_group_max_rows_values_and_gradient():
     y = leaf(None, rng, (5, 3))
     w = Tensor(rng.standard_normal((2, 3)))
     check_grads(lambda: tsum(group_max_rows(y, [3, 2]) * w), [y])
+
+
+@given(
+    st.lists(st.integers(1, 5), min_size=1, max_size=5),
+    st.integers(1, 4),
+    st.sampled_from([0.0, np.inf, np.nan]),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_group_max_rows_matches_per_group_argmax(sizes, cols, special, seed):
+    # small integer values force ties; inf and NaN entries follow argmax's rule
+    rng = make_rng(seed, 1)
+    a = rng.integers(-2, 3, size=(sum(sizes), cols)).astype(float)
+    a[rng.random(a.shape) < 0.2] = special if special else a[0, 0]
+    x = Tensor(a, requires_grad=True)
+    out = group_max_rows(x, sizes)
+    g = rng.standard_normal(out.shape)
+    with np.errstate(invalid="ignore"):  # inf - inf in the loss value; its gradient is finite
+        loss = tsum(out * Tensor(g))
+    backward(loss)
+    ref_out, ref_rows = loop_group_max_rows(a, sizes)
+    ref_grad = np.zeros_like(a)
+    ref_grad[ref_rows, np.arange(cols)] = g
+    assert np.array_equal(out.data, ref_out, equal_nan=True)
+    assert np.array_equal(x.grad, ref_grad)
 
 
 def test_group_max_rows_size_mismatch():
