@@ -5,8 +5,11 @@ manifest | parameter payload.  The manifest records the format version, the
 flat config snapshot, both vocabularies, every parameter's name/shape/dtype
 (store order, which is lexicographic), the RNG state, and the number of
 completed epochs.  The payload is the parameters' float64 little-endian
-bytes concatenated in manifest order; frozen (non-trainable) tensors follow
-the trainable ones under their own manifest section.
+bytes concatenated in manifest order.  The frozen section follows the
+trainable one: every encoder tensor that the parameter store does not hold,
+by the same `enc/` name (only `enc/word_emb`, when it was loaded from word
+vectors).  Loading hands that table back to `QaModel.create` as its
+`word_init`.
 
 Because the manifest serialization is canonical (sorted keys, no spaces) and
 the payload is raw bits, load -> save reproduces the file byte for byte.
@@ -24,6 +27,7 @@ import os
 import numpy as np
 
 from .config import split_config
+from .diffmath import named_tensors
 from .encoder import CharVocab, Vocab
 from .model import QaModel
 
@@ -37,9 +41,7 @@ def _entry(name, array):
 
 def save_checkpoint(path, model: QaModel, config_snapshot: dict, epoch: int, seed: int):
     params = [(name, t.data) for name, t in model.store.items()]
-    frozen = []
-    if not model.encoder.word_emb_trainable:
-        frozen.append(("enc/word_emb", model.encoder.word_emb.data))
+    frozen = [(name, t.data) for name, t in named_tensors(model.encoder, "enc/") if name not in model.store]
     manifest = {
         "format_version": FORMAT_VERSION,
         "config": config_snapshot,

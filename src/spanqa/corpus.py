@@ -304,8 +304,12 @@ def load_dataset(path, max_paragraphs: int = 20, max_paragraph_tokens: int = 400
     Each line is an object with an "id" (string or integer), a "question"
     string, a nonempty "answers" list of strings and a nonempty
     "paragraphs" list of {"id", "text"} objects; any other shape fails with
-    a ValueError naming the file and the line.
+    a ValueError naming the file and the line.  Both limits must be at
+    least 1.
     """
+    for name, value in (("max_paragraphs", max_paragraphs), ("max_paragraph_tokens", max_paragraph_tokens)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value!r}")
     dataset = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):

@@ -1,5 +1,6 @@
 """Parameter registry and Adadelta updates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,20 @@ def glorot_uniform(shape, rng) -> np.ndarray:
         fan_in = fan_out = shape[0]
     a = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=shape)
+
+
+def named_tensors(bundle, prefix: str = ""):
+    """(name, tensor) for every Tensor field of the parameter dataclass
+    `bundle`, in field order; a field holding a nested bundle contributes
+    its own tensors named `field/inner`.  A bundle's parameters are exactly
+    its Tensor fields, so none can be left out of training or of the
+    checkpoint."""
+    for field in dataclasses.fields(bundle):
+        value = getattr(bundle, field.name)
+        if isinstance(value, Tensor):
+            yield prefix + field.name, value
+        elif dataclasses.is_dataclass(value):
+            yield from named_tensors(value, f"{prefix}{field.name}/")
 
 
 class ParameterStore:

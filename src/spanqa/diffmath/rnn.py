@@ -10,10 +10,11 @@ backpropagation-through-time in one sweep, which keeps graphs small and
 fast.  Several sequences of different lengths can share that one loop,
 packed time-first and zero-padded (`pad_stack`); a single sequence is
 the batch of one.  The G directions of a layer (one, or forward and
-backward for `bigru`) share it too: each step makes one stacked (G, B, d)
-recurrent product per gate group, and a backward direction reads its
-input reversed within each column's length.  Gate weights are packed
-[z | r | h] along the output axis."""
+backward for direction "both", which `bigru_each` runs over a list of
+sequences) share it too: each step makes one stacked (G, B, d) recurrent
+product per gate group, and a backward direction reads its input
+reversed within each column's length.  Gate weights are packed [z | r | h]
+along the output axis."""
 
 from dataclasses import dataclass
 
@@ -36,27 +37,11 @@ class GruParams:
     def hidden(self) -> int:
         return self.u_h.data.shape[0]
 
-    def tensors(self):
-        yield "w", self.w
-        yield "u_zr", self.u_zr
-        yield "u_h", self.u_h
-        yield "b", self.b
-
 
 @dataclass
 class BiGruParams:
     fwd: GruParams
     bwd: GruParams
-
-    @property
-    def hidden(self) -> int:
-        return self.fwd.hidden
-
-    def tensors(self):
-        for name, t in self.fwd.tensors():
-            yield "fwd/" + name, t
-        for name, t in self.bwd.tensors():
-            yield "bwd/" + name, t
 
 
 def init_gru_params(in_dim: int, hidden: int, rng) -> GruParams:
@@ -200,16 +185,9 @@ def gru_sequence(inputs: Tensor, params, direction: str = "forward", lengths=Non
     return _gru_pass(inputs, cells, _REVERSE[direction], lengths)
 
 
-def bigru(inputs: Tensor, params: BiGruParams, lengths=None) -> Tensor:
-    """Forward and backward passes side by side along the feature axis:
-    (T, 2d), or (T, B, 2d) for a packed batch with per-column `lengths`.
-    Both directions step together in one loop."""
-    return gru_sequence(inputs, params, "both", lengths=lengths)
-
-
 def bigru_each(sequences, params: BiGruParams) -> list:
-    """`bigru` of every (n_i, in) tensor in `sequences`, as a list of
-    (n_i, 2d) tensors: one packed batch, so one time loop for both
-    directions of all of them."""
+    """The forward and backward states, side by side, of every (n_i, in)
+    tensor in `sequences`, as a list of (n_i, 2d) tensors: one packed batch,
+    so one time loop for both directions of all of them."""
     lengths = [s.data.shape[0] for s in sequences]
-    return unstack(bigru(pad_stack(sequences), params, lengths), lengths)
+    return unstack(gru_sequence(pad_stack(sequences), params, "both", lengths), lengths)

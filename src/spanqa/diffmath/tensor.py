@@ -378,14 +378,6 @@ def max_axis1(a) -> Tensor:
     return _make(a.data[rows, cols], (a,), back)
 
 
-def tile_rows(a, n: int) -> Tensor:
-    """Repeat a single-row tensor n times."""
-    a = _lift(a)
-    if a.data.ndim != 2 or a.data.shape[0] != 1:
-        raise ValueError(f"tile_rows expects shape (1, k), got {a.data.shape}")
-    return _make(np.repeat(a.data, n, axis=0), (a,), lambda g: (g.sum(axis=0, keepdims=True),))
-
-
 def pad_stack(parts) -> Tensor:
     """Pack 2-D tensors (n_b, k) time-first into a zero-padded (max n_b, B, k)
     tensor whose column b holds parts[b]."""

@@ -31,7 +31,6 @@ from .diffmath import (
     relu,
     reshape,
     row_softmax,
-    tile_rows,
     transpose,
 )
 
@@ -122,36 +121,18 @@ class EncoderParams:
     att_w_q: Tensor
     att_w_pq: Tensor
     self_rnn: BiGruParams
-    word_emb_trainable: bool = True
-
-    def tensors(self):
-        """(name, tensor) pairs for every trainable leaf."""
-        if self.word_emb_trainable:
-            yield "word_emb", self.word_emb
-        yield "char_emb", self.char_emb
-        yield "char_conv_w", self.char_conv_w
-        yield "char_conv_b", self.char_conv_b
-        for name, t in self.q_ctx.tensors():
-            yield "q_ctx/" + name, t
-        for name, t in self.p_ctx.tensors():
-            yield "p_ctx/" + name, t
-        yield "att_w_p", self.att_w_p
-        yield "att_w_q", self.att_w_q
-        yield "att_w_pq", self.att_w_pq
-        for name, t in self.self_rnn.tensors():
-            yield "self_rnn/" + name, t
 
 
 def init_encoder_params(
     config: EncoderConfig, n_words: int, n_chars: int, rng, word_init=None
 ) -> EncoderParams:
     """Fresh parameters; `word_init` (an (n_words, word_dim) array) freezes the
-    word table instead of training it."""
+    word table instead of training it: that tensor does not require
+    gradients."""
     d = config.hidden_dim
     conv_in = config.char_conv_width * config.char_dim
     if word_init is not None:
         word_emb = Tensor(np.asarray(word_init, dtype=np.float64))
-        trainable = False
         if word_emb.data.shape != (n_words, config.word_dim):
             raise ValueError(
                 f"word vector table shape {word_emb.data.shape} does not match "
@@ -159,7 +140,6 @@ def init_encoder_params(
             )
     else:
         word_emb = Tensor(glorot_uniform((n_words, config.word_dim), rng), requires_grad=True)
-        trainable = True
     return EncoderParams(
         word_emb=word_emb,
         char_emb=Tensor(glorot_uniform((n_chars, config.char_dim), rng), requires_grad=True),
@@ -171,7 +151,6 @@ def init_encoder_params(
         att_w_q=Tensor(glorot_uniform((2 * d, 1), rng), requires_grad=True),
         att_w_pq=Tensor(glorot_uniform((2 * d, 1), rng), requires_grad=True),
         self_rnn=init_bigru_params(8 * d, d, rng),
-        word_emb_trainable=trainable,
     )
 
 
@@ -218,8 +197,8 @@ def bidaf_attention(para: Tensor, ques: Tensor, params: EncoderParams) -> Tensor
 
     Similarity uses the trilinear form s[i, j] = w_p·p_i + w_q·q_j + w_pq·(p_i*q_j).
     Rows are [p; a; p*a; p*b] where a is the per-token attended question
-    vector and b is the question-to-paragraph summary vector (same for every
-    row).
+    vector and b is the question-to-paragraph summary vector, one (1, 2d)
+    row broadcast over every paragraph row.
     """
     sim = (
         matmul(para, params.att_w_p)
@@ -228,7 +207,7 @@ def bidaf_attention(para: Tensor, ques: Tensor, params: EncoderParams) -> Tensor
     )
     attended = matmul(row_softmax(sim), ques)
     column_focus = row_softmax(max_axis1(sim))
-    summary = tile_rows(matmul(reshape(column_focus, (1, -1)), para), para.data.shape[0])
+    summary = matmul(reshape(column_focus, (1, -1)), para)
     return concat_cols([para, attended, para * attended, para * summary])
 
 

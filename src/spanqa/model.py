@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from .diffmath import ParameterStore, Tensor
+from .diffmath import ParameterStore, Tensor, named_tensors
 from .diffmath.rng import STREAM_INIT, make_rng
 from .encoder import (
     CharVocab,
@@ -47,9 +47,10 @@ class QaModel:
         decoder = init_span_decoder_params(config.hidden_dim, rng)
         quality = init_quality_params(config.hidden_dim, rng)
         store = ParameterStore()
-        for prefix, bundle in (("enc", encoder), ("dec", decoder), ("qual", quality)):
-            for name, tensor in bundle.tensors():
-                store.register(f"{prefix}/{name}", tensor)
+        for prefix, bundle in (("enc/", encoder), ("dec/", decoder), ("qual/", quality)):
+            for name, tensor in named_tensors(bundle, prefix):
+                if tensor.requires_grad:
+                    store.register(name, tensor)
         return cls(
             config=config,
             vocab=vocab,
@@ -61,15 +62,10 @@ class QaModel:
             grad_through_start=grad_through_start,
         )
 
-    # No caller in the package; the tests' B=1 references use it.
-    def encode_question(self, tokens, rng=None, training: bool = False) -> Tensor:
-        """Contextual question encoding (m, 2d), shared by every paragraph of
-        one example: `encode_questions` of one question."""
-        return self.encode_questions([tokens], [rng], training)[0]
-
     def encode_questions(self, questions, rngs=None, training: bool = False) -> list:
-        """`encode_question` of every token list in `questions`, with one
-        recurrent pass over all of them.
+        """Contextual encoding (m_i, 2d) of every token list in `questions`,
+        with one recurrent pass over all of them; each is shared by every
+        paragraph of its example.
 
         rngs[i] drives question i's dropout and is only consulted in
         training mode with keep_prob < 1, so evaluation never touches it.
@@ -80,7 +76,7 @@ class QaModel:
     # No caller in the package; the benchmark's tracer and the tests' B=1 references use it.
     def encode_paragraph(self, question: Tensor, paragraph_tokens, rng=None, training: bool = False) -> Tensor:
         """Question-aware context embedding (n, 2d) for one paragraph, given
-        the question's `encode_question` output."""
+        the question's `encode_questions` output."""
         return self.encode_paragraphs([question], [paragraph_tokens], [rng], training)[0]
 
     def encode_paragraphs(self, questions, paragraphs, rngs=None, training: bool = False) -> list:

@@ -28,11 +28,6 @@ class QualityParams:
     rnn: BiGruParams  # 2d -> d
     w_c: Tensor  # (2d, 1)
 
-    def tensors(self):
-        for name, t in self.rnn.tensors():
-            yield "rnn/" + name, t
-        yield "w_c", self.w_c
-
 
 def init_quality_params(hidden_dim: int, rng) -> QualityParams:
     return QualityParams(

@@ -63,14 +63,6 @@ class SpanDecoderParams:
     w_start: Tensor  # (2d, 1)
     w_end: Tensor  # (2d, 1)
 
-    def tensors(self):
-        for name, t in self.start_rnn.tensors():
-            yield "start_rnn/" + name, t
-        for name, t in self.end_rnn.tensors():
-            yield "end_rnn/" + name, t
-        yield "w_start", self.w_start
-        yield "w_end", self.w_end
-
 
 def init_span_decoder_params(hidden_dim: int, rng) -> SpanDecoderParams:
     d = hidden_dim

@@ -8,7 +8,6 @@ from spanqa.diffmath import (
     BiGruParams,
     Tensor,
     backward,
-    bigru,
     clip_min,
     concat_cols,
     gather_rows,
@@ -105,7 +104,7 @@ def reverse_columns(a: Tensor, lengths) -> Tensor:
 
 
 def two_loop_bigru(inputs: Tensor, params: BiGruParams, lengths) -> Tensor:
-    """bigru of a packed (T, B, in) batch as two separate forward passes, the
+    """Both directions of a packed (T, B, in) batch as two separate forward passes, the
     second over the input reversed within each column: the reference for
     the kernel that steps both directions in one loop."""
     fwd = gru_sequence(inputs, params.fwd, "forward")
@@ -235,15 +234,21 @@ def independent_end_distribution(
     states but no indicator and no mask, so it returns one fixed
     distribution regardless of the start position.
     """
-    states = bigru(concat_cols([context, start_dist.states]), rnn)
+    states = gru_sequence(concat_cols([context, start_dist.states]), rnn, "both")
     return row_softmax(reshape(matmul(states, w_end), (-1,)))
+
+
+def encode_question(model, tokens, rng=None, training: bool = False) -> Tensor:
+    """Contextual encoding (m, 2d) of one question: `QaModel.encode_questions`
+    of a batch of one, the B=1 reference call."""
+    return model.encode_questions([tokens], [rng], training)[0]
 
 
 def paragraph_contexts(model, example):
     """Each paragraph's context embedding, with the question encoded afresh
     for every paragraph: the reference for sharing one question encoding."""
     return [
-        model.encode_paragraph(model.encode_question(example.question), p.tokens)
+        model.encode_paragraph(encode_question(model, example.question), p.tokens)
         for p in example.paragraphs
     ]
 
@@ -263,7 +268,7 @@ def reference_example_loss(model, example, pos_index, pos_labels, neg_paragraph,
     the pair, and each distinct labelled start, gets its own recurrent pass.
     Random draws come in the same order: question, positive, negative, then
     aggregation."""
-    question = model.encode_question(example.question, rng, training=True)
+    question = encode_question(model, example.question, rng, training=True)
     pos_ctx = model.encode_paragraph(question, example.paragraphs[pos_index].tokens, rng, training=True)
     neg_ctx = model.encode_paragraph(question, neg_paragraph.tokens, rng, training=True)
     pos_starts = start_distribution(pos_ctx, model.decoder)

@@ -14,6 +14,7 @@ import pytest
 
 from helpers import (
     all_span_probabilities,
+    encode_question,
     independent_end_distribution,
     max_rel_err,
     numeric_grad,
@@ -120,7 +121,7 @@ def test_criterion_1_gradient_suite():
         )
 
     # 6 instances: BiGRU sequence reductions at random shapes
-    from spanqa.diffmath.rnn import bigru, init_bigru_params
+    from spanqa.diffmath.rnn import gru_sequence, init_bigru_params
     from spanqa.diffmath import tsum
 
     for seed in range(20, 26):
@@ -130,7 +131,7 @@ def test_criterion_1_gradient_suite():
         x = Tensor(rng.standard_normal((n, width)), requires_grad=True)
 
         def build_rnn():
-            return tsum(bigru(x, params))
+            return tsum(gru_sequence(x, params, "both"))
 
         fd_check(build_rnn, [x, params.fwd.u_h, params.bwd.w, params.fwd.b])
 
@@ -140,7 +141,7 @@ def test_criterion_1_gradient_suite():
         paragraph = example.paragraphs[0]
 
         def build_span():
-            ctx = model.encode_paragraph(model.encode_question(example.question), paragraph.tokens)
+            ctx = model.encode_paragraph(encode_question(model, example.question), paragraph.tokens)
             starts = start_distribution(ctx, model.decoder)
             ends = end_distribution(ctx, starts, 0, model.decoder)
             q = quality_logit(ctx, starts, model.quality)
@@ -166,7 +167,7 @@ def test_criterion_2_normalization():
         with no_grad():
             logits = []
             for paragraph in example.paragraphs:
-                ctx = model.encode_paragraph(model.encode_question(example.question), paragraph.tokens)
+                ctx = model.encode_paragraph(encode_question(model, example.question), paragraph.tokens)
                 starts = start_distribution(ctx, model.decoder)
                 worst_dist = max(worst_dist, abs(starts.probs.data.sum() - 1.0))
                 n = len(paragraph.tokens)
@@ -190,7 +191,7 @@ def brute_force_mixture(model, example, mode):
     with no_grad():
         logits, tables = [], []
         for paragraph in example.paragraphs:
-            ctx = model.encode_paragraph(model.encode_question(example.question), paragraph.tokens)
+            ctx = model.encode_paragraph(encode_question(model, example.question), paragraph.tokens)
             starts = start_distribution(ctx, model.decoder)
             logits.append(quality_logit(ctx, starts, model.quality).item())
             tables.append(all_span_probabilities(ctx, model.decoder))
@@ -246,7 +247,7 @@ def test_criterion_4_end_distributions_condition_on_start():
         model = tiny_model(hidden_dim=2, words=WORD_POOL, seed=seed + 900)
         d = model.config.hidden_dim
         with no_grad():
-            ctx = model.encode_paragraph(model.encode_question(QUESTION), paragraph.tokens)
+            ctx = model.encode_paragraph(encode_question(model, QUESTION), paragraph.tokens)
             starts = start_distribution(ctx, model.decoder)
             e0 = end_distribution(ctx, starts, 0, model.decoder).data
             e1 = end_distribution(ctx, starts, 1, model.decoder).data

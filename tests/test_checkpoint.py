@@ -10,7 +10,7 @@ from spanqa.aggregation import AggregationMode
 from spanqa.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from spanqa.config import default_config
 from spanqa.corpus import QAExample, make_paragraph
-from spanqa.diffmath import make_rng
+from spanqa.diffmath import Tensor, make_rng
 from spanqa.encoder import CharVocab, EncoderConfig, Vocab
 from spanqa.model import QaModel
 from spanqa.pipeline import TrainConfig, predict, train
@@ -106,9 +106,71 @@ def test_frozen_word_vectors_round_trip(tmp_path):
     save_checkpoint(path, model, snapshot(), epoch=0, seed=2)
     loaded, manifest = load_checkpoint(path)
     assert [e["name"] for e in manifest["frozen"]] == ["enc/word_emb"]
-    assert not loaded.encoder.word_emb_trainable
+    assert not loaded.encoder.word_emb.requires_grad
     assert "enc/word_emb" not in loaded.store.names()
     assert np.array_equal(loaded.encoder.word_emb.data, word_init)
+
+
+def bigru_names(layer):
+    return [f"{layer}/{side}/{leaf}" for side in ("fwd", "bwd") for leaf in ("w", "u_zr", "u_h", "b")]
+
+
+def test_parameter_names_are_pinned():
+    # the names are the checkpoint format: a renamed or dropped field would
+    # make every earlier checkpoint fail to load
+    expected = (
+        ["enc/word_emb", "enc/char_emb", "enc/char_conv_w", "enc/char_conv_b"]
+        + bigru_names("enc/q_ctx")
+        + bigru_names("enc/p_ctx")
+        + ["enc/att_w_p", "enc/att_w_q", "enc/att_w_pq"]
+        + bigru_names("enc/self_rnn")
+        + bigru_names("dec/start_rnn")
+        + bigru_names("dec/end_rnn")
+        + ["dec/w_start", "dec/w_end"]
+        + bigru_names("qual/rnn")
+        + ["qual/w_c"]
+    )
+    assert tiny_model().store.names() == sorted(expected)
+
+
+def reachable_tensors(obj, path=""):
+    """Every Tensor reachable through the attributes of a parameter bundle,
+    by attribute path: found without the model's own parameter walk."""
+    for key, value in sorted(vars(obj).items()):
+        if isinstance(value, Tensor):
+            yield path + key, value
+        elif hasattr(value, "__dict__"):
+            yield from reachable_tensors(value, f"{path}{key}/")
+
+
+@pytest.mark.parametrize("word_vectors", [False, True])
+def test_round_trip_restores_every_reachable_tensor(tmp_path, word_vectors):
+    config = EncoderConfig(**TINY_FLAT)
+    vocab = Vocab(TINY_WORDS)
+    word_init = make_rng(0, 79).standard_normal((len(vocab), config.word_dim)) if word_vectors else None
+    model = QaModel.create(config, vocab, CharVocab.from_vocab(vocab), seed=4, word_init=word_init)
+    bundles = ("encoder", "decoder", "quality")
+    # every tensor, trainable or frozen, moves away from what a fresh
+    # QaModel.create would rebuild, so one left out of the file shows
+    rng = make_rng(4, 80)
+    for bundle in bundles:
+        for _, tensor in reachable_tensors(getattr(model, bundle)):
+            tensor.data[...] = rng.standard_normal(tensor.data.shape)
+
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, snapshot(), epoch=1, seed=4)
+    loaded, manifest = load_checkpoint(path)
+    assert [e["name"] for e in manifest["frozen"]] == (["enc/word_emb"] if word_vectors else [])
+    count = 0
+    for bundle in bundles:
+        want = dict(reachable_tensors(getattr(model, bundle)))
+        got = dict(reachable_tensors(getattr(loaded, bundle)))
+        assert got.keys() == want.keys()
+        for name, tensor in want.items():
+            assert np.array_equal(got[name].data, tensor.data), f"{bundle}/{name}"
+            assert got[name].requires_grad == tensor.requires_grad, f"{bundle}/{name}"
+        count += len(want)
+    assert count == len(loaded.store) + len(manifest["frozen"]) == 58
 
 
 def test_failed_save_keeps_previous_file_and_no_temp_file(tmp_path, monkeypatch):

@@ -100,6 +100,24 @@ def test_stats_honors_truncation_flags(tmp_path, capsys):
     assert json.loads(out)["avg_answer_span_count"] == 1.0
 
 
+LIMIT_FLAGS = [
+    (flag, value, arg)
+    for flag, arg in (("--max-paragraphs", "max_paragraphs"), ("--max-tokens", "max_paragraph_tokens"))
+    for value in ("-1", "0")
+]
+
+
+@pytest.mark.parametrize("flag, value, arg", LIMIT_FLAGS)
+def test_stats_rejects_truncation_limits_below_one(tmp_path, capsys, flag, value, arg):
+    # -1 would slice off each example's last paragraph or token, and 0 would
+    # keep nothing; both are refused before the file is read
+    data = stats_dataset(tmp_path / "data.jsonl")
+    rc, out, err = run(capsys, ["stats", "--data", data, flag, value])
+    assert rc == 1
+    assert out == ""
+    assert assert_single_json_error(err) == f"{arg} must be at least 1, got {value}"
+
+
 def test_stats_empty_dataset_fails(tmp_path, capsys):
     data = tmp_path / "empty.jsonl"
     data.write_text("", encoding="utf-8")
@@ -459,6 +477,17 @@ def test_predict_missing_checkpoint_fails(tmp_path, capsys, synth_data):
     )
     assert rc == 1
     assert_single_json_error(err)
+
+
+
+@pytest.mark.parametrize("flag, value, arg", LIMIT_FLAGS)
+def test_predict_rejects_truncation_limits_below_one(tmp_path, capsys, trained, flag, value, arg):
+    ckpt, data = trained
+    out = tmp_path / "out.pred"
+    rc, stdout, err = run(capsys, ["predict", "--checkpoint", ckpt, "--data", data, "--out", str(out), flag, value])
+    assert rc == 1
+    assert stdout == "" and not out.exists()
+    assert assert_single_json_error(err) == f"{arg} must be at least 1, got {value}"
 
 
 # ----------------------------------------------------------------- evaluate

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import check_grads, tiny_model
-from spanqa.diffmath import Tensor, bigru, make_rng, tsum
+from helpers import check_grads, encode_question, tiny_model
+from spanqa.diffmath import Tensor, gru_sequence, make_rng, named_tensors, tsum
 from spanqa.encoder import (
     CharVocab,
     EncoderConfig,
@@ -91,7 +91,7 @@ def test_contextualize_shape():
 
 def test_contextualize_zero_weights_gives_zeros():
     model = tiny_model()
-    for _, t in model.encoder.p_ctx.tensors():
+    for _, t in named_tensors(model.encoder.p_ctx):
         t.data[:] = 0.0
     emb = embed_tokens(PARAGRAPH, model.vocab, model.char_vocab, model.encoder)
     (out,) = contextualize([emb], model.encoder.p_ctx, 1.0, None, training=False)
@@ -155,7 +155,7 @@ def test_self_attend_single_token_is_plain_projection():
     p, q = encoded_pair(model, para=["fat"])
     x = bidaf_attention(p, q, model.encoder)
     (ctx,) = self_attend([x], model.encoder)
-    direct = bigru(x, model.encoder.self_rnn)
+    direct = gru_sequence(x, model.encoder.self_rnn, "both")
     np.testing.assert_array_equal(ctx.data, direct.data)
 
 
@@ -164,23 +164,23 @@ def test_self_attend_single_token_is_plain_projection():
 
 def test_encode_is_permutation_sensitive():
     model = tiny_model(seed=3)
-    c1 = model.encode_paragraph(model.encode_question(QUESTION), PARAGRAPH)
+    c1 = model.encode_paragraph(encode_question(model, QUESTION), PARAGRAPH)
     shuffled = list(reversed(PARAGRAPH))
-    c2 = model.encode_paragraph(model.encode_question(QUESTION), shuffled)
+    c2 = model.encode_paragraph(encode_question(model, QUESTION), shuffled)
     assert np.max(np.abs(c1.data - c2.data)) > 1e-8
 
 
 def test_encode_finite_for_extreme_inputs():
     model = tiny_model(seed=4)
     model.encoder.word_emb.data *= 50.0
-    out = model.encode_paragraph(model.encode_question(QUESTION), PARAGRAPH)
+    out = model.encode_paragraph(encode_question(model, QUESTION), PARAGRAPH)
     assert np.all(np.isfinite(out.data))
 
 
 def test_encode_deterministic_in_eval_mode():
     model = tiny_model(seed=5)
-    a = model.encode_paragraph(model.encode_question(QUESTION), PARAGRAPH).data
-    b = model.encode_paragraph(model.encode_question(QUESTION), PARAGRAPH).data
+    a = model.encode_paragraph(encode_question(model, QUESTION), PARAGRAPH).data
+    b = model.encode_paragraph(encode_question(model, QUESTION), PARAGRAPH).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -191,7 +191,7 @@ def test_encoder_end_to_end_gradients():
     w = Tensor(rng.standard_normal((4, 2 * model.config.hidden_dim)))
 
     def build():
-        return tsum(model.encode_paragraph(model.encode_question(ques), para) * w)
+        return tsum(model.encode_paragraph(encode_question(model, ques), para) * w)
 
     leaves = [
         model.encoder.word_emb,
@@ -211,9 +211,9 @@ def test_encoder_end_to_end_gradients():
 
 def test_dropout_active_only_in_training():
     model = tiny_model(seed=7, keep_prob=0.5)
-    eval_out = model.encode_paragraph(model.encode_question(QUESTION), PARAGRAPH, training=False).data
+    eval_out = model.encode_paragraph(encode_question(model, QUESTION), PARAGRAPH, training=False).data
     rng = make_rng(7, 3)
-    question = model.encode_question(QUESTION, rng, training=True)
+    question = encode_question(model, QUESTION, rng, training=True)
     train_out = model.encode_paragraph(question, PARAGRAPH, rng=rng, training=True).data
     assert np.any(eval_out != train_out)
 

@@ -13,11 +13,11 @@ from spanqa.diffmath import (
     GruParams,
     Tensor,
     backward,
-    bigru,
     gru_sequence,
     init_bigru_params,
     init_gru_params,
     make_rng,
+    named_tensors,
     pad_stack,
     tsum,
     unstack,
@@ -113,7 +113,7 @@ def test_bigru_concatenates_directions():
     rng = make_rng(38, 1)
     x = Tensor(rng.standard_normal((5, 3)))
     params = init_bigru_params(3, 3, make_rng(38, 2))
-    out = bigru(x, params)
+    out = gru_sequence(x, params, "both")
     assert out.shape == (5, 6)
     fwd = gru_sequence(x, params.fwd, "forward")
     bwd = gru_sequence(x, params.bwd, "backward")
@@ -123,7 +123,7 @@ def test_bigru_concatenates_directions():
 
 def test_bigru_zero_weights_all_zeros():
     params = BiGruParams(fwd=zero_params(2, 3), bwd=zero_params(2, 3))
-    out = bigru(Tensor(np.ones((4, 2))), params)
+    out = gru_sequence(Tensor(np.ones((4, 2))), params, "both")
     np.testing.assert_array_equal(out.data, np.zeros((4, 6)))
 
 
@@ -132,13 +132,13 @@ def test_bigru_gradients():
     x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
     params = init_bigru_params(2, 2, make_rng(39, 2))
     w = Tensor(rng.standard_normal((3, 4)))
-    leaves = [x] + [t for _, t in params.tensors()]
-    check_grads(lambda: tsum(bigru(x, params) * w), leaves)
+    leaves = [x] + [t for _, t in named_tensors(params)]
+    check_grads(lambda: tsum(gru_sequence(x, params, "both") * w), leaves)
 
 
 def test_param_registration_names():
     params = init_bigru_params(2, 2, make_rng(40, 2))
-    names = [name for name, _ in params.tensors()]
+    names = [name for name, _ in named_tensors(params)]
     assert names == [
         "fwd/w", "fwd/u_zr", "fwd/u_h", "fwd/b",
         "bwd/w", "bwd/u_zr", "bwd/u_h", "bwd/b",
@@ -185,7 +185,7 @@ def test_saturated_gates_stay_finite_without_warnings(direction):
         out = gru_sequence(x, params, direction, lengths=[5, 2, 4])
         backward(tsum(out))
     assert np.isfinite(out.data).all() and np.isfinite(x.grad).all()
-    assert all(np.isfinite(t.grad).all() for _, t in params.tensors())
+    assert all(np.isfinite(t.grad).all() for _, t in named_tensors(params))
 
 
 # ------------------------------------------------------ packed batches
@@ -201,7 +201,7 @@ def run_rows(layer, params, inputs, lengths, weights):
     """Outputs and gradients of every row, taken through one packed call of
     `layer` (backward once per row, so each gradient is that row's alone)."""
     xs = [Tensor(x, requires_grad=True) for x in inputs]
-    leaves = [t for _, t in params.tensors()]
+    leaves = [t for _, t in named_tensors(params)]
     outs = unstack(layer(pad_stack(xs), params, lengths), lengths)
     results = []
     for b, (out, w) in enumerate(zip(outs, weights)):
@@ -214,7 +214,7 @@ def run_rows(layer, params, inputs, lengths, weights):
 
 def run_single(layer, params, x, w):
     xt = Tensor(x, requires_grad=True)
-    leaves = [t for _, t in params.tensors()]
+    leaves = [t for _, t in named_tensors(params)]
     out = layer(xt, params)
     backward(tsum(out * w))
     result = (out.data, xt.grad, [t.grad for t in leaves])
@@ -225,20 +225,20 @@ def run_single(layer, params, x, w):
 
 @given(
     st.lists(st.integers(1, 12), min_size=1, max_size=6),
-    st.sampled_from(["forward", "backward", "bi"]),
+    st.sampled_from(["forward", "backward", "both"]),
     st.integers(0, 2**16),
 )
 @settings(max_examples=40, deadline=None)
-def test_packed_rows_match_single_sequence_calls(lengths, layer_name, seed):
+def test_packed_rows_match_single_sequence_calls(lengths, direction, seed):
     rng = make_rng(seed, 41)
     in_dim, d = 3, 4
-    if layer_name == "bi":
-        layer, params, width = bigru, init_bigru_params(in_dim, d, make_rng(seed, 42)), 2 * d
+    if direction == "both":
+        params, width = init_bigru_params(in_dim, d, make_rng(seed, 42)), 2 * d
     else:
         params, width = random_params(in_dim, d, seed), d
 
-        def layer(inputs, params, lengths=None):
-            return gru_sequence(inputs, params, layer_name, lengths=lengths)
+    def layer(inputs, params, lengths=None):
+        return gru_sequence(inputs, params, direction, lengths=lengths)
 
     inputs = [rng.standard_normal((n, in_dim)) for n in lengths]
     weights = [rng.standard_normal((n, width)) for n in lengths]
@@ -260,13 +260,13 @@ def test_packed_gradients_match_finite_differences():
     weights = [Tensor(rng.standard_normal((n, 4))) for n in lengths]
 
     def build():
-        outs = unstack(bigru(pad_stack(xs), params, lengths), lengths)
+        outs = unstack(gru_sequence(pad_stack(xs), params, "both", lengths), lengths)
         loss = tsum(outs[0] * weights[0])
         for out, w in zip(outs[1:], weights[1:]):
             loss = loss + tsum(out * w)
         return loss
 
-    check_grads(build, xs + [t for _, t in params.tensors()])
+    check_grads(build, xs + [t for _, t in named_tensors(params)])
 
 
 @given(
@@ -283,7 +283,7 @@ def test_fused_bigru_matches_two_loop_reference(lengths, d, seed):
     params = init_bigru_params(in_dim, d, make_rng(seed, 48))
     inputs = [rng.standard_normal((n, in_dim)) for n in lengths]
     weights = [rng.standard_normal((n, 2 * d)) for n in lengths]
-    got = run_rows(bigru, params, inputs, lengths, weights)
+    got = run_rows(lambda x, p, lengths: gru_sequence(x, p, "both", lengths), params, inputs, lengths, weights)
     ref = run_rows(two_loop_bigru, params, inputs, lengths, weights)
     for (out, dx, dparams), (ref_out, ref_dx, ref_dparams) in zip(got, ref):
         assert out.shape == ref_out.shape and len(dparams) == len(ref_dparams) == 8
@@ -301,7 +301,7 @@ def test_fused_bigru_packed_gradients_match_finite_differences():
     x = Tensor(rng.standard_normal((4, 3, 3)), requires_grad=True)
     params = init_bigru_params(3, 3, make_rng(49, 2))
     w = Tensor(rng.standard_normal((4, 3, 6)))
-    check_grads(lambda: tsum(bigru(x, params, lengths) * w), [x] + [t for _, t in params.tensors()])
+    check_grads(lambda: tsum(gru_sequence(x, params, "both", lengths) * w), [x] + [t for _, t in named_tensors(params)])
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward", "both"])
@@ -330,9 +330,9 @@ def test_shared_bptt_buffers_are_bit_exact(direction, lengths, d):
         xt = Tensor(x, requires_grad=True)
         out = run(xt)
         backward(tsum(out * w))
-        results.append([out.data, xt.grad] + [t.grad for c in cells for _, t in c.tensors()])
+        results.append([out.data, xt.grad] + [t.grad for c in cells for _, t in named_tensors(c)])
         for c in cells:
-            for _, t in c.tensors():
+            for _, t in named_tensors(c):
                 t.zero_grad()
     for got, ref in zip(*results):
         assert got.shape == ref.shape

@@ -9,6 +9,7 @@ from helpers import (
     TINY_WORDS,
     all_span_probabilities,
     check_grads,
+    encode_question,
     quality_probs,
     reference_beam,
     reference_example_loss,
@@ -80,7 +81,7 @@ def components_loss(model, example, mode=AggregationMode.MAX):
 
     pos, neg = example.paragraphs
     with no_grad():
-        ctx = model.encode_paragraph(model.encode_question(example.question), pos.tokens)
+        ctx = model.encode_paragraph(encode_question(model, example.question), pos.tokens)
         sd = start_distribution(ctx, model.decoder)
         probs = []
         for lab in label_spans(pos, example.answers):
@@ -88,7 +89,7 @@ def components_loss(model, example, mode=AggregationMode.MAX):
             probs.append(span_probability(sd, ends, lab.start, lab.end).item())
         p_pos = max(probs)
         q_pos = quality_logit(ctx, sd, model.quality).item()
-        ctx_n = model.encode_paragraph(model.encode_question(example.question), neg.tokens)
+        ctx_n = model.encode_paragraph(encode_question(model, example.question), neg.tokens)
         sd_n = start_distribution(ctx_n, model.decoder)
         q_neg = quality_logit(ctx_n, sd_n, model.quality).item()
     q = softmax([q_pos, q_neg])[0]
@@ -429,7 +430,7 @@ def test_exhaustive_beam_covers_all_spans():
     example = POS_NEG
     paragraph = example.paragraphs[0]
     with no_grad():
-        ctx = model.encode_paragraph(model.encode_question(example.question), paragraph.tokens)
+        ctx = model.encode_paragraph(encode_question(model, example.question), paragraph.tokens)
         n = len(paragraph.tokens)
         cands = reference_beam(ctx, paragraph, model.decoder, n, n)
         table = all_span_probabilities(ctx, model.decoder)
@@ -443,7 +444,7 @@ def test_beam_top1_monotone_in_widths():
     model = tiny_model(seed=10)
     paragraph = POS_NEG.paragraphs[0]
     with no_grad():
-        ctx = model.encode_paragraph(model.encode_question(POS_NEG.question), paragraph.tokens)
+        ctx = model.encode_paragraph(encode_question(model, POS_NEG.question), paragraph.tokens)
         tops = []
         for k1, k2 in [(1, 1), (2, 1), (2, 2), (3, 3), (6, 6)]:
             cands = reference_beam(ctx, paragraph, model.decoder, k1, k2)
@@ -498,7 +499,7 @@ def brute_force_scores(model, example, mode):
     scores = {}
     with no_grad():
         for q_i, paragraph in zip(q, example.paragraphs):
-            ctx = model.encode_paragraph(model.encode_question(example.question), paragraph.tokens)
+            ctx = model.encode_paragraph(encode_question(model, example.question), paragraph.tokens)
             table = all_span_probabilities(ctx, model.decoder)
             per_text = {}
             n = len(paragraph.tokens)

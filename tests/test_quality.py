@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_grads, softmax, tiny_model
-from spanqa.diffmath import Tensor, backward, bigru, make_rng
+from helpers import check_grads, encode_question, softmax, tiny_model
+from spanqa.diffmath import Tensor, backward, gru_sequence, make_rng
 from spanqa.paragraph_quality import normalize_quality_tensors, quality_logit, sample_pair
 from spanqa.span_decoder import StartDistribution, start_distribution
 
@@ -15,7 +15,7 @@ PARAGRAPH = ["camels", "store", "fat", "in", "their", "humps"]
 
 
 def context_and_start(model, para=PARAGRAPH):
-    ctx = model.encode_paragraph(model.encode_question(QUESTION), para)
+    ctx = model.encode_paragraph(encode_question(model, QUESTION), para)
     return ctx, start_distribution(ctx, model.decoder)
 
 
@@ -32,7 +32,7 @@ def test_uniform_key_pools_to_row_mean():
     n = ctx.shape[0]
     uniform = StartDistribution(probs=Tensor(np.full(n, 1.0 / n)), states=sd.states)
     got = quality_logit(ctx, uniform, model.quality).item()
-    states = bigru(ctx, model.quality.rnn).data
+    states = gru_sequence(ctx, model.quality.rnn, "both").data
     expected = float(states.mean(axis=0) @ model.quality.w_c.data.reshape(-1))
     assert got == pytest.approx(expected, abs=1e-12)
 

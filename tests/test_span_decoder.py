@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import all_span_probabilities, check_grads, independent_end_distribution, tiny_model
+from helpers import all_span_probabilities, check_grads, encode_question, independent_end_distribution, tiny_model
 from spanqa.diffmath import Tensor, glorot_uniform, init_bigru_params, log, make_rng, pick
 from spanqa.span_decoder import end_distribution, span_probability, start_distribution
 
@@ -12,7 +12,7 @@ PARAGRAPH = ["camels", "store", "fat", "in", "their", "humps"]
 
 
 def encoded(model, para=PARAGRAPH):
-    return model.encode_paragraph(model.encode_question(QUESTION), para)
+    return model.encode_paragraph(encode_question(model, QUESTION), para)
 
 
 # ------------------------------------------------------- start distribution
@@ -134,7 +134,7 @@ def test_span_probability_rejects_reversed_span():
 
 def test_single_token_paragraph_has_unit_span():
     model = tiny_model(seed=11)
-    table = all_span_probabilities(model.encode_paragraph(model.encode_question(QUESTION), ["fat"]), model.decoder)
+    table = all_span_probabilities(model.encode_paragraph(encode_question(model, QUESTION), ["fat"]), model.decoder)
     assert table.shape == (1, 1)
     assert table[0, 0] == pytest.approx(1.0, abs=1e-9)
 

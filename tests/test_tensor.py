@@ -26,7 +26,6 @@ from spanqa.diffmath import (
     reshape,
     row_softmax,
     stack_scalars,
-    tile_rows,
     transpose,
     unstack,
     tsum,
@@ -348,15 +347,6 @@ def test_max_axis1_gradient():
     x = leaf(None, rng, (3, 4))
     w = Tensor(rng.standard_normal(3))
     check_grads(lambda: tsum(max_axis1(x) * w), [x])
-
-
-def test_tile_rows_values_and_gradient():
-    x = leaf([[1.0, 2.0]])
-    out = tile_rows(x, 3)
-    assert out.shape == (3, 2)
-    rng = make_rng(23, 1)
-    w = Tensor(rng.standard_normal((3, 2)))
-    check_grads(lambda: tsum(tile_rows(x, 3) * w), [x])
 
 
 # ---------------------------------------------------------------- dropout
