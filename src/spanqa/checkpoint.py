@@ -9,7 +9,8 @@ bytes concatenated in manifest order.  The frozen section follows the
 trainable one: every encoder tensor that the parameter store does not hold,
 by the same `enc/` name (only `enc/word_emb`, when it was loaded from word
 vectors).  Loading hands that table back to `QaModel.create` as its
-`word_init`.
+`word_init`, and rejects a file whose names in either section differ from
+the rebuilt model's, or whose entries are not float64.
 
 Because the manifest serialization is canonical (sorted keys, no spaces) and
 the payload is raw bits, load -> save reproduces the file byte for byte.
@@ -97,12 +98,15 @@ def _read_manifest(path, fh) -> dict:
             raise ValueError(f"{path}: corrupt checkpoint manifest: {key!r} missing or not a {kind.__name__}")
     if not isinstance(manifest["rng"].get("seed"), int):
         raise ValueError(f"{path}: corrupt checkpoint manifest: no rng seed")
+    if isinstance(manifest["epoch"], bool) or manifest["epoch"] < 0:
+        raise ValueError(f"{path}: corrupt checkpoint manifest: bad epoch {manifest['epoch']!r}")
     for entry in manifest["params"] + manifest["frozen"]:
         if not (
             isinstance(entry, dict)
             and isinstance(entry.get("name"), str)
             and isinstance(entry.get("shape"), list)
             and all(isinstance(n, int) and n >= 0 for n in entry["shape"])
+            and entry.get("dtype") == "float64"
         ):
             raise ValueError(f"{path}: corrupt checkpoint manifest: bad parameter entry {entry!r}")
     return manifest
@@ -138,18 +142,21 @@ def load_checkpoint(path):
     if char_vocab.chars != manifest["chars"]:
         raise ValueError(f"{path}: character vocabulary layout mismatch")
 
-    frozen_names = {e["name"] for e in manifest["frozen"]}
-    word_init = arrays["enc/word_emb"] if "enc/word_emb" in frozen_names else None
-    model = QaModel.create(
-        encoder_config,
-        vocab,
-        char_vocab,
-        seed=manifest["rng"]["seed"],
-        word_init=word_init,
-        grad_through_start=grad_through_start,
-    )
+    frozen = [e["name"] for e in manifest["frozen"]]
+    try:
+        model = QaModel.create(
+            encoder_config,
+            vocab,
+            char_vocab,
+            seed=manifest["rng"]["seed"],
+            word_init=arrays["enc/word_emb"] if "enc/word_emb" in frozen else None,
+            grad_through_start=grad_through_start,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     stored = [e["name"] for e in manifest["params"]]
-    if stored != model.store.names():
+    unstored = [name for name, _ in named_tensors(model.encoder, "enc/") if name not in model.store]
+    if stored != model.store.names() or frozen != unstored:
         raise ValueError(f"{path}: parameter set does not match the configured model")
     for name in stored:
         tensor = model.store[name]

@@ -45,8 +45,7 @@ def _apply_overrides(flat, args):
 
 
 def cmd_stats(args) -> int:
-    stats = corpus_stats(_load_data(args))
-    print(json.dumps(stats.as_dict(), sort_keys=True))
+    print(json.dumps(corpus_stats(_load_data(args)), sort_keys=True))
     return 0
 
 

@@ -1,9 +1,11 @@
 """Data model and dataset plumbing.
 
-Covers tokenization, weak span labeling (every exact-match location of any
-gold answer, found by scanning normalized tokens), corpus statistics, a
-seeded synthetic dataset generator for fast end-to-end checks, and JSONL
-load/save.
+Covers tokenization (one regular expression: a token is a punctuation
+character, or a whitespace-free run that starts and ends on a character
+that is not punctuation), weak span labeling (every exact-match location of
+any gold answer, found by scanning normalized tokens), corpus statistics (the
+dict `spanqa stats` prints), a seeded synthetic dataset generator for fast
+end-to-end checks, and JSONL load/save.
 
 JSONL record shape, one object per line, UTF-8:
     {"id": ..., "question": ..., "answers": [...],
@@ -12,46 +14,26 @@ Paragraph order is meaningful (retrieval rank) and is preserved.
 """
 
 import json
+import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diffmath.rng import STREAM_SYNTH, make_rng
 
-_PUNCT = set(string.punctuation)
+_P = re.escape(string.punctuation)
+_TOKEN = re.compile(rf"[{_P}]|[^\s{_P}](?:\S*[^\s{_P}])?")
 
 
 def tokenize(text):
     """Lowercased whitespace tokens with leading/trailing punctuation peeled off.
 
-    Returns (tokens, offsets) where offsets[i] = (start, end) such that
+    A token is a single punctuation character, or a whitespace-free run
+    that starts and ends on a character that is not punctuation.  Returns
+    (tokens, offsets) where offsets[i] = (start, end) such that
     text[start:end] is token i's exact source substring (pre-lowercasing).
     """
-    tokens, offsets = [], []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace():
-            j += 1
-        s, e = i, j
-        while s < e and text[s] in _PUNCT:
-            tokens.append(text[s])
-            offsets.append((s, s + 1))
-            s += 1
-        trail = []
-        while e > s and text[e - 1] in _PUNCT:
-            trail.append((e - 1, e))
-            e -= 1
-        if s < e:
-            tokens.append(text[s:e].lower())
-            offsets.append((s, e))
-        for a, b in reversed(trail):
-            tokens.append(text[a])
-            offsets.append((a, b))
-        i = j
-    return tokens, offsets
+    matches = list(_TOKEN.finditer(text))
+    return [m.group().lower() for m in matches], [m.span() for m in matches]
 
 
 def normalize_token(token: str) -> str:
@@ -122,56 +104,24 @@ def label_spans(paragraph: Paragraph, answers):
     return sorted(found)
 
 
-@dataclass
-class CorpusStats:
-    paragraph_count: int
-    negative_count: int
-    positive_count: int
-    span_total: int
-
-    @property
-    def neg_paragraph_ratio(self) -> float:
-        return self.negative_count / self.paragraph_count
-
-    @property
-    def avg_answer_span_count(self) -> float:
-        """Mean label count over paragraphs that have at least one label."""
-        if self.positive_count == 0:
-            return 0.0
-        return self.span_total / self.positive_count
-
-    @property
-    def avg_answer_span_count_all(self) -> float:
-        """Same numerator averaged over every paragraph (secondary reading)."""
-        return self.span_total / self.paragraph_count
-
-    def as_dict(self):
-        return {
-            "paragraph_count": self.paragraph_count,
-            "negative_count": self.negative_count,
-            "positive_count": self.positive_count,
-            "span_total": self.span_total,
-            "neg_paragraph_ratio": self.neg_paragraph_ratio,
-            "avg_answer_span_count": self.avg_answer_span_count,
-            "avg_answer_span_count_all": self.avg_answer_span_count_all,
-        }
-
-
-def corpus_stats(dataset) -> CorpusStats:
-    """Negative-paragraph ratio and average span count across a labeled dataset."""
-    paragraphs = negatives = positives = spans = 0
-    for example in dataset:
-        for paragraph in example.paragraphs:
-            count = len(label_spans(paragraph, example.answers))
-            paragraphs += 1
-            if count == 0:
-                negatives += 1
-            else:
-                positives += 1
-                spans += count
-    if paragraphs == 0:
+def corpus_stats(dataset) -> dict:
+    """Paragraph and answer-span counts across a labeled dataset, with the
+    negative-paragraph ratio, the mean span count over positive paragraphs
+    (0.0 when there are none) and the same total averaged over every
+    paragraph (secondary reading)."""
+    counts = [len(label_spans(p, example.answers)) for example in dataset for p in example.paragraphs]
+    if not counts:
         raise ValueError("corpus_stats needs at least one paragraph")
-    return CorpusStats(paragraphs, negatives, positives, spans)
+    paragraphs, positives, spans = len(counts), sum(1 for c in counts if c), sum(counts)
+    return {
+        "paragraph_count": paragraphs,
+        "negative_count": paragraphs - positives,
+        "positive_count": positives,
+        "span_total": spans,
+        "neg_paragraph_ratio": (paragraphs - positives) / paragraphs,
+        "avg_answer_span_count": spans / positives if positives else 0.0,
+        "avg_answer_span_count_all": spans / paragraphs,
+    }
 
 
 # --------------------------------------------------------------------------

@@ -424,13 +424,13 @@ def pick(a, index: int) -> Tensor:
 def dropout(x, keep_prob: float, rng, training: bool = True) -> Tensor:
     """Inverted dropout: keep entries with probability `keep_prob`, scaled by 1/keep_prob.
 
-    Identity when evaluating or when keep_prob == 1; neither consumes
-    randomness, so seeded streams stay aligned.
+    When evaluating or when keep_prob == 1 it returns `x` itself; neither
+    consumes randomness, so seeded streams stay aligned.
     """
     x = _lift(x)
     if keep_prob <= 0 or keep_prob > 1:
         raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
     if not training or keep_prob == 1.0:
-        return _make(x.data.copy(), (x,), lambda g: (g,))
+        return x
     scale = (rng.random(x.data.shape) < keep_prob) / keep_prob
     return _make(x.data * scale, (x,), lambda g: (g * scale,))

@@ -1,5 +1,7 @@
 """Shared test utilities: finite-difference gradient checking, tiny models,
-and exhaustive reference oracles for the span decoder and the encode path."""
+and reference oracles for the tokenizer, the span decoder and the encode path."""
+
+import string
 
 import numpy as np
 
@@ -194,6 +196,39 @@ def loop_group_max_rows(a: np.ndarray, group_sizes):
         rows[gi] = s0 + local
         out[gi] = a[s0 + local, np.arange(a.shape[1])]
     return out, rows
+
+
+def loop_tokenize(text):
+    """corpus.tokenize as a character scan: split on whitespace, peel
+    punctuation off both ends of each run one character at a time, and
+    lowercase what is left -- the reference for the regular expression."""
+    punct = set(string.punctuation)
+    tokens, offsets = [], []
+    i, n = 0, len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        j = i
+        while j < n and not text[j].isspace():
+            j += 1
+        s, e = i, j
+        while s < e and text[s] in punct:
+            tokens.append(text[s])
+            offsets.append((s, s + 1))
+            s += 1
+        trail = []
+        while e > s and text[e - 1] in punct:
+            trail.append((e - 1, e))
+            e -= 1
+        if s < e:
+            tokens.append(text[s:e].lower())
+            offsets.append((s, e))
+        for a, b in reversed(trail):
+            tokens.append(text[a])
+            offsets.append((a, b))
+        i = j
+    return tokens, offsets
 
 
 def softmax(logits) -> list:

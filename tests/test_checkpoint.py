@@ -218,6 +218,10 @@ def negative_shape(manifest):
     manifest["params"][0]["shape"] = [-1]
 
 
+def float32_dtype(manifest):
+    manifest["params"][0]["dtype"] = "float32"
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -225,8 +229,11 @@ def negative_shape(manifest):
         (non_utf8_manifest, "'utf-8' codec can't decode"),
         (lambda path: rewrite_manifest(path, lambda m: m.pop("params")), "'params' missing or not a list"),
         (lambda path: rewrite_manifest(path, negative_shape), "bad parameter entry"),
+        (lambda path: rewrite_manifest(path, float32_dtype), "bad parameter entry"),
+        (lambda path: rewrite_manifest(path, lambda m: m.update(epoch=-1)), "bad epoch -1"),
+        (lambda path: rewrite_manifest(path, lambda m: m.update(epoch=True)), "bad epoch True"),
     ],
-    ids=["truncated", "not_utf8", "missing_params", "negative_shape"],
+    ids=["truncated", "not_utf8", "missing_params", "negative_shape", "float32_dtype", "negative_epoch", "bool_epoch"],
 )
 def test_corrupt_manifest_names_the_file(tmp_path, corrupt, message):
     path = tmp_path / "m.ckpt"
@@ -253,16 +260,38 @@ def test_rejects_trailing_bytes(tmp_path):
         load_checkpoint(path)
 
 
+def renamed_parameter(path):
+    rewrite_manifest(path, lambda m: m["params"][0].update(name="enc/bogus"))
+
+
+def extra_frozen_tensor(path):
+    # a well-formed frozen entry, with its bytes, that the model has no tensor for
+    rewrite_manifest(path, lambda m: m["frozen"].append({"name": "enc/bogus", "shape": [1], "dtype": "float64"}))
+    path.write_bytes(path.read_bytes() + bytes(8))
+
+
 def test_rejects_tampered_parameter_names(tmp_path):
+    for tamper in (renamed_parameter, extra_frozen_tensor):
+        path = tmp_path / f"{tamper.__name__}.ckpt"
+        save_checkpoint(path, scrambled_model(), snapshot(), epoch=0, seed=0)
+        tamper(path)
+        with pytest.raises(ValueError, match="parameter set"):
+            load_checkpoint(path)
+
+
+def test_wrong_shaped_word_vector_table_names_the_file(tmp_path):
+    config = EncoderConfig(**TINY_FLAT)
+    vocab = Vocab(TINY_WORDS)
+    word_init = make_rng(0, 81).standard_normal((len(vocab), config.word_dim))
+    model = QaModel.create(config, vocab, CharVocab.from_vocab(vocab), seed=2, word_init=word_init)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, scrambled_model(), snapshot(), epoch=0, seed=0)
-
-    def rename(manifest):
-        manifest["params"][0]["name"] = "enc/bogus"
-
-    rewrite_manifest(path, rename)
-    with pytest.raises(ValueError, match="parameter set"):
+    save_checkpoint(path, model, snapshot(), epoch=0, seed=2)
+    # the table is the last array of the payload: keep its first 3 rows
+    rewrite_manifest(path, lambda m: m["frozen"][0].update(shape=[3, config.word_dim]))
+    path.write_bytes(path.read_bytes()[: -(len(vocab) - 3) * config.word_dim * 8])
+    with pytest.raises(ValueError) as info:
         load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: word vector table shape (3, {config.word_dim}) does not match")
 
 
 def test_rejects_config_param_shape_drift(tmp_path):

@@ -355,13 +355,13 @@ def test_max_axis1_gradient():
 def test_dropout_keep_prob_one_is_identity():
     x = Tensor(np.ones((4, 4)))
     out = dropout(x, 1.0, rng=None, training=True)
-    np.testing.assert_array_equal(out.data, x.data)
+    assert out is x
 
 
 def test_dropout_eval_mode_is_identity():
     x = Tensor(np.ones((4, 4)))
     out = dropout(x, 0.5, rng=None, training=False)
-    np.testing.assert_array_equal(out.data, x.data)
+    assert out is x
 
 
 def test_dropout_rejects_nonpositive_keep_prob():
