@@ -8,9 +8,11 @@ completed epochs.  The payload is the parameters' float64 little-endian
 bytes concatenated in manifest order.  The frozen section follows the
 trainable one: every encoder tensor that the parameter store does not hold,
 by the same `enc/` name (only `enc/word_emb`, when it was loaded from word
-vectors).  Loading hands that table back to `QaModel.create` as its
-`word_init`, and rejects a file whose names in either section differ from
-the rebuilt model's, or whose entries are not float64.
+vectors).  Loading reads each array once and adopts it as the parameter's
+data, so the rebuilt model draws no initial weights; it hands the frozen
+table back to `QaModel.create` as its `word_init`, and rejects a file whose
+names in either section differ from the rebuilt model's, or whose entries
+are not float64.
 
 Because the manifest serialization is canonical (sorted keys, no spaces) and
 the payload is raw bits, load -> save reproduces the file byte for byte.
@@ -96,8 +98,9 @@ def _read_manifest(path, fh) -> dict:
     for key, kind in _MANIFEST_FIELDS.items():
         if not isinstance(manifest.get(key), kind):
             raise ValueError(f"{path}: corrupt checkpoint manifest: {key!r} missing or not a {kind.__name__}")
-    if not isinstance(manifest["rng"].get("seed"), int):
-        raise ValueError(f"{path}: corrupt checkpoint manifest: no rng seed")
+    seed = manifest["rng"].get("seed")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"{path}: corrupt checkpoint manifest: bad rng seed {seed!r}")
     if isinstance(manifest["epoch"], bool) or manifest["epoch"] < 0:
         raise ValueError(f"{path}: corrupt checkpoint manifest: bad epoch {manifest['epoch']!r}")
     for entry in manifest["params"] + manifest["frozen"]:
@@ -112,20 +115,31 @@ def _read_manifest(path, fh) -> dict:
     return manifest
 
 
+class _NoDraws:
+    """Init stream for a model whose every drawn weight the checkpoint then
+    replaces: `glorot_uniform` gets an untouched array instead of a draw."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size)
+
+
 def load_checkpoint(path):
     """Rebuild the model from a checkpoint; returns (model, manifest)."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
         manifest = _read_manifest(path, fh)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
         arrays = {}
         for entry in manifest["params"] + manifest["frozen"]:
-            shape = tuple(entry["shape"])
-            count = math.prod(shape) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
+            nbytes = 8 * math.prod(entry["shape"])
+            # a shape larger than the file is never allocated
+            array = np.empty(entry["shape"], dtype="<f8") if nbytes <= left else None
+            if array is None or fh.readinto(array) != nbytes:
                 raise ValueError(f"{path}: truncated payload at parameter {entry['name']!r}")
-            arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            left -= nbytes
+            arrays[entry["name"]] = array.astype(np.float64, copy=False)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after payload")
 
@@ -148,7 +162,7 @@ def load_checkpoint(path):
             encoder_config,
             vocab,
             char_vocab,
-            seed=manifest["rng"]["seed"],
+            rng=_NoDraws(),
             word_init=arrays["enc/word_emb"] if "enc/word_emb" in frozen else None,
             grad_through_start=grad_through_start,
         )
@@ -162,5 +176,5 @@ def load_checkpoint(path):
         tensor = model.store[name]
         if arrays[name].shape != tensor.data.shape:
             raise ValueError(f"{path}: shape mismatch for parameter {name!r}")
-        tensor.data[...] = arrays[name]
+        tensor.data = arrays[name]
     return model, manifest

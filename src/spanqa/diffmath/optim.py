@@ -53,8 +53,10 @@ class ParameterStore:
             raise ValueError(f"duplicate parameter name: {name!r}")
         tensor.requires_grad = True
         self._params[name] = tensor
-        self._square_avg[name] = np.zeros_like(tensor.data)
-        self._accum_delta[name] = np.zeros_like(tensor.data)
+        # np.zeros, unlike zeros_like, leaves the pages unwritten until a step
+        # touches them, so a model that only predicts never pays for them
+        self._square_avg[name] = np.zeros(tensor.data.shape)
+        self._accum_delta[name] = np.zeros(tensor.data.shape)
         return tensor
 
     def __contains__(self, name: str) -> bool:

@@ -123,10 +123,19 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def backward(loss: Tensor):
-    """Populate `grad` with d(loss)/d(tensor) for every tensor reachable from `loss`.
+    """Add d(loss)/d(leaf) to the `grad` of every leaf reachable from `loss`.
 
-    `loss` must hold a single element.  Gradients of repeated calls
-    accumulate; the root itself always reads exactly 1.0.
+    `loss` must hold a single element.  A leaf is a tensor without a
+    backward closure (every parameter); only leaves and the root get
+    `grad`, so intermediate adjoints are freed as soon as the walk has
+    passed them.  Leaves' gradients of repeated calls accumulate; the root
+    itself always reads exactly 1.0.
+
+    A closure returns one adjoint per parent: a dense array, None (no
+    gradient), or an `(index, value)` pair that stands for an array that is
+    zero except `value` at `parent.data[index]`.  The walk adds each pair
+    into one zero-initialised accumulator per parent, so a parent read
+    through many disjoint slices costs one array, not one per slice.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -147,21 +156,29 @@ def backward(loss: Tensor):
                 stack.append((parent, False))
 
     adjoint = {id(loss): np.ones_like(loss.data)}
+    owned = set()  # ids whose adjoint is an accumulator this walk allocated
     for node in reversed(topo):
         g = adjoint.pop(id(node), None)
         if g is None:
             continue
-        if node is not loss:
-            node.grad = g if node.grad is None else node.grad + g
-        else:
+        if node is loss:
             node.grad = np.ones_like(loss.data)
+        elif node._backward is None:
+            node.grad = g if node.grad is None else node.grad + g
         if node._backward is None:
             continue
         for parent, pg in zip(node._prev, node._backward(g)):
             if pg is None or not parent.requires_grad:
                 continue
             pid = id(parent)
-            if pid in adjoint:
+            if isinstance(pg, tuple):
+                index, value = pg
+                if pid not in owned:
+                    dense = adjoint.get(pid)
+                    adjoint[pid] = np.zeros_like(parent.data) if dense is None else dense.copy()
+                    owned.add(pid)
+                adjoint[pid][index] += value
+            elif pid in adjoint:
                 adjoint[pid] = adjoint[pid] + pg
             else:
                 adjoint[pid] = pg
@@ -395,12 +412,7 @@ def unstack(a, lengths) -> list:
     a = _lift(a)
 
     def column(b, n):
-        def back(g):
-            out = np.zeros_like(a.data)
-            out[:n, b] = g
-            return (out,)
-
-        return _make(a.data[:n, b], (a,), back)
+        return _make(a.data[:n, b], (a,), lambda g: (((slice(None, n), b), g),))
 
     return [column(b, n) for b, n in enumerate(lengths)]
 

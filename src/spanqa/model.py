@@ -39,10 +39,12 @@ class QaModel:
         seed: int = 0,
         word_init=None,
         grad_through_start: bool = True,
+        rng=None,
     ) -> "QaModel":
         """Build freshly initialized parameters; the draw order is fixed so a
-        given (config, vocab, seed) always produces the same weights."""
-        rng = make_rng(seed, STREAM_INIT)
+        given (config, vocab, seed) always produces the same weights.  `rng`,
+        when given, is drawn from in place of the seed's init stream."""
+        rng = make_rng(seed, STREAM_INIT) if rng is None else rng
         encoder = init_encoder_params(config, len(vocab), len(char_vocab), rng, word_init)
         decoder = init_span_decoder_params(config.hidden_dim, rng)
         quality = init_quality_params(config.hidden_dim, rng)

@@ -210,17 +210,24 @@ def train_epoch(model, dataset, labels, config: TrainConfig, epoch: int) -> Epoc
                     continue
             pairs.append((example, pos_idx, labels[ex_idx][pos_idx], negative, rng))
         if pairs:
-            losses = batch_losses(model, pairs, mode)
-            batch_loss = losses[0]
-            for extra in losses[1:]:
-                batch_loss = batch_loss + extra
-            batch_loss = batch_loss / float(len(losses))
-            backward(batch_loss)
-            model.store.adadelta_step(lr=config.lr, rho=config.rho, eps=config.eps)
-            loss_total += batch_loss.item() * len(losses)
-            counted += len(losses)
+            loss_total += _train_step(model, pairs, mode, config)
+            counted += len(pairs)
     mean = loss_total / counted if counted else None
     return EpochStats(epoch=epoch, mean_loss=mean, skipped=skipped, steps=counted)
+
+
+def _train_step(model, pairs, mode, config: TrainConfig) -> float:
+    """One Adadelta step on the mean loss of `pairs`; returns the summed
+    loss.  The batch's graph is released when this returns, before the next
+    batch builds its own."""
+    losses = batch_losses(model, pairs, mode)
+    batch_loss = losses[0]
+    for extra in losses[1:]:
+        batch_loss = batch_loss + extra
+    batch_loss = batch_loss / float(len(losses))
+    backward(batch_loss)
+    model.store.adadelta_step(lr=config.lr, rho=config.rho, eps=config.eps)
+    return batch_loss.item() * len(losses)
 
 
 def train(model, dataset, config: TrainConfig, start_epoch: int = 0, log=None):

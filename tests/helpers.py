@@ -185,6 +185,21 @@ def copying_gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> T
     return _make(out.reshape(x.shape[:-1] + (dirs * d,)), parents, back)
 
 
+def dense_unstack(a: Tensor, lengths) -> list:
+    """Reference `unstack`: each column's closure returns a dense adjoint of
+    the whole packed shape, zero outside the column's own slice."""
+
+    def column(b, n):
+        def back(g):
+            out = np.zeros_like(a.data)
+            out[:n, b] = g
+            return (out,)
+
+        return _make(a.data[:n, b], (a,), back)
+
+    return [column(b, n) for b, n in enumerate(lengths)]
+
+
 def loop_group_max_rows(a: np.ndarray, group_sizes):
     """group_max_rows as one argmax per group: (per-column group maxima, the
     first row holding each) -- the reference for the vectorized op."""

@@ -232,8 +232,20 @@ def float32_dtype(manifest):
         (lambda path: rewrite_manifest(path, float32_dtype), "bad parameter entry"),
         (lambda path: rewrite_manifest(path, lambda m: m.update(epoch=-1)), "bad epoch -1"),
         (lambda path: rewrite_manifest(path, lambda m: m.update(epoch=True)), "bad epoch True"),
+        (lambda path: rewrite_manifest(path, lambda m: m["rng"].update(seed=-5)), "bad rng seed -5"),
+        (lambda path: rewrite_manifest(path, lambda m: m["rng"].update(seed=True)), "bad rng seed True"),
     ],
-    ids=["truncated", "not_utf8", "missing_params", "negative_shape", "float32_dtype", "negative_epoch", "bool_epoch"],
+    ids=[
+        "truncated",
+        "not_utf8",
+        "missing_params",
+        "negative_shape",
+        "float32_dtype",
+        "negative_epoch",
+        "bool_epoch",
+        "negative_seed",
+        "bool_seed",
+    ],
 )
 def test_corrupt_manifest_names_the_file(tmp_path, corrupt, message):
     path = tmp_path / "m.ckpt"
@@ -250,6 +262,15 @@ def test_rejects_truncated_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError, match="truncated payload"):
         load_checkpoint(path)
+
+
+def test_shape_larger_than_the_file_is_a_truncated_payload(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, scrambled_model(), snapshot(), epoch=0, seed=0)
+    rewrite_manifest(path, lambda m: m["params"][0].update(shape=[2**40, 2**20]))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: truncated payload at parameter")
 
 
 def test_rejects_trailing_bytes(tmp_path):

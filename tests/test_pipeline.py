@@ -369,6 +369,28 @@ def test_one_gru_call_per_layer_per_training_batch(monkeypatch, batch_size):
     assert per_step == [6] * -(-5 // batch_size)
 
 
+def test_train_epoch_releases_each_batch_graph_before_the_next(monkeypatch):
+    import weakref
+
+    import spanqa.pipeline as pipeline
+
+    model = tiny_model(seed=27)
+    dataset = [qa_example(["camels store fat in humps", "sand dune walks do"], ex_id=f"e{i}") for i in range(3)]
+    real, earlier, alive_at_call = pipeline.batch_losses, [], []
+
+    def tracked(*args):
+        # a Tensor has no weakref slot, so watch the arrays the losses own
+        alive_at_call.append(sum(ref() is not None for ref in earlier))
+        losses = real(*args)
+        earlier.extend(weakref.ref(loss.data) for loss in losses)
+        return losses
+
+    monkeypatch.setattr(pipeline, "batch_losses", tracked)
+    stats = train_epoch(model, dataset, paragraph_label_table(dataset), TrainConfig(batch_size=1, seed=27), epoch=0)
+    assert stats.steps == 3
+    assert alive_at_call == [0, 0, 0]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_loss_in_a_batch_names_its_example():
     model = tiny_model(seed=26, words=TINY_WORDS + ["oasis"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_grads, loop_group_max_rows, max_rel_err, numeric_grad
+from helpers import check_grads, dense_unstack, loop_group_max_rows, max_rel_err, numeric_grad
 from spanqa.diffmath import (
     Tensor,
     backward,
@@ -271,6 +271,66 @@ def test_pad_stack_unstack_roundtrip():
         return tsum(x * wa) + tsum(y * wb)
 
     check_grads(build, [a, b])
+
+
+def test_unstack_column_returns_only_its_own_slice():
+    packed = leaf(np.arange(24.0).reshape(4, 2, 3))
+    _, second = unstack(packed, [2, 3])
+    g = np.ones((3, 3))
+    ((index, value),) = second._backward(g)
+    assert value.shape == (3, 3)
+    np.testing.assert_array_equal(packed.data[index], second.data)
+
+
+def unstacked_loss(packed, other, split, weights, dense_first):
+    """A loss over unstacked columns of `packed` with ragged lengths: column 1
+    unused, column 2 used twice, column 0 taken by a second unstack too.
+    `packed + other` hands both operands the same dense adjoint array; with
+    `dense_first` it reaches `packed` before the columns' slices."""
+    lengths = [3, 1, 4, 2]
+    cols = split(packed, lengths)
+    again = split(packed, lengths)[0]
+    terms = [tsum(c * w) for c, w in zip(cols, weights)]
+    column_sum = terms[0] + terms[2] + terms[3] + tsum(cols[2] * cols[2]) + tsum(again * weights[0])
+    dense = tsum((packed + other) * weights[-1])
+    return dense + column_sum if dense_first else column_sum + dense
+
+
+@pytest.mark.parametrize("dense_first", [True, False])
+@pytest.mark.parametrize("through_node", [False, True])
+def test_unstack_slice_adjoints_equal_the_dense_reference(dense_first, through_node):
+    # through_node puts a scaling node between the leaf and the columns, so
+    # the packed adjoint is an intermediate one, not a leaf's grad
+    rng = make_rng(21, 1)
+    base, other_base = rng.standard_normal((4, 4, 3)), rng.standard_normal((4, 4, 3))
+    weights = [rng.standard_normal((n, 3)) for n in (3, 1, 4, 2)] + [rng.standard_normal((4, 4, 3))]
+    grads = []
+    for split in (unstack, dense_unstack):
+        x, other = leaf(base), leaf(other_base)
+        packed = x * 1.5 if through_node else x
+        backward(unstacked_loss(packed, other, split, weights, dense_first))
+        grads.append((x.grad, other.grad))
+    (x_grad, other_grad), (ref_x_grad, ref_other_grad) = grads
+    assert np.array_equal(x_grad, ref_x_grad)
+    assert np.array_equal(other_grad, ref_other_grad)
+    # the slices were added into a copy, never into the adjoint `other` shares
+    np.testing.assert_array_equal(other_grad, weights[-1])
+    np.testing.assert_array_equal(x_grad[:, 1], weights[-1][:, 1] * (1.5 if through_node else 1.0))
+
+
+def test_backward_sets_grad_on_leaves_and_root_only():
+    rng = make_rng(22, 1)
+    x = leaf(None, rng, (3, 2, 2))
+    w = leaf(None, rng, (3, 2))
+    cols = unstack(x, [3, 2])
+    hidden = cols[0] * w
+    loss = tsum(hidden) + tsum(cols[1])
+    backward(loss)
+    assert all(node.grad is None for node in (*cols, hidden))
+    np.testing.assert_array_equal(w.grad, x.data[:, 0])
+    np.testing.assert_array_equal(x.grad[:, 0], w.data)
+    np.testing.assert_array_equal(x.grad[:2, 1], 1.0)
+    assert loss.grad.reshape(()) == 1.0
 
 
 def test_stack_scalars_and_pick_gradients():
