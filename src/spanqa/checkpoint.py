@@ -89,7 +89,7 @@ def _read_manifest(path, fh) -> dict:
     length = int.from_bytes(fh.read(8), "little")
     try:
         manifest = json.loads(fh.read(length).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or a number past the int conversion limit
         raise ValueError(f"{path}: corrupt checkpoint manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: corrupt checkpoint manifest: not a JSON object")
@@ -148,7 +148,7 @@ def load_checkpoint(path):
     try:
         encoder_config, _, grad_through_start = split_config(manifest["config"])
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: corrupt checkpoint manifest: {exc}") from exc
     vocab = Vocab(manifest["vocab"])
     if vocab.tokens != manifest["vocab"]:
         raise ValueError(f"{path}: vocabulary layout mismatch")

@@ -9,13 +9,12 @@ nonzero.
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, replace
 
 from .aggregation import AggregationMode
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import default_config, read_config_overrides, read_synth_config, split_config
+from .config import default_config, is_finite, read_config_overrides, read_synth_config, split_config
 from .corpus import SynthConfig, corpus_stats, generate_synthetic, load_dataset, save_dataset
 from .encoder import CharVocab, Vocab, load_word_vectors
 from .model import QaModel
@@ -162,7 +161,7 @@ def _read_predictions(path) -> dict:
             where = f"{path}: line {line_no}"
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also a number past the int conversion limit
                 raise ValueError(f"{where}: invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise ValueError(f"{where}: expected a JSON object")
@@ -170,7 +169,7 @@ def _read_predictions(path) -> dict:
             if not isinstance(ex_id, str) or not isinstance(answer, str):
                 raise ValueError(f"{where}: a prediction needs a string \"id\" and a string \"answer\"")
             if not isinstance(probs, list) or not all(
-                isinstance(p, (int, float)) and not isinstance(p, bool) and math.isfinite(p) for p in probs
+                isinstance(p, (int, float)) and not isinstance(p, bool) and is_finite(p) for p in probs
             ):
                 raise ValueError(f"{where}: \"paragraph_probs\" must be a list of numbers (finite, not booleans)")
             if ex_id in predictions:

@@ -26,13 +26,22 @@ def default_config() -> dict:
     return flat
 
 
+def is_finite(value) -> bool:
+    """math.isfinite of an int or float, where an int too large for a float
+    (which JSON can hold) is not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_type(key, value, kind):
     """An int field takes an int, a float field a finite int or float; a
     boolean passes for neither."""
     accepted = (int, float) if kind is float else kind
     if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
         raise ValueError(f"config key {key!r} must be a {kind.__name__}, got {value!r}")
-    if kind is float and not math.isfinite(value):
+    if kind is float and not is_finite(value):
         raise ValueError(f"config key {key!r} must be finite, got {value!r}")
 
 

@@ -268,7 +268,7 @@ def load_dataset(path, max_paragraphs: int = 20, max_paragraph_tokens: int = 400
             where = f"{path}: line {line_no}"
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also a number past the int conversion limit
                 raise ValueError(f"{where}: invalid JSON: {exc}") from exc
             ex_id = str(_field(record, "id", (str, int), "a string or an integer", where))
             question_text = _field(record, "question", str, "a string", where)

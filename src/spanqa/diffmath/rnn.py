@@ -4,24 +4,27 @@ The cell is h' = (1 - z) * h + z * c with
     z = sigmoid(x W_z + h U_z + b_z)
     r = sigmoid(x W_r + h U_r + b_r)
     c = tanh(x W_h + (r * h) U_h + b_h)
-and a zero initial state.  A whole layer pass is a single graph node: the
-forward loop caches gate activations and the closure runs
-backpropagation-through-time in one sweep, which keeps graphs small and
-fast.  Several sequences of different lengths can share that one loop,
-packed time-first and zero-padded (`pad_stack`); a single sequence is
-the batch of one.  The G directions of a layer (one, or forward and
-backward for direction "both", which `bigru_each` runs over a list of
-sequences) share it too: each step makes one stacked (G, B, d) recurrent
-product per gate group, and a backward direction reads its input
-reversed within each column's length.  Gate weights are packed [z | r | h]
-along the output axis."""
+and a zero initial state.  A whole layer pass is a single graph node: when
+the pass is recorded, the forward loop caches gate activations and the
+closure runs backpropagation-through-time in one sweep, which keeps graphs
+small and fast; under `no_grad`, or when nothing needs a gradient, the
+loop keeps no caches and returns a plain tensor.  Each step works in place
+in buffers allocated once per call.  Several sequences of different
+lengths can share that one loop, packed time-first and zero-padded
+(`pad_stack`); a single sequence is the batch of one.  The G directions
+of a layer (one, or forward and backward for direction "both", which
+`bigru_each` runs over a list of sequences) share it too, as do several
+layers that read the same input: each step makes one stacked (G, B, d)
+recurrent product per gate group, and a backward direction reads its
+input reversed within each column's length.  Gate weights are packed
+[z | r | h] along the output axis."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .optim import glorot_uniform
-from .tensor import Tensor, _make, pad_stack, unstack
+from .tensor import Tensor, _make, grad_enabled, pad_stack, reshape, unstack
 
 
 @dataclass
@@ -60,10 +63,13 @@ def init_bigru_params(in_dim: int, hidden: int, rng) -> BiGruParams:
     )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out=None) -> np.ndarray:
     # exp(-x) overflows to inf below x ~ -709.8, which gives the exact limit 0;
     # callers hold np.errstate(over="ignore") around their whole loop
-    return 1.0 / (1.0 + np.exp(-x))
+    out = np.negative(x, out=out)
+    np.exp(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.divide(1.0, out, out=out)
 
 
 def _reversal(n: int, lengths) -> tuple:
@@ -78,13 +84,26 @@ def _reversal(n: int, lengths) -> tuple:
 def _gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
     """Run len(cells) directions over axis 0 of a (T, in) or (T, B, in) input
     in one time loop; direction g reads each column backwards within its
-    length when reverse[g].  Returns the directions' states side by side."""
+    length when reverse[g].  Returns the directions' states side by side,
+    with the gate caches and the BPTT closure only when recording."""
     x = inputs.data
     n = x.shape[0]
     x3 = x.reshape(n, -1, x.shape[-1])
     batch, dirs, d = x3.shape[1], len(cells), cells[0].hidden
     order = _reversal(n, [n] * batch if lengths is None else lengths) if any(reverse) else None
     ws, u_zrs, u_hs = [c.w.data for c in cells], [c.u_zr.data for c in cells], [c.u_h.data for c in cells]
+    parents = (inputs,) + tuple(t for c in cells for t in (c.w, c.u_zr, c.u_h, c.b))
+    recording = grad_enabled() and any(p.requires_grad for p in parents)
+
+    # hs[t] is the state before step t (row 0 the zero state), hs[t + 1] after it;
+    # a_zr and a_c take each step's recurrent products, and the gates go to
+    # the caches zrs ([z | r]) and cs when recording, else over a_zr and a_c
+    hs = np.zeros((n + 1, dirs, batch, d))
+    zrs = np.empty((n, dirs, batch, 2 * d)) if recording else None
+    cs = np.empty((n, dirs, batch, d)) if recording else None
+    a_zr = np.empty((dirs, batch, 2 * d))
+    a_c = np.empty((dirs, batch, d))
+    rh = np.empty((dirs, batch, d))
 
     def flat_input(rev):
         # the input in one direction's time order, flattened for the GEMMs;
@@ -95,19 +114,27 @@ def _gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
     for g, (c, rev) in enumerate(zip(cells, reverse)):
         np.add((flat_input(rev) @ ws[g]).reshape(n, batch, 3 * d), c.b.data, out=xw[:, g])
     u_zr, u_h = np.stack(u_zrs), np.stack(u_hs)
-    # hs[t] is the state before step t (row 0 the zero state), hs[t + 1] after it
-    hs = np.zeros((n + 1, dirs, batch, d))
-    zs = np.empty((n, dirs, batch, d))
-    rs = np.empty((n, dirs, batch, d))
-    cs = np.empty((n, dirs, batch, d))
     with np.errstate(over="ignore"):
         for t in range(n):
             h = hs[t]
-            zr = _sigmoid(xw[t, :, :, : 2 * d] + h @ u_zr)
+            zr = zrs[t] if recording else a_zr
+            c = cs[t] if recording else a_c
+            np.matmul(h, u_zr, out=a_zr)
+            _sigmoid(np.add(xw[t, :, :, : 2 * d], a_zr, out=zr), out=zr)
             z, r = zr[..., :d], zr[..., d:]
-            c = np.tanh(xw[t, :, :, 2 * d :] + (r * h) @ u_h)
-            hs[t + 1] = (1.0 - z) * h + z * c
-            zs[t], rs[t], cs[t] = z, r, c
+            np.matmul(np.multiply(r, h, out=rh), u_h, out=a_c)
+            np.tanh(np.add(xw[t, :, :, 2 * d :], a_c, out=c), out=c)
+            # h' = (1 - z) * h + z * c, with rh free again as scratch
+            np.multiply(np.subtract(1.0, z, out=rh), h, out=rh)
+            np.add(rh, np.multiply(z, c, out=hs[t + 1]), out=hs[t + 1])
+
+    del xw  # dead once the loop ends; freed before the output is gathered
+    out = np.empty((n, batch, dirs, d))
+    for g, rev in enumerate(reverse):
+        out[:, :, g] = hs[1:, g][order] if rev else hs[1:, g]
+    out = out.reshape(x.shape[:-1] + (dirs * d,))
+    if not recording:
+        return Tensor(out)
 
     def back(grad):
         grad = grad.reshape(n, batch, dirs, d)
@@ -123,7 +150,7 @@ def _gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
         dh = np.zeros((dirs, batch, d))
         for t in range(n - 1, -1, -1):
             dht = gs[t] + dh
-            z, r, c, hp = zs[t], rs[t], cs[t], hs[t]
+            z, r, c, hp = zrs[t, ..., :d], zrs[t, ..., d:], cs[t], hs[t]
             da = (dht * z) * (1.0 - c * c)
             dxws[:, t, :, 2 * d :] = da
             drh = da @ u_h_t
@@ -140,16 +167,12 @@ def _gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
             dparams += [
                 flat_input(rev).T @ dxw,
                 hp.T @ dxw[:, : 2 * d],
-                (rs[:, g].reshape(n * batch, d) * hp).T @ dxw[:, 2 * d :],
+                (zrs[:, g, :, d:].reshape(n * batch, d) * hp).T @ dxw[:, 2 * d :],
                 dxw.sum(axis=0),
             ]
         return (dx.reshape(x.shape), *dparams)
 
-    out = np.empty((n, batch, dirs, d))
-    for g, rev in enumerate(reverse):
-        out[:, :, g] = hs[1:, g][order] if rev else hs[1:, g]
-    parents = (inputs,) + tuple(t for c in cells for t in (c.w, c.u_zr, c.u_h, c.b))
-    return _make(out.reshape(x.shape[:-1] + (dirs * d,)), parents, back)
+    return _make(out, parents, back)
 
 
 _REVERSE = {"forward": (False,), "backward": (True,), "both": (False, True)}
@@ -169,25 +192,38 @@ def gru_sequence(inputs: Tensor, params, direction: str = "forward", lengths=Non
     the valid ones.  direction="both" takes `BiGruParams` and runs the
     forward and backward directions in the same loop, giving their states
     side by side: (T, 2d) or (T, B, 2d).
+
+    `params` may also be a tuple of such parameters, all of one shape: the
+    layers read the same input in the same loop, and their states come
+    side by side in tuple order.
     """
     if direction not in _REVERSE:
         raise ValueError(f"unknown direction: {direction!r}")
-    cells = (params.fwd, params.bwd) if direction == "both" else (params,)
+    layers = params if isinstance(params, tuple) else (params,)
+    cells = tuple(c for p in layers for c in ((p.fwd, p.bwd) if direction == "both" else (p,)))
     shape = inputs.data.shape
     if inputs.data.ndim not in (2, 3) or shape[0] < 1 or 0 in shape[1:-1]:
         raise ValueError(f"gru_sequence needs a nonempty (T, in) or (T, B, in) input, got shape {shape}")
+    if any(c.w.data.shape != cells[0].w.data.shape for c in cells):
+        raise ValueError(f"gru_sequence layers differ in weight shape: {[c.w.data.shape for c in cells]}")
     if shape[-1] != cells[0].w.data.shape[0]:
         raise ValueError(f"gru_sequence input width {shape[-1]} does not match weight shape {cells[0].w.data.shape}")
     if lengths is not None:
         lengths = np.asarray(lengths)
         if len(shape) != 3 or lengths.shape != shape[1:2] or lengths.min() < 1 or lengths.max() > shape[0]:
             raise ValueError(f"gru_sequence lengths {lengths.tolist()} do not fit input shape {shape}")
-    return _gru_pass(inputs, cells, _REVERSE[direction], lengths)
+    return _gru_pass(inputs, cells, _REVERSE[direction] * len(layers), lengths)
 
 
-def bigru_each(sequences, params: BiGruParams) -> list:
+def bigru_each(sequences, *layers) -> list:
     """The forward and backward states, side by side, of every (n_i, in)
-    tensor in `sequences`, as a list of (n_i, 2d) tensors: one packed batch,
-    so one time loop for both directions of all of them."""
+    tensor in `sequences` under each BiGruParams of `layers`: one list of
+    (n_i, 2d) tensors per layer.  The sequences go as one packed batch, so
+    one time loop steps both directions of every layer over all of them."""
     lengths = [s.data.shape[0] for s in sequences]
-    return unstack(gru_sequence(pad_stack(sequences), params, "both", lengths), lengths)
+    packed = gru_sequence(pad_stack(sequences), layers, "both", lengths)
+    # (T, B, k * 2d) as (T, B * k, 2d): column b * k + j holds layer j of sequence b
+    n, batch, width = packed.shape
+    k = len(layers)
+    states = unstack(reshape(packed, (n, batch * k, width // k)), [m for m in lengths for _ in layers])
+    return [states[j::k] for j in range(k)]

@@ -238,12 +238,6 @@ def relu(a) -> Tensor:
     return _make(np.where(keep, a.data, 0.0), (a,), lambda g: (g * keep,))
 
 
-def tsum(a) -> Tensor:
-    """Sum of all entries, as a scalar tensor."""
-    a = _lift(a)
-    return _make(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, a.data.shape),))
-
-
 def clip_min(a, floor: float) -> Tensor:
     """Elementwise max(a, floor); gradient is blocked at or below the floor."""
     a = _lift(a)

@@ -189,7 +189,8 @@ def contextualize(embedded, rnn: BiGruParams, keep_prob: float, rngs, training: 
     drawing from rngs[i] (`rngs` may be None outside training), then one
     bidirectional recurrent pass over them all: a list of (n_i, 2d)."""
     rngs = [None] * len(embedded) if rngs is None else rngs
-    return bigru_each([dropout(x, keep_prob, rng, training) for x, rng in zip(embedded, rngs, strict=True)], rnn)
+    (states,) = bigru_each([dropout(x, keep_prob, rng, training) for x, rng in zip(embedded, rngs, strict=True)], rnn)
+    return states
 
 
 def bidaf_attention(para: Tensor, ques: Tensor, params: EncoderParams) -> Tensor:
@@ -228,7 +229,8 @@ def self_attend(xs, params: EncoderParams) -> list:
             scores = matmul(x, transpose(x))
             off_diagonal = ~np.eye(n, dtype=bool)
             combined.append(x + matmul(row_softmax(scores, off_diagonal), x))
-    return bigru_each(combined, params.self_rnn)
+    (states,) = bigru_each(combined, params.self_rnn)
+    return states
 
 
 def load_word_vectors(path, vocab: Vocab, word_dim: int, init: np.ndarray) -> np.ndarray:

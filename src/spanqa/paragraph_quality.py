@@ -20,7 +20,7 @@ from .diffmath import (
     row_softmax,
     stack_scalars,
 )
-from .span_decoder import StartDistribution
+from .span_decoder import SpanDecoderParams, StartDistribution, start_head
 
 
 @dataclass
@@ -49,17 +49,30 @@ def quality_logit(
     head to the span head; `grad_through_start=False` stops that coupling
     (the weights are then treated as constants) for ablation.
     """
-    return quality_logits([context], [start_dist], params, grad_through_start)[0]
+    ((states,),) = bigru_each([context], params.rnn)
+    return quality_head(states, start_dist, params, grad_through_start)
 
 
-def quality_logits(contexts, start_dists, params: QualityParams, grad_through_start: bool = True) -> list:
-    """`quality_logit` of every paragraph, with one recurrent pass over all of them."""
-    logits = []
-    for start_dist, states in zip(start_dists, bigru_each(contexts, params.rnn)):
-        key = start_dist.probs if grad_through_start else start_dist.probs.detach()
-        pooled = matmul(reshape(key, (1, -1)), states)
-        logits.append(reshape(matmul(pooled, params.w_c), ()))
-    return logits
+def quality_head(
+    states: Tensor, start_dist: StartDistribution, params: QualityParams, grad_through_start: bool
+) -> Tensor:
+    """The quality logit read off a paragraph's (n, 2d) quality-layer states."""
+    key = start_dist.probs if grad_through_start else start_dist.probs.detach()
+    pooled = matmul(reshape(key, (1, -1)), states)
+    return reshape(matmul(pooled, params.w_c), ())
+
+
+def start_and_quality(contexts, decoder: SpanDecoderParams, params: QualityParams, grad_through_start: bool):
+    """(`start_distribution`s, `quality_logit`s) of every paragraph.  The
+    start and quality layers read the same contexts, so one time loop steps
+    all four of their directions over every paragraph."""
+    start_states, quality_states = bigru_each(contexts, decoder.start_rnn, params.rnn)
+    starts = [start_head(states, decoder) for states in start_states]
+    logits = [
+        quality_head(states, start_dist, params, grad_through_start)
+        for states, start_dist in zip(quality_states, starts)
+    ]
+    return starts, logits
 
 
 def normalize_quality_tensors(logits) -> Tensor:

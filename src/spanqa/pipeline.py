@@ -9,9 +9,9 @@ one Adadelta step.
 Training and inference share one forward path, `encode_items`, over a
 batch of items (question, paragraphs, dropout stream): each recurrent
 layer runs once over the whole batch, through the batched calls
-`encode_questions`, `encode_paragraphs`, `start_distributions` and
-`quality_logits`, and the end distributions share one more pass through
-`end_distributions`.  Training sends a whole Adadelta batch through it,
+`encode_questions`, `encode_paragraphs` and `start_and_quality` (whose
+start and quality layers share one time loop), and the end distributions
+share one more pass through `end_distributions`.  Training sends a whole Adadelta batch through it,
 one (positive, negative) pair per example; inference sends one example
 with all its paragraphs.
 
@@ -37,8 +37,8 @@ from .aggregation import AggregationMode, aggregate, group_candidates
 from .corpus import label_spans
 from .diffmath import backward, clip_min, log, no_grad, pick
 from .diffmath.rng import STREAM_PREDICT, STREAM_TRAIN, make_rng
-from .paragraph_quality import normalize_quality_tensors, quality_logits, sample_pair
-from .span_decoder import SpanCandidate, end_distributions, span_probability, start_distributions
+from .paragraph_quality import normalize_quality_tensors, sample_pair, start_and_quality
+from .span_decoder import SpanCandidate, end_distributions, span_probability
 
 # Not called here: the benchmark's tracer (perfbench/run.py) rebinds these names in this module.
 from .paragraph_quality import quality_logit  # noqa: F401
@@ -109,9 +109,10 @@ def encode_items(model, items, training: bool = False) -> list:
     ItemEncoding per item.
 
     Each recurrent layer runs once over the whole batch: the question layer
-    over every item's question, then the paragraph, self-attention, start and
-    quality layers over every paragraph of every item, each paragraph
-    attending to its own item's question.  An item's rng drives only its own
+    over every item's question, then the paragraph and self-attention layers
+    over every paragraph of every item, each paragraph attending to its own
+    item's question, and then the start and quality layers together, in one
+    time loop over the same contexts.  An item's rng drives only its own
     dropout masks (question first, then its paragraphs in order) and is not
     consulted outside training.
     """
@@ -124,8 +125,7 @@ def encode_items(model, items, training: bool = False) -> list:
         [rngs[i] for i in owners],
         training,
     )
-    starts = start_distributions(contexts, model.decoder)
-    quality = quality_logits(contexts, starts, model.quality, model.grad_through_start)
+    starts, quality = start_and_quality(contexts, model.decoder, model.quality, model.grad_through_start)
     bounds = np.cumsum([0] + [len(paragraphs) for paragraphs in paragraph_lists]).tolist()
     return [ItemEncoding(contexts[a:b], starts[a:b], quality[a:b]) for a, b in zip(bounds, bounds[1:])]
 

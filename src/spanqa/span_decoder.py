@@ -32,8 +32,9 @@ from .diffmath import (
 class StartDistribution:
     """Start-position probabilities plus the recurrent states they came from.
 
-    `states` (n, 2d) is reused by the end distribution and the paragraph
-    quality score, so it is computed once per paragraph.
+    `states` (n, 2d) is reused by the end distribution, so it is computed
+    once per paragraph.  The paragraph quality score reads `probs` only; it
+    runs its own recurrent layer over the context.
     """
 
     probs: Tensor  # (n,)
@@ -75,16 +76,15 @@ def init_span_decoder_params(hidden_dim: int, rng) -> SpanDecoderParams:
 
 
 def start_distribution(context: Tensor, params: SpanDecoderParams) -> StartDistribution:
-    return start_distributions([context], params)[0]
+    """Start-position probabilities of one paragraph, from its own recurrent pass."""
+    ((states,),) = bigru_each([context], params.start_rnn)
+    return start_head(states, params)
 
 
-def start_distributions(contexts, params: SpanDecoderParams) -> list:
-    """`start_distribution` of every paragraph, with one recurrent pass over all of them."""
-    dists = []
-    for states in bigru_each(contexts, params.start_rnn):
-        logits = reshape(matmul(states, params.w_start), (-1,))
-        dists.append(StartDistribution(probs=row_softmax(logits), states=states))
-    return dists
+def start_head(states: Tensor, params: SpanDecoderParams) -> StartDistribution:
+    """The start distribution read off a paragraph's (n, 2d) start-layer states."""
+    logits = reshape(matmul(states, params.w_start), (-1,))
+    return StartDistribution(probs=row_softmax(logits), states=states)
 
 
 def end_distribution(
@@ -116,7 +116,8 @@ def end_distributions(rows, params: SpanDecoderParams) -> list:
         indicator[start, 0] = 1.0
         inputs.append(concat_cols([context, start_dist.states, Tensor(indicator)]))
     dists = []
-    for (_, _, start), states in zip(rows, bigru_each(inputs, params.end_rnn)):
+    (states_each,) = bigru_each(inputs, params.end_rnn)
+    for (_, _, start), states in zip(rows, states_each):
         logits = reshape(matmul(states, params.w_end), (-1,))
         dists.append(row_softmax(logits, np.arange(logits.data.shape[0]) >= start))
     return dists

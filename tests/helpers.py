@@ -10,6 +10,7 @@ from spanqa.diffmath import (
     BiGruParams,
     Tensor,
     backward,
+    bigru_each,
     clip_min,
     concat_cols,
     gather_rows,
@@ -25,7 +26,7 @@ from spanqa.diffmath.rnn import _reversal, _sigmoid
 from spanqa.diffmath.tensor import _make
 from spanqa.encoder import CharVocab, EncoderConfig, Vocab
 from spanqa.model import QaModel
-from spanqa.paragraph_quality import normalize_quality_tensors, quality_logit
+from spanqa.paragraph_quality import normalize_quality_tensors, quality_head, quality_logit
 from spanqa.pipeline import PROB_FLOOR, beam_candidates, best_answer, combine_scores, top_indices
 from spanqa.span_decoder import (
     SpanDecoderParams,
@@ -33,6 +34,7 @@ from spanqa.span_decoder import (
     end_distribution,
     span_probability,
     start_distribution,
+    start_head,
 )
 
 TINY_WORDS = ["camels", "store", "fat", "in", "their", "humps", "what", "do", "?", "sand", "dune", "walks"]
@@ -183,6 +185,23 @@ def copying_gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> T
         out[:, :, g] = hs[1:, g][order] if rev else hs[1:, g]
     parents = (inputs,) + tuple(t for c in cells for t in (c.w, c.u_zr, c.u_h, c.b))
     return _make(out.reshape(x.shape[:-1] + (dirs * d,)), parents, back)
+
+
+def separate_start_and_quality(contexts, decoder, params, grad_through_start):
+    """`paragraph_quality.start_and_quality` with the start and the quality
+    layer each in its own time loop over the contexts: the reference for the
+    one loop they share."""
+    (start_states,) = bigru_each(contexts, decoder.start_rnn)
+    (quality_states,) = bigru_each(contexts, params.rnn)
+    starts = [start_head(states, decoder) for states in start_states]
+    logits = [quality_head(q, sd, params, grad_through_start) for q, sd in zip(quality_states, starts)]
+    return starts, logits
+
+
+def tsum(a) -> Tensor:
+    """Sum of all entries, as a scalar tensor: the usual scalar to call
+    `backward` on in gradient tests."""
+    return _make(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, a.data.shape),))
 
 
 def dense_unstack(a: Tensor, lengths) -> list:

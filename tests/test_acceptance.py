@@ -20,6 +20,7 @@ from helpers import (
     numeric_grad,
     softmax,
     tiny_model,
+    tsum,
 )
 from spanqa.aggregation import AggregationMode, normalize_answer_key
 from spanqa.checkpoint import load_checkpoint, save_checkpoint
@@ -122,7 +123,6 @@ def test_criterion_1_gradient_suite():
 
     # 6 instances: BiGRU sequence reductions at random shapes
     from spanqa.diffmath.rnn import gru_sequence, init_bigru_params
-    from spanqa.diffmath import tsum
 
     for seed in range(20, 26):
         rng = make_rng(seed, 56)

@@ -214,6 +214,16 @@ def non_utf8_manifest(path):
     path.write_bytes(bytes(raw))
 
 
+def epoch_past_int_conversion_limit(path):
+    # json.dumps cannot write such a number either, so the text is edited
+    raw = path.read_bytes()
+    length = int.from_bytes(raw[len(MAGIC) : len(MAGIC) + 8], "little")
+    blob = raw[len(MAGIC) + 8 : len(MAGIC) + 8 + length]
+    assert blob.count(b'"epoch":0') == 1
+    blob = blob.replace(b'"epoch":0', b'"epoch":1' + b"0" * 5000)
+    path.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob + raw[len(MAGIC) + 8 + length :])
+
+
 def negative_shape(manifest):
     manifest["params"][0]["shape"] = [-1]
 
@@ -234,6 +244,11 @@ def float32_dtype(manifest):
         (lambda path: rewrite_manifest(path, lambda m: m.update(epoch=True)), "bad epoch True"),
         (lambda path: rewrite_manifest(path, lambda m: m["rng"].update(seed=-5)), "bad rng seed -5"),
         (lambda path: rewrite_manifest(path, lambda m: m["rng"].update(seed=True)), "bad rng seed True"),
+        (
+            lambda path: rewrite_manifest(path, lambda m: m["config"].update(keep_prob=10**400)),
+            "config key 'keep_prob' must be finite",
+        ),
+        (epoch_past_int_conversion_limit, "Exceeds the limit"),
     ],
     ids=[
         "truncated",
@@ -245,6 +260,8 @@ def float32_dtype(manifest):
         "bool_epoch",
         "negative_seed",
         "bool_seed",
+        "huge_int_config_value",
+        "int_past_conversion_limit",
     ],
 )
 def test_corrupt_manifest_names_the_file(tmp_path, corrupt, message):

@@ -37,7 +37,9 @@ def write_json(path, payload):
 
 
 def write_jsonl(path, records):
-    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    """One line per record; a string record is written as it is."""
+    lines = (r if isinstance(r, str) else json.dumps(r) for r in records)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return str(path)
 
 
@@ -191,6 +193,9 @@ def test_make_synthetic_rejects_unknown_keys(tmp_path, capsys):
         ('{"bogus": 1}', "bogus"),
         ('{"num_examples": 6,', "Expecting"),
         ("[1, 2]", "JSON object"),
+        # an int too large for a float is not a finite float
+        pytest.param('{"multi_span_prob": 1' + "0" * 400 + "}", "'multi_span_prob' must be finite", id="huge_int"),
+        pytest.param('{"distractor_ratio": -1' + "0" * 400 + "}", "'distractor_ratio' must be", id="huge_negative_int"),
     ],
 )
 def test_make_synthetic_rejects_bad_config_naming_file_and_key(tmp_path, capsys, text, key):
@@ -334,6 +339,11 @@ def test_train_rejects_unknown_config_key(tmp_path, capsys, synth_data):
         ('{"grad_through_start": 1}', "'grad_through_start'"),
         ('{"epochs": 2, "k1":', "Expecting value"),
         ("[1, 2]", "JSON object"),
+        # an int too large for a float is not a finite float
+        pytest.param('{"keep_prob": 1' + "0" * 400 + "}", "'keep_prob' must be finite", id="huge_int_keep_prob"),
+        pytest.param('{"lr": 1' + "0" * 400 + "}", "'lr' must be finite", id="huge_int_lr"),
+        # past Python's int conversion limit the JSON itself does not parse
+        pytest.param('{"lr": 1' + "0" * 5000 + "}", "integer string conversion", id="int_past_conversion_limit"),
     ],
 )
 def test_train_rejects_bad_config_value_naming_file_and_key(tmp_path, capsys, synth_data, text, key):
@@ -590,6 +600,8 @@ def test_evaluate_rejects_paragraph_prob_length_mismatch(tmp_path, capsys):
         ({"id": "b", "answer": "fat", "paragraph_probs": ["x"]}, 'line 2: "paragraph_probs" must be a list of numbers'),
         ({"id": "b", "answer": "fat", "paragraph_probs": [float("nan")]}, 'line 2: "paragraph_probs" must be a list'),
         ({"id": "b", "answer": "fat", "paragraph_probs": [True]}, 'line 2: "paragraph_probs" must be a list'),
+        ({"id": "b", "answer": "fat", "paragraph_probs": [10**400]}, 'line 2: "paragraph_probs" must be a list'),
+        ('{"id": "b", "answer": "fat", "paragraph_probs": [1' + "0" * 5000 + "]}", "line 2: invalid JSON"),
     ],
     ids=[
         "duplicate_id",
@@ -599,6 +611,8 @@ def test_evaluate_rejects_paragraph_prob_length_mismatch(tmp_path, capsys):
         "bad_paragraph_probs",
         "nan_paragraph_prob",
         "bool_paragraph_prob",
+        "huge_int_paragraph_prob",
+        "int_past_conversion_limit",
     ],
 )
 def test_evaluate_rejects_bad_prediction_line(tmp_path, capsys, line, message):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import check_grads, encode_question, tiny_model
-from spanqa.diffmath import Tensor, gru_sequence, make_rng, named_tensors, tsum
+from helpers import check_grads, encode_question, tiny_model, tsum
+from spanqa.diffmath import Tensor, gru_sequence, make_rng, named_tensors
 from spanqa.encoder import (
     CharVocab,
     EncoderConfig,

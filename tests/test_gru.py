@@ -1,5 +1,6 @@
 """Recurrent sequence kernel: cell fixtures, direction contract, BPTT gradients."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_grads, copying_gru_pass, two_loop_bigru
+from helpers import check_grads, copying_gru_pass, tsum, two_loop_bigru
 from spanqa.diffmath import (
     BiGruParams,
     GruParams,
@@ -18,11 +19,11 @@ from spanqa.diffmath import (
     init_gru_params,
     make_rng,
     named_tensors,
+    no_grad,
     pad_stack,
-    tsum,
     unstack,
 )
-from spanqa.diffmath.rnn import _REVERSE, _sigmoid
+from spanqa.diffmath.rnn import _REVERSE, _gru_pass, _sigmoid
 
 
 def random_params(in_dim, d, seed):
@@ -166,9 +167,14 @@ def test_sigmoid_matches_masked_form_without_warnings():
         warnings.simplefilter("error")
         got = _sigmoid(x)
         extremes = _sigmoid(np.array([-1e4, -800.0, 800.0, 1e4]))
+        buf = x.copy()
+        in_place = _sigmoid(buf, out=buf)
     ref = masked_sigmoid(x)
     assert np.max(np.abs(got - ref) / ref) <= 1e-15
     np.testing.assert_array_equal(extremes, [0.0, 0.0, 1.0, 1.0])
+    # the time loop's form: written over its own input
+    assert in_place is buf
+    np.testing.assert_array_equal(buf, got)
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward", "both"])
@@ -337,6 +343,100 @@ def test_shared_bptt_buffers_are_bit_exact(direction, lengths, d):
     for got, ref in zip(*results):
         assert got.shape == ref.shape
         assert np.array_equal(got, ref) if d > 1 else rel_diff(got, ref) <= 1e-12
+
+
+# ------------------------------------------------------ inference pass
+
+PATTERNS = [(False,), (True,), (False, True), (False, True, False, True)]
+
+
+def pattern_cells(reverse, in_dim, d, seed):
+    return tuple(random_params(in_dim, d, seed + g) for g in range(len(reverse)))
+
+
+@pytest.mark.parametrize("reverse", PATTERNS)
+@pytest.mark.parametrize("lengths", [None, [5, 2, 4], [1, 7, 7, 3, 2]])
+def test_no_grad_pass_equals_the_recorded_pass(reverse, lengths):
+    """Under no_grad the kernel keeps no gate caches and builds no closure,
+    but it runs the same ops in the same order: its states equal the
+    recorded pass's bit for bit."""
+    batch = 3 if lengths is None else len(lengths)
+    steps = 6 if lengths is None else max(lengths)
+    rng = make_rng(steps * batch * len(reverse), 52)
+    cells = pattern_cells(reverse, 3, 4, 52)
+    x = Tensor(rng.standard_normal((steps, batch, 3)), requires_grad=True)
+    recorded = _gru_pass(x, cells, reverse, lengths)
+    with no_grad():
+        plain = _gru_pass(x, cells, reverse, lengths)
+    assert recorded._backward is not None and len(recorded._prev) == 1 + 4 * len(cells)
+    assert plain._backward is None and plain._prev == () and not plain.requires_grad
+    np.testing.assert_array_equal(plain.data, recorded.data)
+
+
+def test_pass_without_gradient_parents_is_a_plain_tensor():
+    out = gru_sequence(Tensor(np.ones((4, 2, 2))), zero_params(2, 3), "backward", lengths=[4, 2])
+    assert out._backward is None and out._prev == () and not out.requires_grad
+
+
+@pytest.mark.parametrize("reverse", [(False,), (False, True), (False, True, False, True)])
+def test_no_grad_pass_peaks_below_the_recorded_pass_by_its_gate_caches(reverse):
+    # long-workload shapes: T = 145 steps, B = 30 rows, d = 32, input width 2d
+    steps, batch, d = 145, 30, 32
+    rng = make_rng(len(reverse), 53)
+    cells = pattern_cells(reverse, 2 * d, d, 53)
+    x = Tensor(rng.standard_normal((steps, batch, 2 * d)), requires_grad=True)
+    lengths = rng.integers(55, steps + 1, batch)
+    lengths[0] = steps
+
+    def peak():
+        tracemalloc.start()
+        try:
+            _gru_pass(x, cells, reverse, lengths)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    recorded = peak()
+    with no_grad():
+        plain = peak()
+    # the (T, G, B, 2d) [z | r] and (T, G, B, d) candidate caches
+    assert recorded - plain >= 3 * steps * len(reverse) * batch * d * 8
+
+
+@pytest.mark.parametrize("direction", ["forward", "both"])
+def test_layers_over_one_input_share_one_loop(direction):
+    """Two layers over the same input in one call: their states side by
+    side equal two separate calls' bit for bit, and so does every parameter
+    gradient; the input gradient adds the layers' adjoints in another order."""
+    rng = make_rng(54, 1)
+    lengths = [5, 2, 4]
+    if direction == "both":
+        layers = (init_bigru_params(3, 4, make_rng(54, 2)), init_bigru_params(3, 4, make_rng(54, 3)))
+    else:
+        layers = (random_params(3, 4, 54), random_params(3, 4, 55))
+    x = Tensor(rng.standard_normal((5, 3, 3)), requires_grad=True)
+    width = 8 if direction == "both" else 4
+    w = rng.standard_normal((5, 3, 2 * width))
+    leaves = [t for layer in layers for _, t in named_tensors(layer)]
+
+    shared = gru_sequence(x, layers, direction, lengths)
+    backward(tsum(shared * w))
+    got = [x.grad] + [t.grad for t in leaves]
+    for t in [x] + leaves:
+        t.zero_grad()
+    separate = [gru_sequence(x, layer, direction, lengths) for layer in layers]
+    backward(tsum(separate[0] * w[..., :width]) + tsum(separate[1] * w[..., width:]))
+    ref = [x.grad] + [t.grad for t in leaves]
+
+    np.testing.assert_array_equal(shared.data, np.concatenate([s.data for s in separate], axis=-1))
+    assert rel_diff(got[0], ref[0]) <= 1e-12
+    for g, r in zip(got[1:], ref[1:]):
+        np.testing.assert_array_equal(g, r)
+
+
+def test_layers_of_different_shapes_rejected():
+    with pytest.raises(ValueError, match="weight shape"):
+        gru_sequence(Tensor(np.zeros((4, 3))), (random_params(3, 2, 56), random_params(3, 4, 57)))
 
 
 def test_packed_padding_does_not_leak_into_valid_steps():

@@ -14,6 +14,7 @@ from helpers import (
     reference_beam,
     reference_example_loss,
     reference_predict,
+    separate_start_and_quality,
     softmax,
     tiny_model,
 )
@@ -132,10 +133,9 @@ def test_example_loss_encodes_question_once_and_batches_the_pair(monkeypatch):
     calls = []
     count(model, "encode_questions")
     count(model, "encode_paragraphs")
-    count(pipeline, "start_distributions")
-    count(pipeline, "quality_logits")
+    count(pipeline, "start_and_quality")
     loss, grads = loss_and_grads(example_loss)
-    assert sorted(calls) == ["encode_paragraphs", "encode_questions", "quality_logits", "start_distributions"]
+    assert sorted(calls) == ["encode_paragraphs", "encode_questions", "start_and_quality"]
     # same dropout masks and rand draw as the one-item path; the packed pair
     # only reorders float64 sums
     assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
@@ -343,6 +343,47 @@ def test_batch_mates_do_not_change_an_example_loss():
         )
 
 
+def test_predict_through_the_shared_start_and_quality_loop_equals_separate_loops(monkeypatch):
+    # one loop for the start and quality layers runs the same ops in the same
+    # order as one loop each, so predictions are equal, not just close
+    import spanqa.pipeline as pipeline
+
+    model = tiny_model(hidden_dim=4, seed=26)
+    example = qa_example(["camels store fat in their fat humps", "sand dune walks do", "fat in humps"])
+    shared = predict(model, example, AggregationMode.SUM, 3, 2)
+    monkeypatch.setattr(pipeline, "start_and_quality", separate_start_and_quality)
+    separate = predict(model, example, AggregationMode.SUM, 3, 2)
+    assert shared.answer_scores == separate.answer_scores
+    assert shared.paragraph_probs == separate.paragraph_probs
+    assert shared.best_answer == separate.best_answer
+
+
+def test_shared_start_and_quality_loop_gradients_match_separate_loops(monkeypatch):
+    # the context gradient adds the start and quality layers' adjoints in
+    # another order; everything else is the same arithmetic
+    import spanqa.pipeline as pipeline
+
+    model = tiny_model(hidden_dim=4, seed=28, keep_prob=0.7)
+    labels = paragraph_label_table(BATCH)
+
+    def losses_and_grads():
+        pairs = [(BATCH[i], 0, labels[i][0], BATCH[i].paragraphs[1], make_rng(28, i)) for i in (0, 3, 4)]
+        model.store.zero_grads()
+        losses = batch_losses(model, pairs, AggregationMode.SUM)
+        backward(losses[0] + losses[1] + losses[2])
+        return [loss.item() for loss in losses], grads_of(model)
+
+    shared_losses, shared_grads = losses_and_grads()
+    monkeypatch.setattr(pipeline, "start_and_quality", separate_start_and_quality)
+    separate_losses, separate_grads = losses_and_grads()
+    assert shared_losses == separate_losses
+    assert set(shared_grads) == set(separate_grads)
+    for name, grad in separate_grads.items():
+        np.testing.assert_allclose(
+            shared_grads[name], grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max(), err_msg=name
+        )
+
+
 @pytest.mark.parametrize("batch_size", [1, 2, 5])
 def test_one_gru_call_per_layer_per_training_batch(monkeypatch, batch_size):
     import spanqa.diffmath.rnn as rnn
@@ -366,7 +407,7 @@ def test_one_gru_call_per_layer_per_training_batch(monkeypatch, batch_size):
     capture_steps(monkeypatch, model, on_step)
     stats = train_epoch(model, dataset, paragraph_label_table(dataset), TrainConfig(batch_size=batch_size), epoch=0)
     assert stats.steps == 5
-    assert per_step == [6] * -(-5 // batch_size)
+    assert per_step == [5] * -(-5 // batch_size)
 
 
 def test_train_epoch_releases_each_batch_graph_before_the_next(monkeypatch):
@@ -588,8 +629,9 @@ def test_predict_encodes_question_once_and_matches_per_paragraph_reference(monke
     assert pred.best_answer == best
 
 def test_one_gru_call_per_bidirectional_layer(monkeypatch):
-    # question, paragraph, self-attention, start, end and quality layers each
-    # run both directions of all their sequences in one kernel call
+    # question, paragraph, self-attention and end layers each run both
+    # directions of all their sequences in one kernel call, and the start and
+    # quality layers, which read the same contexts, share one more
     import spanqa.diffmath.rnn as rnn
 
     model = tiny_model(seed=22)
@@ -603,10 +645,10 @@ def test_one_gru_call_per_bidirectional_layer(monkeypatch):
 
     monkeypatch.setattr(rnn, "gru_sequence", counted)
     predict(model, example, AggregationMode.SUM, 3, 2)
-    assert len(calls) == 6
+    assert len(calls) == 5
     calls.clear()
     example_loss(model, example, 0, labels[0], example.paragraphs[1], AggregationMode.MAX, make_rng(22, 3))
-    assert len(calls) == 6
+    assert len(calls) == 5
 
 
 def test_predict_dataset_threads_match_serial():

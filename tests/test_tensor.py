@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_grads, dense_unstack, loop_group_max_rows, max_rel_err, numeric_grad
+from helpers import check_grads, dense_unstack, loop_group_max_rows, max_rel_err, numeric_grad, tsum
 from spanqa.diffmath import (
     Tensor,
     backward,
@@ -28,7 +28,6 @@ from spanqa.diffmath import (
     stack_scalars,
     transpose,
     unstack,
-    tsum,
 )
 
 
