@@ -32,6 +32,7 @@ import numpy as np
 from .config import split_config
 from .diffmath import named_tensors
 from .encoder import CharVocab, Vocab
+from .inputs import decode, field, parse_object
 from .model import QaModel
 
 MAGIC = b"SPANQA\x01\n"
@@ -71,14 +72,15 @@ def save_checkpoint(path, model: QaModel, config_snapshot: dict, epoch: int, see
         raise
 
 
+# field -> (kind, item kind for a list)
 _MANIFEST_FIELDS = {
-    "config": dict,
-    "vocab": list,
-    "chars": list,
-    "params": list,
-    "frozen": list,
-    "rng": dict,
-    "epoch": int,
+    "config": (dict, None),
+    "vocab": (list, str),
+    "chars": (list, str),
+    "params": (list, None),
+    "frozen": (list, None),
+    "rng": (dict, None),
+    "epoch": (int, None),
 }
 
 
@@ -86,32 +88,24 @@ def _read_manifest(path, fh) -> dict:
     """The manifest that follows the magic, checked for the fields and the
     parameter entries `load_checkpoint` reads; a corrupt one fails with a
     ValueError naming the file."""
+    where = f"{path}: corrupt checkpoint manifest"
     length = int.from_bytes(fh.read(8), "little")
-    try:
-        manifest = json.loads(fh.read(length).decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8, bad JSON, or a number past the int conversion limit
-        raise ValueError(f"{path}: corrupt checkpoint manifest: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: corrupt checkpoint manifest: not a JSON object")
+    manifest = parse_object(decode(fh.read(length), where), where)
     if manifest.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint format {manifest.get('format_version')!r}")
-    for key, kind in _MANIFEST_FIELDS.items():
-        if not isinstance(manifest.get(key), kind):
-            raise ValueError(f"{path}: corrupt checkpoint manifest: {key!r} missing or not a {kind.__name__}")
-    seed = manifest["rng"].get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"{path}: corrupt checkpoint manifest: bad rng seed {seed!r}")
-    if isinstance(manifest["epoch"], bool) or manifest["epoch"] < 0:
-        raise ValueError(f"{path}: corrupt checkpoint manifest: bad epoch {manifest['epoch']!r}")
-    for entry in manifest["params"] + manifest["frozen"]:
-        if not (
-            isinstance(entry, dict)
-            and isinstance(entry.get("name"), str)
-            and isinstance(entry.get("shape"), list)
-            and all(isinstance(n, int) and n >= 0 for n in entry["shape"])
-            and entry.get("dtype") == "float64"
-        ):
-            raise ValueError(f"{path}: corrupt checkpoint manifest: bad parameter entry {entry!r}")
+    for key, (kind, item) in _MANIFEST_FIELDS.items():
+        field(manifest, key, kind, where, item)
+    seed = field(manifest["rng"], "seed", int, f"{where}: rng")
+    if seed < 0:
+        raise ValueError(f"{where}: bad rng seed {seed!r}")
+    if manifest["epoch"] < 0:
+        raise ValueError(f"{where}: bad epoch {manifest['epoch']!r}")
+    for section in ("params", "frozen"):
+        for i, entry in enumerate(manifest[section]):
+            at = f"{where}: {section} item {i}"
+            field(entry, "name", str, at)
+            if min(field(entry, "shape", list, at, item=int), default=0) < 0 or entry.get("dtype") != "float64":
+                raise ValueError(f"{at}: bad parameter entry {entry!r}")
     return manifest
 
 
@@ -148,7 +142,7 @@ def load_checkpoint(path):
     try:
         encoder_config, _, grad_through_start = split_config(manifest["config"])
     except ValueError as exc:
-        raise ValueError(f"{path}: corrupt checkpoint manifest: {exc}") from exc
+        raise ValueError(f"{path}: corrupt checkpoint manifest: config: {exc}") from exc
     vocab = Vocab(manifest["vocab"])
     if vocab.tokens != manifest["vocab"]:
         raise ValueError(f"{path}: vocabulary layout mismatch")

@@ -14,9 +14,10 @@ from dataclasses import asdict, replace
 
 from .aggregation import AggregationMode
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import default_config, is_finite, read_config_overrides, read_synth_config, split_config
+from .config import default_config, read_config_overrides, read_synth_config, split_config
 from .corpus import SynthConfig, corpus_stats, generate_synthetic, load_dataset, save_dataset
 from .encoder import CharVocab, Vocab, load_word_vectors
+from .inputs import field, read_json_lines
 from .model import QaModel
 from .pipeline import Prediction, predict_dataset, score_predictions, train
 
@@ -150,49 +151,34 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _read_predictions(path) -> dict:
-    """(line number, Prediction) keyed by id; each line is a JSON object with
-    a unique string "id", a string "answer" and a "paragraph_probs" list."""
+def read_predictions(path) -> dict:
+    """(where, Prediction) keyed by id, where `where` names the file and the
+    line; each line is a JSON object with a unique string "id", a string
+    "answer" and a "paragraph_probs" list of numbers."""
     predictions = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {line_no}"
-            try:
-                record = json.loads(line)
-            except ValueError as exc:  # also a number past the int conversion limit
-                raise ValueError(f"{where}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ValueError(f"{where}: expected a JSON object")
-            ex_id, answer, probs = record.get("id"), record.get("answer"), record.get("paragraph_probs")
-            if not isinstance(ex_id, str) or not isinstance(answer, str):
-                raise ValueError(f"{where}: a prediction needs a string \"id\" and a string \"answer\"")
-            if not isinstance(probs, list) or not all(
-                isinstance(p, (int, float)) and not isinstance(p, bool) and is_finite(p) for p in probs
-            ):
-                raise ValueError(f"{where}: \"paragraph_probs\" must be a list of numbers (finite, not booleans)")
-            if ex_id in predictions:
-                raise ValueError(f"{where}: duplicate id {ex_id!r}")
-            predictions[ex_id] = (
-                line_no,
-                Prediction(ex_id, answer, answer_scores={}, paragraph_probs=probs, paragraph_groups=[]),
-            )
+    for where, record in read_json_lines(path):
+        ex_id = field(record, "id", str, where)
+        answer = field(record, "answer", str, where)
+        probs = field(record, "paragraph_probs", list, where, item=float)
+        if ex_id in predictions:
+            raise ValueError(f"{where}: duplicate id {ex_id!r}")
+        prediction = Prediction(ex_id, answer, answer_scores={}, paragraph_probs=probs, paragraph_groups=[])
+        predictions[ex_id] = (where, prediction)
     return predictions
 
 
 def cmd_evaluate(args) -> int:
     dataset = _load_data(args)
-    by_id = _read_predictions(args.predictions)
+    by_id = read_predictions(args.predictions)
     missing = [example.id for example in dataset if example.id not in by_id]
     if missing:
         raise ValueError(f"{args.predictions}: no prediction for example id {missing[0]!r}")
     predictions = []
     for example in dataset:
-        line_no, pred = by_id[example.id]
+        where, pred = by_id[example.id]
         if len(pred.paragraph_probs) != len(example.paragraphs):
             raise ValueError(
-                f"{args.predictions}: line {line_no}: example {example.id!r}: {len(pred.paragraph_probs)} "
+                f"{where}: example {example.id!r}: {len(pred.paragraph_probs)} "
                 f"paragraph probabilities for {len(example.paragraphs)} paragraphs"
             )
         predictions.append(pred)

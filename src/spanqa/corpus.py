@@ -19,6 +19,7 @@ import string
 from dataclasses import dataclass
 
 from .diffmath.rng import STREAM_SYNTH, make_rng
+from .inputs import field, read_json_lines
 
 _P = re.escape(string.punctuation)
 _TOKEN = re.compile(rf"[{_P}]|[^\s{_P}](?:\S*[^\s{_P}])?")
@@ -161,7 +162,9 @@ class SynthConfig:
                 f"paragraph_len {self.paragraph_len} cannot hold {max_occurrences} "
                 f"answer occurrence(s); need at least {need}"
             )
-        if not 0 <= round(self.distractor_ratio * self.paragraphs_per_question) < self.paragraphs_per_question:
+        # a ratio past 1 either way fails the range test anyway, and its product may not fit a float
+        ratio, k = self.distractor_ratio, self.paragraphs_per_question
+        if not (abs(ratio) <= 1 and 0 <= round(ratio * k) < k):
             raise ValueError(f"distractor_ratio {self.distractor_ratio} leaves no positive paragraph")
 
 
@@ -235,74 +238,50 @@ def generate_synthetic(config: SynthConfig):
 # JSONL I/O.
 
 
-def _field(record, key, kind, what, where):
-    """record[key], which must be an instance of `kind` (bool never counts)."""
-    if not isinstance(record, dict):
-        raise ValueError(f"{where}: expected a JSON object")
-    if key not in record:
-        raise ValueError(f"{where}: missing field {key!r}")
-    value = record[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(f"{where}: field {key!r} must be {what}, got {type(value).__name__}")
-    return value
-
-
 def load_dataset(path, max_paragraphs: int = 20, max_paragraph_tokens: int = 400):
     """Read a JSONL dataset, truncating to the first `max_paragraphs` paragraphs
     and the first `max_paragraph_tokens` tokens of each paragraph.
 
     Each line is an object with an "id" (string or integer), a "question"
     string, a nonempty "answers" list of strings and a nonempty
-    "paragraphs" list of {"id", "text"} objects; any other shape fails with
-    a ValueError naming the file and the line.  Both limits must be at
-    least 1.
+    "paragraphs" list of {"id", "text"} objects; any other shape, and text
+    that is not UTF-8, fails with a ValueError naming the file and the line.
+    Both limits must be at least 1.
     """
     for name, value in (("max_paragraphs", max_paragraphs), ("max_paragraph_tokens", max_paragraph_tokens)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value!r}")
     dataset = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {line_no}"
-            try:
-                record = json.loads(line)
-            except ValueError as exc:  # also a number past the int conversion limit
-                raise ValueError(f"{where}: invalid JSON: {exc}") from exc
-            ex_id = str(_field(record, "id", (str, int), "a string or an integer", where))
-            question_text = _field(record, "question", str, "a string", where)
-            answers = _field(record, "answers", list, "a list of strings", where)
-            if not all(isinstance(a, str) for a in answers):
-                raise ValueError(f"{where}: field 'answers' must be a list of strings")
-            raw_paragraphs = _field(record, "paragraphs", list, "a list", where)
-            if not answers:
-                raise ValueError(f"{where}: empty answers list")
-            if not raw_paragraphs:
-                raise ValueError(f"{where}: empty paragraphs list")
-            paragraphs = []
-            for k, p in enumerate(raw_paragraphs[:max_paragraphs]):
-                at = f"{where}: paragraph {k}"
-                paragraph = make_paragraph(
-                    str(_field(p, "id", (str, int), "a string or an integer", at)),
-                    _field(p, "text", str, "a string", at),
-                    max_tokens=max_paragraph_tokens,
-                )
-                if not paragraph.tokens:
-                    raise ValueError(f"{where}: paragraph {paragraph.id!r} has no tokens")
-                paragraphs.append(paragraph)
-            question_tokens, _ = tokenize(question_text)
-            if not question_tokens:
-                raise ValueError(f"{where}: question has no tokens")
-            dataset.append(
-                QAExample(
-                    id=ex_id,
-                    question=question_tokens,
-                    answers=answers,
-                    paragraphs=paragraphs,
-                    question_text=question_text,
-                )
+    for where, record in read_json_lines(path):
+        ex_id = str(field(record, "id", (str, int), where))
+        question_text = field(record, "question", str, where)
+        answers = field(record, "answers", list, where, item=str)
+        raw_paragraphs = field(record, "paragraphs", list, where)
+        if not answers:
+            raise ValueError(f"{where}: empty answers list")
+        if not raw_paragraphs:
+            raise ValueError(f"{where}: empty paragraphs list")
+        paragraphs = []
+        for k, p in enumerate(raw_paragraphs[:max_paragraphs]):
+            at = f"{where}: paragraph {k}"
+            paragraph = make_paragraph(
+                str(field(p, "id", (str, int), at)), field(p, "text", str, at), max_tokens=max_paragraph_tokens
             )
+            if not paragraph.tokens:
+                raise ValueError(f"{where}: paragraph {paragraph.id!r} has no tokens")
+            paragraphs.append(paragraph)
+        question_tokens, _ = tokenize(question_text)
+        if not question_tokens:
+            raise ValueError(f"{where}: question has no tokens")
+        dataset.append(
+            QAExample(
+                id=ex_id,
+                question=question_tokens,
+                answers=answers,
+                paragraphs=paragraphs,
+                question_text=question_text,
+            )
+        )
     return dataset
 
 

@@ -31,40 +31,3 @@ from .rnn import BiGruParams, GruParams, bigru_each, gru_sequence, init_bigru_pa
 from .optim import ParameterStore, glorot_uniform, named_tensors
 from .rng import make_rng
 
-__all__ = [
-    "Tensor",
-    "add",
-    "backward",
-    "clip_min",
-    "concat_cols",
-    "dropout",
-    "gather_rows",
-    "grad_enabled",
-    "group_max_rows",
-    "log",
-    "matmul",
-    "max_axis1",
-    "maximum",
-    "mul",
-    "neg",
-    "no_grad",
-    "pad_stack",
-    "pick",
-    "relu",
-    "reshape",
-    "row_softmax",
-    "stack_scalars",
-    "sub",
-    "transpose",
-    "unstack",
-    "BiGruParams",
-    "GruParams",
-    "bigru_each",
-    "gru_sequence",
-    "init_bigru_params",
-    "init_gru_params",
-    "ParameterStore",
-    "glorot_uniform",
-    "named_tensors",
-    "make_rng",
-]

@@ -58,36 +58,18 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def backward(self):
-        backward(self)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     # arithmetic sugar; floats and arrays are lifted to constant tensors
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(other, self)
-
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __truediv__(self, other):
         if not isinstance(other, (int, float)):

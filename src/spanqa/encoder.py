@@ -33,6 +33,7 @@ from .diffmath import (
     row_softmax,
     transpose,
 )
+from .inputs import read_lines
 
 
 @dataclass
@@ -244,25 +245,20 @@ def load_word_vectors(path, vocab: Vocab, word_dim: int, init: np.ndarray) -> np
     table = np.array(init, dtype=np.float64, copy=True)
     if table.shape != (len(vocab), word_dim):
         raise ValueError(f"init table shape {table.shape} != ({len(vocab)}, {word_dim})")
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            where = f"{path}: line {line_no}"
-            try:
-                parts = raw.decode("utf-8").split()
-            except UnicodeDecodeError:
-                raise ValueError(f"{where}: not UTF-8 text") from None
-            if not parts:
-                continue
-            token, values = parts[0], parts[1:]
-            if len(values) != word_dim:
-                raise ValueError(f"{where}: expected {word_dim} values for {token!r}, got {len(values)}")
-            try:
-                row = [float(v) for v in values]
-            except ValueError:
-                raise ValueError(f"{where}: values for {token!r} must be numbers") from None
-            if not all(math.isfinite(v) for v in row):
-                raise ValueError(f"{where}: values for {token!r} must be finite")
-            idx = vocab.id(token)
-            if idx != 0 or token == Vocab.UNK:
-                table[idx] = row
+    for where, line in read_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        token, values = parts[0], parts[1:]
+        if len(values) != word_dim:
+            raise ValueError(f"{where}: expected {word_dim} values for {token!r}, got {len(values)}")
+        try:
+            row = [float(v) for v in values]
+        except ValueError:
+            raise ValueError(f"{where}: values for {token!r} must be numbers") from None
+        if not all(math.isfinite(v) for v in row):
+            raise ValueError(f"{where}: values for {token!r} must be finite")
+        idx = vocab.id(token)
+        if idx != 0 or token == Vocab.UNK:
+            table[idx] = row
     return table

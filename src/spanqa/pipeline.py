@@ -66,6 +66,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:  # a checkpoint stores the seed, and loading refuses a negative one
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         AggregationMode.parse(self.mode)  # an unknown mode fails here, not mid-training
 
 

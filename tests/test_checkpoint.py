@@ -235,20 +235,34 @@ def float32_dtype(manifest):
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (cut_manifest, "Unterminated string"),
-        (non_utf8_manifest, "'utf-8' codec can't decode"),
-        (lambda path: rewrite_manifest(path, lambda m: m.pop("params")), "'params' missing or not a list"),
-        (lambda path: rewrite_manifest(path, negative_shape), "bad parameter entry"),
-        (lambda path: rewrite_manifest(path, float32_dtype), "bad parameter entry"),
+        (cut_manifest, "invalid JSON: Unterminated string"),
+        (non_utf8_manifest, "not UTF-8 text"),
+        (lambda path: rewrite_manifest(path, lambda m: m.pop("params")), "missing field 'params'"),
+        (lambda path: rewrite_manifest(path, negative_shape), "params item 0: bad parameter entry"),
+        (lambda path: rewrite_manifest(path, float32_dtype), "params item 0: bad parameter entry"),
         (lambda path: rewrite_manifest(path, lambda m: m.update(epoch=-1)), "bad epoch -1"),
-        (lambda path: rewrite_manifest(path, lambda m: m.update(epoch=True)), "bad epoch True"),
+        (
+            lambda path: rewrite_manifest(path, lambda m: m.update(epoch=True)),
+            "field 'epoch' must be an integer, got bool",
+        ),
         (lambda path: rewrite_manifest(path, lambda m: m["rng"].update(seed=-5)), "bad rng seed -5"),
-        (lambda path: rewrite_manifest(path, lambda m: m["rng"].update(seed=True)), "bad rng seed True"),
+        (
+            lambda path: rewrite_manifest(path, lambda m: m["rng"].update(seed=True)),
+            "rng: field 'seed' must be an integer, got bool",
+        ),
         (
             lambda path: rewrite_manifest(path, lambda m: m["config"].update(keep_prob=10**400)),
-            "config key 'keep_prob' must be finite",
+            "config: field 'keep_prob' must be finite",
         ),
-        (epoch_past_int_conversion_limit, "Exceeds the limit"),
+        (epoch_past_int_conversion_limit, "invalid JSON: Exceeds the limit"),
+        (
+            lambda path: rewrite_manifest(path, lambda m: m["vocab"].insert(1, 7)),
+            "field 'vocab' item 1 must be a string, got int",
+        ),
+        (
+            lambda path: rewrite_manifest(path, lambda m: m["chars"].insert(0, 7)),
+            "field 'chars' item 0 must be a string, got int",
+        ),
     ],
     ids=[
         "truncated",
@@ -262,6 +276,8 @@ def float32_dtype(manifest):
         "bool_seed",
         "huge_int_config_value",
         "int_past_conversion_limit",
+        "number_in_vocab",
+        "number_in_chars",
     ],
 )
 def test_corrupt_manifest_names_the_file(tmp_path, corrupt, message):

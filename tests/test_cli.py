@@ -2,6 +2,7 @@
 failures are single-line JSON with a nonzero exit."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +188,7 @@ def test_make_synthetic_rejects_unknown_keys(tmp_path, capsys):
         ('{"vocab_size": 5}', "vocab_size"),
         ('{"distractor_ratio": "half"}', "'distractor_ratio'"),
         ('{"distractor_ratio": 1.0}', "distractor_ratio"),
+        ('{"distractor_ratio": 1e308}', "distractor_ratio"),
         ('{"multi_span_prob": NaN}', "'multi_span_prob'"),
         ('{"multi_span_prob": 1.5}', "multi_span_prob"),
         ('{"seed": 1.0}', "'seed'"),
@@ -196,6 +198,9 @@ def test_make_synthetic_rejects_unknown_keys(tmp_path, capsys):
         # an int too large for a float is not a finite float
         pytest.param('{"multi_span_prob": 1' + "0" * 400 + "}", "'multi_span_prob' must be finite", id="huge_int"),
         pytest.param('{"distractor_ratio": -1' + "0" * 400 + "}", "'distractor_ratio' must be", id="huge_negative_int"),
+        pytest.param(
+            '{"num_examples": 1' + "0" * 400 + "}", "'num_examples' must be finite", id="huge_int_num_examples"
+        ),
     ],
 )
 def test_make_synthetic_rejects_bad_config_naming_file_and_key(tmp_path, capsys, text, key):
@@ -322,6 +327,15 @@ def test_train_rejects_unknown_config_key(tmp_path, capsys, synth_data):
     assert "bogus" in assert_single_json_error(err)
 
 
+def test_train_rejects_negative_seed_before_training(tmp_path, capsys, synth_data):
+    # the checkpoint stores the seed, and loading it refuses a negative one
+    rc, _, err, ckpt = train_once(capsys, tmp_path, synth_data, "neg", extra=("--seed", "-1"))
+    assert rc == 1
+    assert assert_single_json_error(err) == "seed must be >= 0, got -1"
+    assert not loss_lines(err)
+    assert not Path(ckpt).exists()
+
+
 @pytest.mark.parametrize(
     "text, key",
     [
@@ -337,11 +351,13 @@ def test_train_rejects_unknown_config_key(tmp_path, capsys, synth_data):
         ('{"mode": 3}', "'mode'"),
         ('{"mode": "median"}', "'median'"),
         ('{"grad_through_start": 1}', "'grad_through_start'"),
+        ('{"seed": -5}', "seed"),
         ('{"epochs": 2, "k1":', "Expecting value"),
         ("[1, 2]", "JSON object"),
         # an int too large for a float is not a finite float
         pytest.param('{"keep_prob": 1' + "0" * 400 + "}", "'keep_prob' must be finite", id="huge_int_keep_prob"),
         pytest.param('{"lr": 1' + "0" * 400 + "}", "'lr' must be finite", id="huge_int_lr"),
+        pytest.param('{"hidden_dim": 1' + "0" * 400 + "}", "'hidden_dim' must be finite", id="huge_int_hidden_dim"),
         # past Python's int conversion limit the JSON itself does not parse
         pytest.param('{"lr": 1' + "0" * 5000 + "}", "integer string conversion", id="int_past_conversion_limit"),
     ],
@@ -595,13 +611,26 @@ def test_evaluate_rejects_paragraph_prob_length_mismatch(tmp_path, capsys):
     [
         ({"id": "a", "answer": "sand", "paragraph_probs": [0.5, 0.5]}, "line 2: duplicate id 'a'"),
         (["a", "fat"], "line 2: expected a JSON object"),
-        ({"answer": "fat", "paragraph_probs": [0.9, 0.1]}, 'line 2: a prediction needs a string "id"'),
-        ({"id": "b", "paragraph_probs": [1.0]}, 'line 2: a prediction needs a string "id" and a string "answer"'),
-        ({"id": "b", "answer": "fat", "paragraph_probs": ["x"]}, 'line 2: "paragraph_probs" must be a list of numbers'),
-        ({"id": "b", "answer": "fat", "paragraph_probs": [float("nan")]}, 'line 2: "paragraph_probs" must be a list'),
-        ({"id": "b", "answer": "fat", "paragraph_probs": [True]}, 'line 2: "paragraph_probs" must be a list'),
-        ({"id": "b", "answer": "fat", "paragraph_probs": [10**400]}, 'line 2: "paragraph_probs" must be a list'),
+        ({"answer": "fat", "paragraph_probs": [0.9, 0.1]}, "line 2: missing field 'id'"),
+        ({"id": "b", "paragraph_probs": [1.0]}, "line 2: missing field 'answer'"),
+        (
+            {"id": "b", "answer": "fat", "paragraph_probs": ["x"]},
+            "line 2: field 'paragraph_probs' item 0 must be a number, got str",
+        ),
+        (
+            {"id": "b", "answer": "fat", "paragraph_probs": [float("nan")]},
+            "line 2: field 'paragraph_probs' item 0 must be finite, got nan",
+        ),
+        (
+            {"id": "b", "answer": "fat", "paragraph_probs": [True]},
+            "line 2: field 'paragraph_probs' item 0 must be a number, got bool",
+        ),
+        (
+            {"id": "b", "answer": "fat", "paragraph_probs": [10**400]},
+            "line 2: field 'paragraph_probs' item 0 must be finite, got 1" + "0" * 400,
+        ),
         ('{"id": "b", "answer": "fat", "paragraph_probs": [1' + "0" * 5000 + "]}", "line 2: invalid JSON"),
+        ("[" * 100_000, "line 2: invalid JSON: maximum recursion depth exceeded"),
     ],
     ids=[
         "duplicate_id",
@@ -613,6 +642,7 @@ def test_evaluate_rejects_paragraph_prob_length_mismatch(tmp_path, capsys):
         "bool_paragraph_prob",
         "huge_int_paragraph_prob",
         "int_past_conversion_limit",
+        "nested_past_recursion_limit",
     ],
 )
 def test_evaluate_rejects_bad_prediction_line(tmp_path, capsys, line, message):
@@ -628,3 +658,41 @@ def test_evaluate_rejects_bad_prediction_line(tmp_path, capsys, line, message):
     rc, out, err = run(capsys, ["evaluate", "--predictions", preds, "--data", data])
     assert rc == 1 and out == ""
     assert f"{preds}: {message}" in assert_single_json_error(err)
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        ("stats", "data"),
+        ("train", "data"),
+        ("predict", "data"),
+        ("evaluate", "data"),
+        ("evaluate", "predictions"),
+    ],
+)
+def test_text_that_is_not_utf8_names_the_file_and_line(tmp_path, capsys, request, command, bad):
+    data = Path(eval_dataset(tmp_path))
+    preds = Path(
+        write_jsonl(
+            tmp_path / "pred.jsonl",
+            [
+                {"id": "a", "answer": "fat", "paragraph_probs": [0.9, 0.1]},
+                {"id": "b", "answer": "body fat", "paragraph_probs": [1.0]},
+            ],
+        )
+    )
+    path = data if bad == "data" else preds
+    first, second = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(first + second.replace(b"fat", b"f\xffat", 1))
+    out = tmp_path / "out"
+    if command == "predict":
+        argv = ["predict", "--checkpoint", request.getfixturevalue("trained")[0]]
+    else:
+        argv = {
+            "stats": ["stats"],
+            "train": ["train", "--out", str(out)],
+            "evaluate": ["evaluate", "--predictions", str(preds)],
+        }[command]
+    rc, stdout, err = run(capsys, [*argv, "--data", str(data)])
+    assert rc == 1 and stdout == "" and not out.exists()
+    assert assert_single_json_error(err) == f"{path}: line 2: not UTF-8 text"

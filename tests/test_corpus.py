@@ -317,7 +317,7 @@ GOOD_RECORD = {"id": "q", "question": "what", "answers": ["fat"], "paragraphs": 
     [
         ("a string", "expected a JSON object"),
         ({**GOOD_RECORD, "answers": "fat"}, "field 'answers' must be a list of strings, got str"),
-        ({**GOOD_RECORD, "answers": ["fat", 3]}, "field 'answers' must be a list of strings"),
+        ({**GOOD_RECORD, "answers": ["fat", 3]}, "field 'answers' item 1 must be a string, got int"),
         ({**GOOD_RECORD, "question": 7}, "field 'question' must be a string, got int"),
         ({**GOOD_RECORD, "id": True}, "field 'id' must be a string or an integer, got bool"),
         ({**GOOD_RECORD, "paragraphs": {"id": "p", "text": "fat"}}, "field 'paragraphs' must be a list, got dict"),
