@@ -91,8 +91,8 @@ def _read_manifest(path, fh) -> dict:
     where = f"{path}: corrupt checkpoint manifest"
     length = int.from_bytes(fh.read(8), "little")
     manifest = parse_object(decode(fh.read(length), where), where)
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint format {manifest.get('format_version')!r}")
+    if field(manifest, "format_version", int, where) != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint format {manifest['format_version']!r}")
     for key, (kind, item) in _MANIFEST_FIELDS.items():
         field(manifest, key, kind, where, item)
     seed = field(manifest["rng"], "seed", int, f"{where}: rng")
@@ -107,6 +107,11 @@ def _read_manifest(path, fh) -> dict:
             if min(field(entry, "shape", list, at, item=int), default=0) < 0 or entry.get("dtype") != "float64":
                 raise ValueError(f"{at}: bad parameter entry {entry!r}")
     return manifest
+
+
+# config keys that older checkpoints hold and no model reads, each with the one
+# value that every checkpoint was written with (None: any, as it never was read)
+_RETIRED = {"span_table_cap": None, "lr": 1.0, "rho": 0.95, "eps": 1e-6}
 
 
 class _NoDraws:
@@ -137,10 +142,13 @@ def load_checkpoint(path):
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after payload")
 
-    # the retired `span_table_cap` key, still present in older checkpoints
-    manifest["config"].pop("span_table_cap", None)
+    config = manifest["config"]
     try:
-        encoder_config, _, grad_through_start = split_config(manifest["config"])
+        for key, kept in _RETIRED.items():
+            if key in config and kept is not None and field(config, key, float, "") != kept:
+                raise ValueError(f"retired field {key!r} must be {kept!r}, got {config[key]!r}")
+            config.pop(key, None)
+        encoder_config, _, grad_through_start = split_config(config)
     except ValueError as exc:
         raise ValueError(f"{path}: corrupt checkpoint manifest: config: {exc}") from exc
     vocab = Vocab(manifest["vocab"])

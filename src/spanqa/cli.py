@@ -210,10 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="resume from this checkpoint")
     p.add_argument("--word-vectors", help="optional pretrained word vector text file (frozen)")
     p.add_argument("--mode", choices=[m.value for m in AggregationMode], help="aggregation mode")
-    p.add_argument("--k1", type=int, help="beam width over start positions")
-    p.add_argument("--k2", type=int, help="beam width over end positions")
     p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--threads", type=int, help="worker thread cap")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="write predictions for a dataset")

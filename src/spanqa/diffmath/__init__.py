@@ -23,7 +23,6 @@ from .tensor import (
     reshape,
     row_softmax,
     stack_scalars,
-    sub,
     transpose,
     unstack,
 )

@@ -7,6 +7,10 @@ import numpy as np
 
 from .tensor import Tensor
 
+# Adadelta's decay rate and conditioning constant (Zeiler 2012, arXiv 1212.5701)
+RHO = 0.95
+EPS = 1e-6
+
 
 def glorot_uniform(shape, rng) -> np.ndarray:
     """Uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out)).
@@ -79,13 +83,14 @@ class ParameterStore:
         for _, p in self.items():
             p.zero_grad()
 
-    def adadelta_step(self, lr: float = 1.0, rho: float = 0.95, eps: float = 1e-6) -> None:
-        """Apply one Adadelta update from the accumulated gradients.
+    def adadelta_step(self) -> None:
+        """Apply one Adadelta update from the accumulated gradients, with
+        Zeiler's constants RHO and EPS and no learning rate:
 
         square_avg <- rho * square_avg + (1 - rho) * g^2
         delta       = g * sqrt(accum_delta + eps) / sqrt(square_avg + eps)
         accum_delta <- rho * accum_delta + (1 - rho) * delta^2
-        param      -= lr * delta
+        param      -= delta
 
         Gradients are zeroed afterwards.  A parameter the loss never touched
         (grad is None) counts as zero gradient.  A non-finite gradient aborts
@@ -101,10 +106,10 @@ class ParameterStore:
             g = grads[name]
             sq = self._square_avg[name]
             acc = self._accum_delta[name]
-            sq *= rho
-            sq += (1.0 - rho) * g * g
-            delta = g * np.sqrt(acc + eps) / np.sqrt(sq + eps)
-            acc *= rho
-            acc += (1.0 - rho) * delta * delta
-            p.data -= lr * delta
+            sq *= RHO
+            sq += (1.0 - RHO) * g * g
+            delta = g * np.sqrt(acc + EPS) / np.sqrt(sq + EPS)
+            acc *= RHO
+            acc += (1.0 - RHO) * delta * delta
+            p.data -= delta
         self.zero_grads()

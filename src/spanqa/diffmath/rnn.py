@@ -82,15 +82,14 @@ def _reversal(n: int, lengths) -> tuple:
 
 
 def _gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
-    """Run len(cells) directions over axis 0 of a (T, in) or (T, B, in) input
-    in one time loop; direction g reads each column backwards within its
-    length when reverse[g].  Returns the directions' states side by side,
-    with the gate caches and the BPTT closure only when recording."""
+    """Run len(cells) directions over axis 0 of a (T, B, in) input in one
+    time loop; direction g reads each column backwards within its length
+    when reverse[g].  Returns the directions' states side by side, with the
+    gate caches and the BPTT closure only when recording."""
     x = inputs.data
-    n = x.shape[0]
-    x3 = x.reshape(n, -1, x.shape[-1])
-    batch, dirs, d = x3.shape[1], len(cells), cells[0].hidden
-    order = _reversal(n, [n] * batch if lengths is None else lengths) if any(reverse) else None
+    n, batch, _ = x.shape
+    dirs, d = len(cells), cells[0].hidden
+    order = _reversal(n, lengths) if any(reverse) else None
     ws, u_zrs, u_hs = [c.w.data for c in cells], [c.u_zr.data for c in cells], [c.u_h.data for c in cells]
     parents = (inputs,) + tuple(t for c in cells for t in (c.w, c.u_zr, c.u_h, c.b))
     recording = grad_enabled() and any(p.requires_grad for p in parents)
@@ -108,7 +107,7 @@ def _gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
     def flat_input(rev):
         # the input in one direction's time order, flattened for the GEMMs;
         # `back` gathers it again rather than keep the reversed copy alive
-        return (x3[order] if rev else x3).reshape(n * batch, -1)
+        return (x[order] if rev else x).reshape(n * batch, -1)
 
     xw = np.empty((n, dirs, batch, 3 * d))
     for g, (c, rev) in enumerate(zip(cells, reverse)):
@@ -132,7 +131,7 @@ def _gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
     out = np.empty((n, batch, dirs, d))
     for g, rev in enumerate(reverse):
         out[:, :, g] = hs[1:, g][order] if rev else hs[1:, g]
-    out = out.reshape(x.shape[:-1] + (dirs * d,))
+    out = out.reshape(n, batch, dirs * d)
     if not recording:
         return Tensor(out)
 
@@ -161,7 +160,7 @@ def _gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
         for g, rev in enumerate(reverse):
             dxw = dxws[g].reshape(n * batch, 3 * d)
             hp = hs[:-1, g].reshape(n * batch, d)
-            dxg = (dxw @ ws[g].T).reshape(x3.shape)
+            dxg = (dxw @ ws[g].T).reshape(x.shape)
             dxg = dxg[order] if rev else dxg
             dx = dxg if dx is None else dx + dxg
             dparams += [
@@ -170,7 +169,7 @@ def _gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
                 (zrs[:, g, :, d:].reshape(n * batch, d) * hp).T @ dxw[:, 2 * d :],
                 dxw.sum(axis=0),
             ]
-        return (dx.reshape(x.shape), *dparams)
+        return (dx, *dparams)
 
     return _make(out, parents, back)
 
@@ -178,20 +177,20 @@ def _gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
 _REVERSE = {"forward": (False,), "backward": (True,), "both": (False, True)}
 
 
-def gru_sequence(inputs: Tensor, params, direction: str = "forward", lengths=None) -> Tensor:
+def gru_sequence(inputs: Tensor, params, direction: str, lengths) -> Tensor:
     """Run the recurrence along axis 0 of `inputs`, returning one state per step.
 
-    `inputs` is one (T, in) sequence or a batch of B sequences packed
-    time-first as (T, B, in), where column b holds `lengths[b]` steps
-    followed by padding (default: every column is T steps long).  All
-    columns share one time loop.  Each column's states match a separate
-    call on its own steps, and states at padded steps are meaningless.
+    `inputs` is a batch of B sequences packed time-first as (T, B, in),
+    where column b holds `lengths[b]` steps followed by padding; a single
+    sequence is the batch of one.  All columns share one time loop.  Each
+    column's states match a separate call on its own steps, and states at
+    padded steps are meaningless.
 
     direction="backward" reads each column in reverse within its own
     length, so step t still describes token t and padded steps stay after
     the valid ones.  direction="both" takes `BiGruParams` and runs the
     forward and backward directions in the same loop, giving their states
-    side by side: (T, 2d) or (T, B, 2d).
+    side by side: (T, B, 2d).
 
     `params` may also be a tuple of such parameters, all of one shape: the
     layers read the same input in the same loop, and their states come
@@ -202,16 +201,15 @@ def gru_sequence(inputs: Tensor, params, direction: str = "forward", lengths=Non
     layers = params if isinstance(params, tuple) else (params,)
     cells = tuple(c for p in layers for c in ((p.fwd, p.bwd) if direction == "both" else (p,)))
     shape = inputs.data.shape
-    if inputs.data.ndim not in (2, 3) or shape[0] < 1 or 0 in shape[1:-1]:
-        raise ValueError(f"gru_sequence needs a nonempty (T, in) or (T, B, in) input, got shape {shape}")
+    if inputs.data.ndim != 3 or shape[0] < 1 or shape[1] < 1:
+        raise ValueError(f"gru_sequence needs a nonempty (T, B, in) input, got shape {shape}")
     if any(c.w.data.shape != cells[0].w.data.shape for c in cells):
         raise ValueError(f"gru_sequence layers differ in weight shape: {[c.w.data.shape for c in cells]}")
     if shape[-1] != cells[0].w.data.shape[0]:
         raise ValueError(f"gru_sequence input width {shape[-1]} does not match weight shape {cells[0].w.data.shape}")
-    if lengths is not None:
-        lengths = np.asarray(lengths)
-        if len(shape) != 3 or lengths.shape != shape[1:2] or lengths.min() < 1 or lengths.max() > shape[0]:
-            raise ValueError(f"gru_sequence lengths {lengths.tolist()} do not fit input shape {shape}")
+    lengths = np.asarray(lengths)
+    if lengths.shape != shape[1:2] or lengths.min() < 1 or lengths.max() > shape[0]:
+        raise ValueError(f"gru_sequence lengths {lengths.tolist()} do not fit input shape {shape}")
     return _gru_pass(inputs, cells, _REVERSE[direction] * len(layers), lengths)
 
 

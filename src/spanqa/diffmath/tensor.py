@@ -62,9 +62,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -117,7 +114,9 @@ def backward(loss: Tensor):
     gradient), or an `(index, value)` pair that stands for an array that is
     zero except `value` at `parent.data[index]`.  The walk adds each pair
     into one zero-initialised accumulator per parent, so a parent read
-    through many disjoint slices costs one array, not one per slice.
+    through many disjoint slices or single entries costs one array, not one
+    per read.  An index must not name an entry twice (`gather_rows`, whose
+    indices repeat, returns a dense adjoint).
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -172,15 +171,6 @@ def add(a, b) -> Tensor:
         a.data + b.data,
         (a, b),
         lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
-    )
-
-
-def sub(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    return _make(
-        a.data - b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)),
     )
 
 
@@ -345,14 +335,9 @@ def group_max_rows(a, group_sizes) -> Tensor:
     hits = (a.data == np.repeat(out, sizes, axis=0)) | np.isnan(a.data)
     rows = np.where(hits, np.arange(a.data.shape[0])[:, None], a.data.shape[0])
     argmax_rows = np.minimum.reduceat(rows, starts, axis=0)
-    cols = np.arange(a.data.shape[1])
-
-    def back(g):
-        full = np.zeros_like(a.data)
-        full[argmax_rows, cols] = g  # the groups are disjoint, so no row is hit twice
-        return (full,)
-
-    return _make(out, (a,), back)
+    # the groups are disjoint, so no entry is hit twice
+    index = (argmax_rows, np.arange(a.data.shape[1]))
+    return _make(out, (a,), lambda g: ((index, g),))
 
 
 def max_axis1(a) -> Tensor:
@@ -360,15 +345,8 @@ def max_axis1(a) -> Tensor:
     a = _lift(a)
     if a.data.ndim != 2:
         raise ValueError(f"max_axis1 expects a 2-D tensor, got shape {a.data.shape}")
-    cols = a.data.argmax(axis=1)
-    rows = np.arange(a.data.shape[0])
-
-    def back(g):
-        out = np.zeros_like(a.data)
-        out[rows, cols] = g
-        return (out,)
-
-    return _make(a.data[rows, cols], (a,), back)
+    index = (np.arange(a.data.shape[0]), a.data.argmax(axis=1))
+    return _make(a.data[index], (a,), lambda g: ((index, g),))
 
 
 def pad_stack(parts) -> Tensor:
@@ -400,13 +378,7 @@ def pick(a, index: int) -> Tensor:
         raise ValueError(f"pick expects a 1-D tensor, got shape {a.data.shape}")
     if not 0 <= index < a.data.shape[0]:
         raise ValueError(f"pick index {index} out of range for length {a.data.shape[0]}")
-
-    def back(g):
-        out = np.zeros_like(a.data)
-        out[index] = g
-        return (out,)
-
-    return _make(np.asarray(a.data[index]), (a,), back)
+    return _make(np.asarray(a.data[index]), (a,), lambda g: ((index, g),))
 
 
 def dropout(x, keep_prob: float, rng, training: bool = True) -> Tensor:

@@ -55,9 +55,6 @@ class TrainConfig:
     k1: int = 3
     k2: int = 1
     seed: int = 0
-    lr: float = 1.0
-    rho: float = 0.95
-    eps: float = 1e-6
     threads: int = 1
 
     def __post_init__(self):
@@ -212,13 +209,13 @@ def train_epoch(model, dataset, labels, config: TrainConfig, epoch: int) -> Epoc
                     continue
             pairs.append((example, pos_idx, labels[ex_idx][pos_idx], negative, rng))
         if pairs:
-            loss_total += _train_step(model, pairs, mode, config)
+            loss_total += _train_step(model, pairs, mode)
             counted += len(pairs)
     mean = loss_total / counted if counted else None
     return EpochStats(epoch=epoch, mean_loss=mean, skipped=skipped, steps=counted)
 
 
-def _train_step(model, pairs, mode, config: TrainConfig) -> float:
+def _train_step(model, pairs, mode) -> float:
     """One Adadelta step on the mean loss of `pairs`; returns the summed
     loss.  The batch's graph is released when this returns, before the next
     batch builds its own."""
@@ -228,7 +225,7 @@ def _train_step(model, pairs, mode, config: TrainConfig) -> float:
         batch_loss = batch_loss + extra
     batch_loss = batch_loss / float(len(losses))
     backward(batch_loss)
-    model.store.adadelta_step(lr=config.lr, rho=config.rho, eps=config.eps)
+    model.store.adadelta_step()
     return batch_loss.item() * len(losses)
 
 
@@ -392,17 +389,16 @@ def average_precision(ranked_labels):
 
 
 def map_from_scores(scored):
-    """Mean AP over (scores, labels) pairs; higher score = better rank, ties
-    keep original (retrieval) order.  Returns (map or None, skipped count)."""
-    aps, skipped = [], 0
+    """Mean AP over the (scores, labels) pairs that hold a positive label, or
+    None if none does; higher score = better rank, ties keep original
+    (retrieval) order."""
+    aps = []
     for scores, labels in scored:
         order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
         ap = average_precision([labels[i] for i in order])
-        if ap is None:
-            skipped += 1
-        else:
+        if ap is not None:
             aps.append(ap)
-    return (sum(aps) / len(aps) if aps else None), skipped
+    return sum(aps) / len(aps) if aps else None
 
 
 def score_predictions(dataset, predictions) -> dict:
@@ -431,12 +427,11 @@ def score_predictions(dataset, predictions) -> dict:
         f1_total += token_f1(pred.best_answer, example.answers)
         lengths.append(len(pred.best_answer.split()))
         scored.append((pred.paragraph_probs, labels))
-    map_value, _ = map_from_scores(scored)
     n = len(dataset)
     return {
         "em": em_total / n,
         "f1": f1_total / n,
-        "map": map_value,
+        "map": map_from_scores(scored),
         "avg_answer_len": sum(lengths) / n,
         "n": n,
     }

@@ -111,8 +111,8 @@ def two_loop_bigru(inputs: Tensor, params: BiGruParams, lengths) -> Tensor:
     """Both directions of a packed (T, B, in) batch as two separate forward passes, the
     second over the input reversed within each column: the reference for
     the kernel that steps both directions in one loop."""
-    fwd = gru_sequence(inputs, params.fwd, "forward")
-    bwd = reverse_columns(gru_sequence(reverse_columns(inputs, lengths), params.bwd, "forward"), lengths)
+    fwd = gru_sequence(inputs, params.fwd, "forward", lengths)
+    bwd = reverse_columns(gru_sequence(reverse_columns(inputs, lengths), params.bwd, "forward", lengths), lengths)
     return concat_cols([fwd, bwd])
 
 
@@ -123,12 +123,11 @@ def copying_gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> T
     separate dzr and dah arrays per direction.  The reference that the
     shared-buffer kernel must match bit for bit."""
     x = inputs.data
-    n = x.shape[0]
-    x3 = x.reshape(n, -1, x.shape[-1])
-    batch, dirs, d = x3.shape[1], len(cells), cells[0].hidden
-    order = _reversal(n, [n] * batch if lengths is None else lengths) if any(reverse) else None
+    n, batch, _ = x.shape
+    dirs, d = len(cells), cells[0].hidden
+    order = _reversal(n, lengths) if any(reverse) else None
     ws, u_zrs, u_hs = [c.w.data for c in cells], [c.u_zr.data for c in cells], [c.u_h.data for c in cells]
-    flat = [(x3[order] if rev else x3).reshape(n * batch, -1) for rev in reverse]
+    flat = [(x[order] if rev else x).reshape(n * batch, -1) for rev in reverse]
     xw = np.empty((n, dirs, batch, 3 * d))
     for g, c in enumerate(cells):
         np.add((flat[g] @ ws[g]).reshape(n, batch, 3 * d), c.b.data, out=xw[:, g])
@@ -169,7 +168,7 @@ def copying_gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> T
         for g, rev in enumerate(reverse):
             dxw = np.concatenate([dzr[:, g], dah[:, g]], axis=-1).reshape(n * batch, 3 * d)
             hp = hs[:-1, g].reshape(n * batch, d)
-            dxg = (dxw @ ws[g].T).reshape(x3.shape)
+            dxg = (dxw @ ws[g].T).reshape(x.shape)
             dxg = dxg[order] if rev else dxg
             dx = dxg if dx is None else dx + dxg
             dparams += [
@@ -178,13 +177,13 @@ def copying_gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> T
                 (rs[:, g].reshape(n * batch, d) * hp).T @ dah[:, g].reshape(n * batch, d),
                 dxw.sum(axis=0),
             ]
-        return (dx.reshape(x.shape), *dparams)
+        return (dx, *dparams)
 
     out = np.empty((n, batch, dirs, d))
     for g, rev in enumerate(reverse):
         out[:, :, g] = hs[1:, g][order] if rev else hs[1:, g]
     parents = (inputs,) + tuple(t for c in cells for t in (c.w, c.u_zr, c.u_h, c.b))
-    return _make(out.reshape(x.shape[:-1] + (dirs * d,)), parents, back)
+    return _make(out.reshape(n, batch, dirs * d), parents, back)
 
 
 def separate_start_and_quality(contexts, decoder, params, grad_through_start):
@@ -303,7 +302,7 @@ def independent_end_distribution(
     states but no indicator and no mask, so it returns one fixed
     distribution regardless of the start position.
     """
-    states = gru_sequence(concat_cols([context, start_dist.states]), rnn, "both")
+    [[states]] = bigru_each([concat_cols([context, start_dist.states])], rnn)
     return row_softmax(reshape(matmul(states, w_end), (-1,)))
 
 

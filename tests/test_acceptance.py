@@ -128,10 +128,10 @@ def test_criterion_1_gradient_suite():
         rng = make_rng(seed, 56)
         n, width, d = int(rng.integers(1, 7)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
         params = init_bigru_params(width, d, rng)
-        x = Tensor(rng.standard_normal((n, width)), requires_grad=True)
+        x = Tensor(rng.standard_normal((n, 1, width)), requires_grad=True)
 
         def build_rnn():
-            return tsum(gru_sequence(x, params, "both"))
+            return tsum(gru_sequence(x, params, "both", [n]))
 
         fd_check(build_rnn, [x, params.fwd.u_h, params.bwd.w, params.fwd.b])
 

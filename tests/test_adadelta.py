@@ -5,7 +5,7 @@ import pytest
 
 from spanqa.diffmath import ParameterStore, Tensor, glorot_uniform, make_rng
 
-# Two-step scalar trace with g = 1, rho = 0.95, eps = 1e-6, lr = 1, computed
+# Two-step scalar trace with g = 1, rho = 0.95, eps = 1e-6 (no learning rate), computed
 # by an independent reference script:
 #   step 1: square_avg = 0.05,   delta = 0.0044720912343108364
 #   step 2: square_avg = 0.0975, delta = 0.0045290622655332052

@@ -203,6 +203,19 @@ def test_rejects_unsupported_version(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("version, kind", [(True, "bool"), (1.0, "float")])
+def test_rejects_format_version_that_is_not_an_integer(tmp_path, version, kind):
+    # both compare equal to 1, so only the type tells them from version 1
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, scrambled_model(), snapshot(), epoch=0, seed=0)
+    rewrite_manifest(path, lambda m: m.update(format_version=version))
+    with pytest.raises(ValueError) as excinfo:
+        load_checkpoint(path)
+    assert str(excinfo.value) == (
+        f"{path}: corrupt checkpoint manifest: field 'format_version' must be an integer, got {kind}"
+    )
+
+
 def cut_manifest(path):
     raw = path.read_bytes()
     path.write_bytes(raw[: len(MAGIC) + 8 + 40])

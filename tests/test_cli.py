@@ -1,13 +1,14 @@
 """End-to-end command-line behavior: stdout carries data, stderr carries logs,
 failures are single-line JSON with a nonzero exit."""
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
 from spanqa.checkpoint import load_checkpoint, save_checkpoint
-from spanqa.cli import main
+from spanqa.cli import build_parser, main
 
 TINY_CONFIG = {
     "word_dim": 4,
@@ -327,6 +328,17 @@ def test_train_rejects_unknown_config_key(tmp_path, capsys, synth_data):
     assert "bogus" in assert_single_json_error(err)
 
 
+@pytest.mark.parametrize("key", ["lr", "rho", "eps"])
+def test_train_rejects_adadelta_constants_as_unknown_keys(tmp_path, capsys, synth_data, key):
+    # Adadelta's constants are fixed, so a config may not set them
+    cfg = write_json(tmp_path / "old.json", {key: 1.0})
+    out = tmp_path / "model.ckpt"
+    rc, _, err = run(capsys, ["train", "--config", cfg, "--data", synth_data, "--out", str(out)])
+    assert rc == 1
+    assert assert_single_json_error(err) == f"{cfg}: unknown config keys: [{key!r}]"
+    assert not out.exists()
+
+
 def test_train_rejects_negative_seed_before_training(tmp_path, capsys, synth_data):
     # the checkpoint stores the seed, and loading it refuses a negative one
     rc, _, err, ckpt = train_once(capsys, tmp_path, synth_data, "neg", extra=("--seed", "-1"))
@@ -344,8 +356,8 @@ def test_train_rejects_negative_seed_before_training(tmp_path, capsys, synth_dat
         ('{"hidden_dim": 0}', "hidden_dim"),
         ('{"epochs": 1.0}', "'epochs'"),
         ('{"batch_size": true}', "'batch_size'"),
-        ('{"lr": false}', "'lr'"),
-        ('{"lr": NaN}', "'lr'"),
+        pytest.param('{"keep_prob": false}', "'keep_prob'", id="bool_keep_prob"),
+        pytest.param('{"keep_prob": NaN}', "'keep_prob'", id="nan_keep_prob"),
         ('{"keep_prob": 0}', "keep_prob"),
         ('{"keep_prob": 1.5}', "keep_prob"),
         ('{"mode": 3}', "'mode'"),
@@ -356,10 +368,9 @@ def test_train_rejects_negative_seed_before_training(tmp_path, capsys, synth_dat
         ("[1, 2]", "JSON object"),
         # an int too large for a float is not a finite float
         pytest.param('{"keep_prob": 1' + "0" * 400 + "}", "'keep_prob' must be finite", id="huge_int_keep_prob"),
-        pytest.param('{"lr": 1' + "0" * 400 + "}", "'lr' must be finite", id="huge_int_lr"),
         pytest.param('{"hidden_dim": 1' + "0" * 400 + "}", "'hidden_dim' must be finite", id="huge_int_hidden_dim"),
         # past Python's int conversion limit the JSON itself does not parse
-        pytest.param('{"lr": 1' + "0" * 5000 + "}", "integer string conversion", id="int_past_conversion_limit"),
+        pytest.param('{"keep_prob": 1' + "0" * 5000 + "}", "integer string conversion", id="int_past_conversion_limit"),
     ],
 )
 def test_train_rejects_bad_config_value_naming_file_and_key(tmp_path, capsys, synth_data, text, key):
@@ -381,6 +392,29 @@ def test_bundled_train_configs_load():
     configs = Path(__file__).resolve().parents[1] / "configs"
     for name in ("desk.json", "full.json"):
         split_config(load_config(configs / name))
+
+
+def test_settable_values_are_pinned():
+    # a new config key or flag has to be added here, so none comes in unread
+    from spanqa.config import default_config
+
+    assert set(default_config()) == {
+        "word_dim", "char_dim", "char_conv_width", "char_out_dim", "hidden_dim", "keep_prob",
+        "epochs", "batch_size", "mode", "k1", "k2", "seed", "threads", "grad_through_start",
+    }
+    data = {"--data", "--max-paragraphs", "--max-tokens"}
+    assert command_flags("train") == data | {
+        "--config", "--out", "--checkpoint", "--word-vectors", "--mode", "--seed",
+    }
+    assert command_flags("predict") == data | {
+        "--checkpoint", "--out", "--mode", "--k1", "--k2", "--seed", "--threads",
+    }
+
+
+def command_flags(name):
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {flag for action in commands.choices[name]._actions for flag in action.option_strings} - {"-h", "--help"}
 
 
 def test_train_resume_cannot_change_the_model(tmp_path, capsys, synth_data):
@@ -476,10 +510,12 @@ def test_predict_threads_do_not_change_output(tmp_path, capsys, trained):
 
 
 def test_checkpoint_with_retired_span_table_cap_still_loads(tmp_path, capsys, trained):
+    # older checkpoints also hold the Adadelta constants that every one of
+    # them was trained with
     ckpt, data = trained
     model, manifest = load_checkpoint(ckpt)
     old = tmp_path / "old.ckpt"
-    config = dict(manifest["config"], span_table_cap=64)
+    config = dict(manifest["config"], span_table_cap=64, lr=1.0, rho=0.95, eps=1e-6)
     save_checkpoint(old, model, config, epoch=manifest["epoch"], seed=manifest["rng"]["seed"])
     preds = []
     for path in (ckpt, str(old)):
@@ -494,7 +530,14 @@ def test_checkpoint_with_retired_span_table_cap_still_loads(tmp_path, capsys, tr
     )
     assert rc == 0
     assert loss_lines(err)[0].startswith("epoch 3/3 ")
-    assert "span_table_cap" not in load_checkpoint(resumed)[1]["config"]
+    assert set(load_checkpoint(resumed)[1]["config"]).isdisjoint({"span_table_cap", "lr", "rho", "eps"})
+    # a checkpoint that was trained with another value does not load
+    other = tmp_path / "other.ckpt"
+    save_checkpoint(other, model, dict(config, lr=0.5), epoch=manifest["epoch"], seed=manifest["rng"]["seed"])
+    rc, out, err = run(capsys, ["predict", "--checkpoint", str(other), "--data", data])
+    assert rc == 1 and out == ""
+    message = assert_single_json_error(err)
+    assert message.startswith(f"{other}: ") and "'lr' must be 1.0, got 0.5" in message
 
 
 def test_predict_missing_checkpoint_fails(tmp_path, capsys, synth_data):

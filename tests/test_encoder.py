@@ -155,8 +155,8 @@ def test_self_attend_single_token_is_plain_projection():
     p, q = encoded_pair(model, para=["fat"])
     x = bidaf_attention(p, q, model.encoder)
     (ctx,) = self_attend([x], model.encoder)
-    direct = gru_sequence(x, model.encoder.self_rnn, "both")
-    np.testing.assert_array_equal(ctx.data, direct.data)
+    direct = gru_sequence(Tensor(x.data[:, None]), model.encoder.self_rnn, "both", [1])
+    np.testing.assert_array_equal(ctx.data, direct.data[:, 0])
 
 
 # ------------------------------------------------------ end-to-end behavior

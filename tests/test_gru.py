@@ -47,94 +47,100 @@ def test_zero_weights_halve_initial_state():
     params = zero_params(2, d)
     params.b.data[2 * d :] = [2.0, -4.0, 0.5]
     c = np.tanh(params.b.data[2 * d :])
-    out = gru_sequence(Tensor(np.ones((2, 2))), params)
-    np.testing.assert_allclose(out.data[0], 0.5 * c, rtol=1e-15)
-    np.testing.assert_allclose(out.data[1], 0.75 * c, rtol=1e-15)
+    out = gru_sequence(Tensor(np.ones((2, 1, 2))), params, "forward", [2])
+    np.testing.assert_allclose(out.data[0, 0], 0.5 * c, rtol=1e-15)
+    np.testing.assert_allclose(out.data[1, 0], 0.75 * c, rtol=1e-15)
 
 
 def test_zero_weights_zero_init_gives_zeros():
-    out = gru_sequence(Tensor(np.ones((4, 2))), zero_params(2, 3))
-    np.testing.assert_array_equal(out.data, np.zeros((4, 3)))
+    out = gru_sequence(Tensor(np.ones((4, 1, 2))), zero_params(2, 3), "forward", [4])
+    np.testing.assert_array_equal(out.data, np.zeros((4, 1, 3)))
 
 
 def test_single_step_shape():
-    out = gru_sequence(Tensor(np.ones((1, 2))), random_params(2, 4, 31))
-    assert out.shape == (1, 4)
+    out = gru_sequence(Tensor(np.ones((1, 1, 2))), random_params(2, 4, 31), "forward", [1])
+    assert out.shape == (1, 1, 4)
 
 
 def test_empty_sequence_rejected():
     with pytest.raises(ValueError, match="nonempty"):
-        gru_sequence(Tensor(np.zeros((0, 2))), random_params(2, 2, 32))
+        gru_sequence(Tensor(np.zeros((0, 1, 2))), random_params(2, 2, 32), "forward", [1])
+
+
+def test_unpacked_input_rejected():
+    # a lone sequence goes as the batch of one, (T, 1, in)
+    with pytest.raises(ValueError, match=r"\(T, B, in\)"):
+        gru_sequence(Tensor(np.zeros((3, 2))), random_params(2, 2, 32), "forward", [3])
 
 
 def test_input_width_mismatch_rejected():
     with pytest.raises(ValueError, match="width"):
-        gru_sequence(Tensor(np.zeros((3, 5))), random_params(2, 2, 33))
+        gru_sequence(Tensor(np.zeros((3, 1, 5))), random_params(2, 2, 33), "forward", [3])
 
 
 def test_backward_direction_equals_reversed_forward():
     rng = make_rng(34, 1)
-    x = Tensor(rng.standard_normal((6, 3)))
+    x = Tensor(rng.standard_normal((6, 1, 3)))
     params = random_params(3, 4, 34)
-    rev = gru_sequence(x, params, direction="backward")
-    manual = gru_sequence(Tensor(x.data[::-1]), params, direction="forward").data[::-1]
+    rev = gru_sequence(x, params, "backward", [6])
+    manual = gru_sequence(Tensor(x.data[::-1]), params, "forward", [6]).data[::-1]
     np.testing.assert_array_equal(rev.data, manual)
 
 
 def test_unknown_direction_rejected():
     with pytest.raises(ValueError, match="direction"):
-        gru_sequence(Tensor(np.zeros((2, 2))), random_params(2, 2, 35), direction="up")
+        gru_sequence(Tensor(np.zeros((2, 1, 2))), random_params(2, 2, 35), "up", [2])
 
 
 def test_gradients_match_finite_differences():
     rng = make_rng(36, 1)
-    x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    x = Tensor(rng.standard_normal((3, 1, 2)), requires_grad=True)
     params = random_params(2, 2, 36)
-    w = Tensor(rng.standard_normal((3, 2)))
+    w = Tensor(rng.standard_normal((3, 1, 2)))
 
     def build():
-        return tsum(gru_sequence(x, params) * w)
+        return tsum(gru_sequence(x, params, "forward", [3]) * w)
 
     check_grads(build, [x, params.w, params.u_zr, params.u_h, params.b])
 
 
 def test_backward_direction_gradients():
     rng = make_rng(37, 1)
-    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    x = Tensor(rng.standard_normal((4, 1, 3)), requires_grad=True)
     params = random_params(3, 2, 37)
-    w = Tensor(rng.standard_normal((4, 2)))
+    w = Tensor(rng.standard_normal((4, 1, 2)))
 
     def build():
-        return tsum(gru_sequence(x, params, direction="backward") * w)
+        return tsum(gru_sequence(x, params, "backward", [4]) * w)
 
     check_grads(build, [x, params.w, params.u_zr, params.u_h, params.b])
 
 
 def test_bigru_concatenates_directions():
     rng = make_rng(38, 1)
-    x = Tensor(rng.standard_normal((5, 3)))
+    x = Tensor(rng.standard_normal((5, 1, 3)))
     params = init_bigru_params(3, 3, make_rng(38, 2))
-    out = gru_sequence(x, params, "both")
-    assert out.shape == (5, 6)
-    fwd = gru_sequence(x, params.fwd, "forward")
-    bwd = gru_sequence(x, params.bwd, "backward")
-    np.testing.assert_array_equal(out.data[:, :3], fwd.data)
-    np.testing.assert_array_equal(out.data[:, 3:], bwd.data)
+    out = gru_sequence(x, params, "both", [5])
+    assert out.shape == (5, 1, 6)
+    fwd = gru_sequence(x, params.fwd, "forward", [5])
+    bwd = gru_sequence(x, params.bwd, "backward", [5])
+    np.testing.assert_array_equal(out.data[..., :3], fwd.data)
+    np.testing.assert_array_equal(out.data[..., 3:], bwd.data)
 
 
 def test_bigru_zero_weights_all_zeros():
     params = BiGruParams(fwd=zero_params(2, 3), bwd=zero_params(2, 3))
-    out = gru_sequence(Tensor(np.ones((4, 2))), params, "both")
-    np.testing.assert_array_equal(out.data, np.zeros((4, 6)))
+    out = gru_sequence(Tensor(np.ones((4, 1, 2))), params, "both", [4])
+    np.testing.assert_array_equal(out.data, np.zeros((4, 1, 6)))
 
 
 def test_bigru_gradients():
     rng = make_rng(39, 1)
-    x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    x = Tensor(rng.standard_normal((3, 1, 2)), requires_grad=True)
     params = init_bigru_params(2, 2, make_rng(39, 2))
-    w = Tensor(rng.standard_normal((3, 4)))
+    w = Tensor(rng.standard_normal((3, 1, 4)))
     leaves = [x] + [t for _, t in named_tensors(params)]
-    check_grads(lambda: tsum(gru_sequence(x, params, "both") * w), leaves)
+    check_grads(lambda: tsum(gru_sequence(x, params, "both", [3]) * w), leaves)
 
 
 def test_param_registration_names():
@@ -219,11 +225,12 @@ def run_rows(layer, params, inputs, lengths, weights):
 
 
 def run_single(layer, params, x, w):
-    xt = Tensor(x, requires_grad=True)
+    """Outputs and gradients of the one (n, in) sequence `x`, as a batch of one."""
+    xt = Tensor(x[:, None], requires_grad=True)
     leaves = [t for _, t in named_tensors(params)]
-    out = layer(xt, params)
-    backward(tsum(out * w))
-    result = (out.data, xt.grad, [t.grad for t in leaves])
+    out = layer(xt, params, [len(x)])
+    backward(tsum(out * w[:, None]))
+    result = (out.data[:, 0], xt.grad[:, 0], [t.grad for t in leaves])
     for t in [xt] + leaves:
         t.zero_grad()
     return result
@@ -243,8 +250,8 @@ def test_packed_rows_match_single_sequence_calls(lengths, direction, seed):
     else:
         params, width = random_params(in_dim, d, seed), d
 
-    def layer(inputs, params, lengths=None):
-        return gru_sequence(inputs, params, direction, lengths=lengths)
+    def layer(inputs, params, lengths):
+        return gru_sequence(inputs, params, direction, lengths)
 
     inputs = [rng.standard_normal((n, in_dim)) for n in lengths]
     weights = [rng.standard_normal((n, width)) for n in lengths]
@@ -360,8 +367,8 @@ def test_no_grad_pass_equals_the_recorded_pass(reverse, lengths):
     """Under no_grad the kernel keeps no gate caches and builds no closure,
     but it runs the same ops in the same order: its states equal the
     recorded pass's bit for bit."""
-    batch = 3 if lengths is None else len(lengths)
-    steps = 6 if lengths is None else max(lengths)
+    lengths = [6, 6, 6] if lengths is None else lengths  # None: every column is full
+    batch, steps = len(lengths), max(lengths)
     rng = make_rng(steps * batch * len(reverse), 52)
     cells = pattern_cells(reverse, 3, 4, 52)
     x = Tensor(rng.standard_normal((steps, batch, 3)), requires_grad=True)
@@ -436,7 +443,7 @@ def test_layers_over_one_input_share_one_loop(direction):
 
 def test_layers_of_different_shapes_rejected():
     with pytest.raises(ValueError, match="weight shape"):
-        gru_sequence(Tensor(np.zeros((4, 3))), (random_params(3, 2, 56), random_params(3, 4, 57)))
+        gru_sequence(Tensor(np.zeros((4, 1, 3))), (random_params(3, 2, 56), random_params(3, 4, 57)), "forward", [4])
 
 
 def test_packed_padding_does_not_leak_into_valid_steps():
@@ -446,15 +453,15 @@ def test_packed_padding_does_not_leak_into_valid_steps():
     packed = pad_stack([Tensor(short), Tensor(rng.standard_normal((5, 3)))]).data.copy()
     packed[2:, 0] = 1e3  # padding content must not matter
     out = gru_sequence(Tensor(packed), params, "backward", lengths=[2, 5])
-    ref = gru_sequence(Tensor(short), params, "backward")
-    assert rel_diff(out.data[:2, 0], ref.data) <= 1e-12
+    ref = gru_sequence(Tensor(short[:, None]), params, "backward", [2])
+    assert rel_diff(out.data[:2, 0], ref.data[:, 0]) <= 1e-12
 
 
 def test_lengths_must_fit_the_packed_input():
     params = random_params(3, 2, 45)
     with pytest.raises(ValueError, match="lengths"):
-        gru_sequence(Tensor(np.zeros((4, 2, 3))), params, lengths=[4, 5])
+        gru_sequence(Tensor(np.zeros((4, 2, 3))), params, "forward", [4, 5])
     with pytest.raises(ValueError, match="lengths"):
-        gru_sequence(Tensor(np.zeros((4, 2, 3))), params, lengths=[4])
+        gru_sequence(Tensor(np.zeros((4, 2, 3))), params, "forward", [4])
     with pytest.raises(ValueError, match="lengths"):
-        gru_sequence(Tensor(np.zeros((4, 3))), params, lengths=[4])
+        gru_sequence(Tensor(np.zeros((4, 2, 3))), params, "forward", [0, 4])

@@ -696,22 +696,22 @@ def test_average_precision_fixtures():
 
 
 def test_map_from_scores_ranks_and_skips():
-    value, skipped = map_from_scores(
+    value = map_from_scores(
         [
             ([0.9, 0.1], [1, 0]),  # AP 1.0
             ([0.2, 0.9, 0.1], [0, 0, 1]),  # positive ranked last: AP 1/3
-            ([0.5, 0.5], [0, 0]),  # no positive: skipped
+            ([0.5, 0.5], [0, 0]),  # no positive: skipped, so the mean is over two
         ]
     )
     assert value == pytest.approx((1.0 + 1 / 3) / 2)
-    assert skipped == 1
+    assert map_from_scores([([0.5, 0.5], [0, 0])]) is None
 
 
 def test_map_random_scores_near_random_baseline():
     # one positive among two paragraphs under random ranking: E[AP] = 3/4
     rng = make_rng(99, 1)
     scored = [((rng.random(2)).tolist(), [1, 0]) for _ in range(4000)]
-    value, _ = map_from_scores(scored)
+    value = map_from_scores(scored)
     assert value == pytest.approx(0.75, abs=0.02)
 
 

@@ -195,7 +195,8 @@ def test_sub_neg_div_gradients():
     rng = make_rng(15, 1)
     a = leaf(None, rng, (2, 3))
     b = leaf(None, rng, (2, 3))
-    check_grads(lambda: tsum((a - b) * (-a) / 2.0), [a, b])
+    # subtraction is the sum with a negation; Tensor has no `-` operator
+    check_grads(lambda: tsum((a + -b) * (-a) / 2.0), [a, b])
 
 
 def test_relu_and_clip_min_values():
@@ -279,6 +280,21 @@ def test_unstack_column_returns_only_its_own_slice():
     ((index, value),) = second._backward(g)
     assert value.shape == (3, 3)
     np.testing.assert_array_equal(packed.data[index], second.data)
+
+
+def test_single_entry_reads_return_index_adjoints():
+    # pick, max_axis1 and group_max_rows each read one entry per output
+    # entry, so their adjoint is an (index, value) pair, not a dense array
+    x = leaf([[1.0, 5.0, 2.0], [4.0, 2.0, 4.0], [0.0, 7.0, 3.0]])
+    for out, dense in [
+        (pick(reshape(x, (-1,)), 4), [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]),
+        (max_axis1(x), [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        (group_max_rows(x, [2, 1]), [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]),
+    ]:
+        ((index, value),) = out._backward(np.ones(out.shape))
+        got = np.zeros_like(out._prev[0].data)
+        got[index] = value
+        np.testing.assert_array_equal(got, dense)
 
 
 def unstacked_loss(packed, other, split, weights, dense_first):
