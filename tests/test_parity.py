@@ -1,0 +1,61 @@
+"""A fresh run of `parity_scenario` against its committed output
+`tests/data/parity.json`: strings and argmaxes equal, floats within 1e-12
+relative.  Hashes are not compared, since another BLAS build may differ in
+the last bit.  A change that moves results on purpose regenerates the file
+(`PYTHONPATH=src python tests/parity_scenario.py tests/data/parity.json`)."""
+
+import json
+from pathlib import Path
+
+import numpy as np
+
+import parity_scenario
+
+FIXTURE = Path(__file__).parent / "data" / "parity.json"
+REL = 1e-12
+FLOAT_STRINGS = {"epoch_losses", "resume_losses"}  # lists of float reprs
+
+
+def close(expected: float, actual: float) -> bool:
+    return abs(actual - expected) <= REL * max(abs(expected), abs(actual))
+
+
+def mismatches(expected, actual, path="", key=None):
+    """The paths where `actual` differs from `expected`."""
+    if isinstance(expected, dict):
+        if not isinstance(actual, dict) or set(expected) != set(actual):
+            return [f"{path}: keys differ"]
+        return [
+            bad
+            for k in sorted(expected)
+            if not k.endswith("sha256")
+            for bad in mismatches(expected[k], actual[k], f"{path}/{k}", k)
+        ]
+    if isinstance(expected, list):
+        if not isinstance(actual, list) or len(expected) != len(actual):
+            return [f"{path}: lengths differ"]
+        return [bad for i, (e, a) in enumerate(zip(expected, actual)) for bad in mismatches(e, a, f"{path}/{i}", key)]
+    if isinstance(expected, str) and key in FLOAT_STRINGS:
+        return [] if close(float(expected), float(actual)) else [f"{path}: {actual} != {expected}"]
+    if isinstance(expected, float):
+        return [] if isinstance(actual, float) and close(expected, actual) else [f"{path}: {actual!r} != {expected!r}"]
+    return [] if type(actual) is type(expected) and actual == expected else [f"{path}: {actual!r} != {expected!r}"]
+
+
+def test_scenario_matches_committed_output():
+    expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    actual = json.loads(parity_scenario.render(parity_scenario.run()))
+    assert mismatches(expected, actual) == []
+    for exp_run, act_run in zip(expected["runs"], actual["runs"]):
+        for exp, act in zip(exp_run["predictions"], act_run["predictions"]):
+            assert np.argmax(act["paragraph_probs"]) == np.argmax(exp["paragraph_probs"])
+
+
+def test_comparison_catches_a_moved_float():
+    expected = {"runs": [{"epoch_losses": ["1.0"], "scores": {"a": 0.5}, "answer": "a", "x_sha256": "0"}]}
+    assert mismatches(expected, json.loads(json.dumps(expected))) == []
+    assert mismatches(expected, {**expected, "runs": [{**expected["runs"][0], "x_sha256": "1"}]}) == []
+    moved = {"runs": [{**expected["runs"][0], "epoch_losses": ["1.000000000001"]}]}
+    assert mismatches(expected, moved) == ["/runs/0/epoch_losses/0: 1.000000000001 != 1.0"]
+    renamed = {"runs": [{**expected["runs"][0], "answer": "b"}]}
+    assert mismatches(expected, renamed) == ["/runs/0/answer: 'b' != 'a'"]
