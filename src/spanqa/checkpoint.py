@@ -90,6 +90,9 @@ def _read_manifest(path, fh) -> dict:
     ValueError naming the file."""
     where = f"{path}: corrupt checkpoint manifest"
     length = int.from_bytes(fh.read(8), "little")
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if length > left:
+        raise ValueError(f"{where}: runs past the end of the file: length {length}, {left} bytes left")
     manifest = parse_object(decode(fh.read(length), where), where)
     if field(manifest, "format_version", int, where) != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint format {manifest['format_version']!r}")

@@ -244,14 +244,15 @@ def load_dataset(path, max_paragraphs: int = 20, max_paragraph_tokens: int = 400
 
     Each line is an object with an "id" (string or integer), a "question"
     string, a nonempty "answers" list of strings and a nonempty
-    "paragraphs" list of {"id", "text"} objects; any other shape, and text
-    that is not UTF-8, fails with a ValueError naming the file and the line.
-    Both limits must be at least 1.
+    "paragraphs" list of {"id", "text"} objects, and no two records share
+    an id; any other shape, a repeated id, and text that is not UTF-8 fail
+    with a ValueError naming the file and the line.  Both limits must be at
+    least 1.
     """
     for name, value in (("max_paragraphs", max_paragraphs), ("max_paragraph_tokens", max_paragraph_tokens)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value!r}")
-    dataset = []
+    dataset, seen = [], set()
     for where, record in read_json_lines(path):
         ex_id = str(field(record, "id", (str, int), where))
         question_text = field(record, "question", str, where)
@@ -273,6 +274,9 @@ def load_dataset(path, max_paragraphs: int = 20, max_paragraph_tokens: int = 400
         question_tokens, _ = tokenize(question_text)
         if not question_tokens:
             raise ValueError(f"{where}: question has no tokens")
+        if ex_id in seen:
+            raise ValueError(f"{where}: duplicate id {ex_id!r}")
+        seen.add(ex_id)
         dataset.append(
             QAExample(
                 id=ex_id,

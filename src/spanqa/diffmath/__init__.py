@@ -12,10 +12,8 @@ from .tensor import (
     group_max_rows,
     log,
     matmul,
-    max_axis1,
     maximum,
     mul,
-    neg,
     no_grad,
     pad_stack,
     pick,

@@ -11,13 +11,12 @@ small and fast; under `no_grad`, or when nothing needs a gradient, the
 loop keeps no caches and returns a plain tensor.  Each step works in place
 in buffers allocated once per call.  Several sequences of different
 lengths can share that one loop, packed time-first and zero-padded
-(`pad_stack`); a single sequence is the batch of one.  The G directions
-of a layer (one, or forward and backward for direction "both", which
-`bigru_each` runs over a list of sequences) share it too, as do several
+(`pad_stack`); a single sequence is the batch of one.  The forward and
+backward directions of a bidirectional layer share it too, as do several
 layers that read the same input: each step makes one stacked (G, B, d)
-recurrent product per gate group, and a backward direction reads its
-input reversed within each column's length.  Gate weights are packed
-[z | r | h] along the output axis."""
+recurrent product per gate group over all G directions, and a backward
+direction reads its input reversed within each column's length.  Gate
+weights are packed [z | r | h] along the output axis."""
 
 from dataclasses import dataclass
 
@@ -174,32 +173,21 @@ def _gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
     return _make(out, parents, back)
 
 
-_REVERSE = {"forward": (False,), "backward": (True,), "both": (False, True)}
-
-
-def gru_sequence(inputs: Tensor, params, direction: str, lengths) -> Tensor:
-    """Run the recurrence along axis 0 of `inputs`, returning one state per step.
+def gru_sequence(inputs: Tensor, layers, lengths) -> Tensor:
+    """Both directions of every BiGruParams in `layers` along axis 0 of
+    `inputs`, in one time loop, returning one state per step.
 
     `inputs` is a batch of B sequences packed time-first as (T, B, in),
     where column b holds `lengths[b]` steps followed by padding; a single
-    sequence is the batch of one.  All columns share one time loop.  Each
-    column's states match a separate call on its own steps, and states at
-    padded steps are meaningless.
-
-    direction="backward" reads each column in reverse within its own
-    length, so step t still describes token t and padded steps stay after
-    the valid ones.  direction="both" takes `BiGruParams` and runs the
-    forward and backward directions in the same loop, giving their states
-    side by side: (T, B, 2d).
-
-    `params` may also be a tuple of such parameters, all of one shape: the
-    layers read the same input in the same loop, and their states come
-    side by side in tuple order.
+    sequence is the batch of one.  Each column's states match a separate
+    call on its own steps, and states at padded steps are meaningless.  The
+    backward direction reads each column in reverse within its own length,
+    so step t still describes token t and padded steps stay after the valid
+    ones.  The layers, all of one shape, read the same input; the output
+    holds, side by side in `layers` order, each layer's forward and
+    backward states: (T, B, 2d * len(layers)).
     """
-    if direction not in _REVERSE:
-        raise ValueError(f"unknown direction: {direction!r}")
-    layers = params if isinstance(params, tuple) else (params,)
-    cells = tuple(c for p in layers for c in ((p.fwd, p.bwd) if direction == "both" else (p,)))
+    cells = tuple(c for p in layers for c in (p.fwd, p.bwd))
     shape = inputs.data.shape
     if inputs.data.ndim != 3 or shape[0] < 1 or shape[1] < 1:
         raise ValueError(f"gru_sequence needs a nonempty (T, B, in) input, got shape {shape}")
@@ -210,7 +198,7 @@ def gru_sequence(inputs: Tensor, params, direction: str, lengths) -> Tensor:
     lengths = np.asarray(lengths)
     if lengths.shape != shape[1:2] or lengths.min() < 1 or lengths.max() > shape[0]:
         raise ValueError(f"gru_sequence lengths {lengths.tolist()} do not fit input shape {shape}")
-    return _gru_pass(inputs, cells, _REVERSE[direction] * len(layers), lengths)
+    return _gru_pass(inputs, cells, (False, True) * len(layers), lengths)
 
 
 def bigru_each(sequences, *layers) -> list:
@@ -219,7 +207,7 @@ def bigru_each(sequences, *layers) -> list:
     (n_i, 2d) tensors per layer.  The sequences go as one packed batch, so
     one time loop steps both directions of every layer over all of them."""
     lengths = [s.data.shape[0] for s in sequences]
-    packed = gru_sequence(pad_stack(sequences), layers, "both", lengths)
+    packed = gru_sequence(pad_stack(sequences), layers, lengths)
     # (T, B, k * 2d) as (T, B * k, 2d): column b * k + j holds layer j of sequence b
     n, batch, width = packed.shape
     k = len(layers)

@@ -65,14 +65,6 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __neg__(self):
-        return neg(self)
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, float)):
-            raise TypeError("tensor division is only supported by a scalar constant")
-        return mul(self, 1.0 / other)
-
 
 def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -172,11 +164,6 @@ def add(a, b) -> Tensor:
         (a, b),
         lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
     )
-
-
-def neg(a) -> Tensor:
-    a = _lift(a)
-    return _make(-a.data, (a,), lambda g: (-g,))
 
 
 def mul(a, b) -> Tensor:
@@ -340,15 +327,6 @@ def group_max_rows(a, group_sizes) -> Tensor:
     return _make(out, (a,), lambda g: ((index, g),))
 
 
-def max_axis1(a) -> Tensor:
-    """Per-row max of a 2-D tensor; ties route gradient to the lowest column."""
-    a = _lift(a)
-    if a.data.ndim != 2:
-        raise ValueError(f"max_axis1 expects a 2-D tensor, got shape {a.data.shape}")
-    index = (np.arange(a.data.shape[0]), a.data.argmax(axis=1))
-    return _make(a.data[index], (a,), lambda g: ((index, g),))
-
-
 def pad_stack(parts) -> Tensor:
     """Pack 2-D tensors (n_b, k) time-first into a zero-padded (max n_b, B, k)
     tensor whose column b holds parts[b]."""
@@ -381,16 +359,17 @@ def pick(a, index: int) -> Tensor:
     return _make(np.asarray(a.data[index]), (a,), lambda g: ((index, g),))
 
 
-def dropout(x, keep_prob: float, rng, training: bool = True) -> Tensor:
+def dropout(x, keep_prob: float, rng) -> Tensor:
     """Inverted dropout: keep entries with probability `keep_prob`, scaled by 1/keep_prob.
 
-    When evaluating or when keep_prob == 1 it returns `x` itself; neither
-    consumes randomness, so seeded streams stay aligned.
+    Masks are drawn from `rng`, so dropout runs only where a stream is given
+    (training); with rng None or keep_prob == 1 it returns `x` itself and
+    consumes no randomness, so seeded streams stay aligned.
     """
     x = _lift(x)
     if keep_prob <= 0 or keep_prob > 1:
         raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
-    if not training or keep_prob == 1.0:
+    if rng is None or keep_prob == 1.0:
         return x
     scale = (rng.random(x.data.shape) < keep_prob) / keep_prob
     return _make(x.data * scale, (x,), lambda g: (g * scale,))

@@ -27,7 +27,6 @@ from .diffmath import (
     group_max_rows,
     init_bigru_params,
     matmul,
-    max_axis1,
     relu,
     reshape,
     row_softmax,
@@ -185,12 +184,13 @@ def embed_tokens(tokens, vocab: Vocab, char_vocab: CharVocab, params: EncoderPar
     return concat_cols([word_vecs, char_vecs])
 
 
-def contextualize(embedded, rnn: BiGruParams, keep_prob: float, rngs, training: bool) -> list:
+def contextualize(embedded, rnn: BiGruParams, keep_prob: float, rngs) -> list:
     """Dropout on each (n_i, k) embedding of the list in turn, the i-th
-    drawing from rngs[i] (`rngs` may be None outside training), then one
-    bidirectional recurrent pass over them all: a list of (n_i, 2d)."""
+    drawing from rngs[i] (no dropout where that is None, and `rngs` may be
+    None outright), then one bidirectional recurrent pass over them all: a
+    list of (n_i, 2d)."""
     rngs = [None] * len(embedded) if rngs is None else rngs
-    (states,) = bigru_each([dropout(x, keep_prob, rng, training) for x, rng in zip(embedded, rngs, strict=True)], rnn)
+    (states,) = bigru_each([dropout(x, keep_prob, rng) for x, rng in zip(embedded, rngs, strict=True)], rnn)
     return states
 
 
@@ -208,8 +208,9 @@ def bidaf_attention(para: Tensor, ques: Tensor, params: EncoderParams) -> Tensor
         + matmul(para * reshape(params.att_w_pq, (1, -1)), transpose(ques))
     )
     attended = matmul(row_softmax(sim), ques)
-    column_focus = row_softmax(max_axis1(sim))
-    summary = matmul(reshape(column_focus, (1, -1)), para)
+    # each paragraph token's best question match, as one (1, n) row
+    column_focus = row_softmax(group_max_rows(transpose(sim), [ques.shape[0]]))
+    summary = matmul(column_focus, para)
     return concat_cols([para, attended, para * attended, para * summary])
 
 

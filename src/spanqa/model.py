@@ -64,29 +64,29 @@ class QaModel:
             grad_through_start=grad_through_start,
         )
 
-    def encode_questions(self, questions, rngs=None, training: bool = False) -> list:
+    def encode_questions(self, questions, rngs=None) -> list:
         """Contextual encoding (m_i, 2d) of every token list in `questions`,
         with one recurrent pass over all of them; each is shared by every
         paragraph of its example.
 
-        rngs[i] drives question i's dropout and is only consulted in
-        training mode with keep_prob < 1, so evaluation never touches it.
+        rngs[i] drives question i's dropout; with no rng (inference) there
+        is none.  It is only drawn from when keep_prob < 1.
         """
         embedded = [embed_tokens(tokens, self.vocab, self.char_vocab, self.encoder) for tokens in questions]
-        return contextualize(embedded, self.encoder.q_ctx, self.config.keep_prob, rngs, training)
+        return contextualize(embedded, self.encoder.q_ctx, self.config.keep_prob, rngs)
 
     # No caller in the package; the benchmark's tracer and the tests' B=1 references use it.
-    def encode_paragraph(self, question: Tensor, paragraph_tokens, rng=None, training: bool = False) -> Tensor:
+    def encode_paragraph(self, question: Tensor, paragraph_tokens, rng=None) -> Tensor:
         """Question-aware context embedding (n, 2d) for one paragraph, given
         the question's `encode_questions` output."""
-        return self.encode_paragraphs([question], [paragraph_tokens], [rng], training)[0]
+        return self.encode_paragraphs([question], [paragraph_tokens], [rng])[0]
 
-    def encode_paragraphs(self, questions, paragraphs, rngs=None, training: bool = False) -> list:
+    def encode_paragraphs(self, questions, paragraphs, rngs=None) -> list:
         """`encode_paragraph` of every token list in `paragraphs`, where
         paragraph i attends to the encoded question questions[i] and draws
         its dropout from rngs[i]; each recurrent layer runs once over all of
         them."""
         embedded = [embed_tokens(tokens, self.vocab, self.char_vocab, self.encoder) for tokens in paragraphs]
-        p_ctx = contextualize(embedded, self.encoder.p_ctx, self.config.keep_prob, rngs, training)
+        p_ctx = contextualize(embedded, self.encoder.p_ctx, self.config.keep_prob, rngs)
         attended = [bidaf_attention(p, q, self.encoder) for p, q in zip(p_ctx, questions, strict=True)]
         return self_attend(attended, self.encoder)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .aggregation import AggregationMode, aggregate, group_candidates
 from .corpus import label_spans
-from .diffmath import backward, clip_min, log, no_grad, pick
+from .diffmath import backward, clip_min, log, mul, no_grad, pick
 from .diffmath.rng import STREAM_PREDICT, STREAM_TRAIN, make_rng
 from .paragraph_quality import normalize_quality_tensors, sample_pair, start_and_quality
 from .span_decoder import SpanCandidate, end_distributions, span_probability
@@ -102,7 +102,7 @@ class ItemEncoding:
     quality: list  # scalar quality logits
 
 
-def encode_items(model, items, training: bool = False) -> list:
+def encode_items(model, items) -> list:
     """The forward pass shared by training and inference, over a batch of
     (question tokens, list of paragraph token lists, rng) items: one
     ItemEncoding per item.
@@ -112,17 +112,16 @@ def encode_items(model, items, training: bool = False) -> list:
     over every paragraph of every item, each paragraph attending to its own
     item's question, and then the start and quality layers together, in one
     time loop over the same contexts.  An item's rng drives only its own
-    dropout masks (question first, then its paragraphs in order) and is not
-    consulted outside training.
+    dropout masks (question first, then its paragraphs in order); an item
+    without one (inference) gets no dropout.
     """
     questions, paragraph_lists, rngs = zip(*items)
     owners = [i for i, paragraphs in enumerate(paragraph_lists) for _ in paragraphs]
-    encoded_questions = model.encode_questions(questions, rngs, training)
+    encoded_questions = model.encode_questions(questions, rngs)
     contexts = model.encode_paragraphs(
         [encoded_questions[i] for i in owners],
         [p for paragraphs in paragraph_lists for p in paragraphs],
         [rngs[i] for i in owners],
-        training,
     )
     starts, quality = start_and_quality(contexts, model.decoder, model.quality, model.grad_through_start)
     bounds = np.cumsum([0] + [len(paragraphs) for paragraphs in paragraph_lists]).tolist()
@@ -144,7 +143,6 @@ def batch_losses(model, pairs, mode) -> list:
     encoded = encode_items(
         model,
         [(ex.question, [ex.paragraphs[pos].tokens, neg.tokens], rng) for ex, pos, _, neg, rng in pairs],
-        training=True,
     )
     distinct = [list(dict.fromkeys(label.start for label in labels)) for _, _, labels, _, _ in pairs]
     rows = [(enc.contexts[0], enc.starts[0], s) for enc, starts in zip(encoded, distinct) for s in starts]
@@ -156,7 +154,7 @@ def batch_losses(model, pairs, mode) -> list:
         span_probs = [span_probability(pos_starts, ends_by_start[l.start], l.start, l.end) for l in labels]
         answer_prob = aggregate(span_probs, mode, rng)
         pair_probs = normalize_quality_tensors(enc.quality)
-        loss = -(log(clip_min(pick(pair_probs, 0), PROB_FLOOR)) + log(clip_min(answer_prob, PROB_FLOOR)))
+        loss = mul(log(clip_min(pick(pair_probs, 0), PROB_FLOOR)) + log(clip_min(answer_prob, PROB_FLOOR)), -1.0)
         if not np.isfinite(loss.data):
             raise FloatingPointError(f"non-finite loss for example {example.id}")
         losses.append(loss)
@@ -223,7 +221,7 @@ def _train_step(model, pairs, mode) -> float:
     batch_loss = losses[0]
     for extra in losses[1:]:
         batch_loss = batch_loss + extra
-    batch_loss = batch_loss / float(len(losses))
+    batch_loss = batch_loss * (1.0 / len(losses))
     backward(batch_loss)
     model.store.adadelta_step()
     return batch_loss.item() * len(losses)
@@ -264,17 +262,8 @@ def beam_candidates(paragraph, start_dist, end_dists, k1: int, k2: int):
         for e in top_indices(ends, k2):
             if e < s:
                 continue
-            sp, ep = float(start_probs[s]), float(ends[e])
-            candidates.append(
-                SpanCandidate(
-                    start=s,
-                    end=e,
-                    start_prob=sp,
-                    end_prob=ep,
-                    span_prob=sp * ep,
-                    answer_text=paragraph.span_text(s, e),
-                )
-            )
+            span_prob = float(start_probs[s]) * float(ends[e])
+            candidates.append(SpanCandidate(start=s, end=e, span_prob=span_prob, answer_text=paragraph.span_text(s, e)))
     return candidates
 
 

@@ -47,12 +47,10 @@ class StartDistribution:
 
 @dataclass
 class SpanCandidate:
-    """One scored (start, end) span; span_prob is exactly start_prob * end_prob."""
+    """One scored (start, end) span; span_prob is exactly P(start) * P(end | start)."""
 
     start: int
     end: int
-    start_prob: float
-    end_prob: float
     span_prob: float
     answer_text: str
 

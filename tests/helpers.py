@@ -14,15 +14,15 @@ from spanqa.diffmath import (
     clip_min,
     concat_cols,
     gather_rows,
-    gru_sequence,
     log,
     matmul,
+    mul,
     no_grad,
     pick,
     reshape,
     row_softmax,
 )
-from spanqa.diffmath.rnn import _reversal, _sigmoid
+from spanqa.diffmath.rnn import _gru_pass, _reversal, _sigmoid
 from spanqa.diffmath.tensor import _make
 from spanqa.encoder import CharVocab, EncoderConfig, Vocab
 from spanqa.model import QaModel
@@ -111,8 +111,8 @@ def two_loop_bigru(inputs: Tensor, params: BiGruParams, lengths) -> Tensor:
     """Both directions of a packed (T, B, in) batch as two separate forward passes, the
     second over the input reversed within each column: the reference for
     the kernel that steps both directions in one loop."""
-    fwd = gru_sequence(inputs, params.fwd, "forward", lengths)
-    bwd = reverse_columns(gru_sequence(reverse_columns(inputs, lengths), params.bwd, "forward", lengths), lengths)
+    fwd = _gru_pass(inputs, (params.fwd,), (False,), lengths)
+    bwd = reverse_columns(_gru_pass(reverse_columns(inputs, lengths), (params.bwd,), (False,), lengths), lengths)
     return concat_cols([fwd, bwd])
 
 
@@ -306,10 +306,10 @@ def independent_end_distribution(
     return row_softmax(reshape(matmul(states, w_end), (-1,)))
 
 
-def encode_question(model, tokens, rng=None, training: bool = False) -> Tensor:
+def encode_question(model, tokens, rng=None) -> Tensor:
     """Contextual encoding (m, 2d) of one question: `QaModel.encode_questions`
-    of a batch of one, the B=1 reference call."""
-    return model.encode_questions([tokens], [rng], training)[0]
+    of a batch of one, the B=1 reference call; `rng` gives its dropout."""
+    return model.encode_questions([tokens], [rng])[0]
 
 
 def paragraph_contexts(model, example):
@@ -336,9 +336,9 @@ def reference_example_loss(model, example, pos_index, pos_labels, neg_paragraph,
     the pair, and each distinct labelled start, gets its own recurrent pass.
     Random draws come in the same order: question, positive, negative, then
     aggregation."""
-    question = encode_question(model, example.question, rng, training=True)
-    pos_ctx = model.encode_paragraph(question, example.paragraphs[pos_index].tokens, rng, training=True)
-    neg_ctx = model.encode_paragraph(question, neg_paragraph.tokens, rng, training=True)
+    question = encode_question(model, example.question, rng)
+    pos_ctx = model.encode_paragraph(question, example.paragraphs[pos_index].tokens, rng)
+    neg_ctx = model.encode_paragraph(question, neg_paragraph.tokens, rng)
     pos_starts = start_distribution(pos_ctx, model.decoder)
     neg_starts = start_distribution(neg_ctx, model.decoder)
     ends = {s: end_distribution(pos_ctx, pos_starts, s, model.decoder) for s in {l.start for l in pos_labels}}
@@ -350,7 +350,7 @@ def reference_example_loss(model, example, pos_index, pos_labels, neg_paragraph,
             quality_logit(neg_ctx, neg_starts, model.quality, model.grad_through_start),
         ]
     )
-    return -(log(clip_min(pick(pair_probs, 0), PROB_FLOOR)) + log(clip_min(answer_prob, PROB_FLOOR)))
+    return mul(log(clip_min(pick(pair_probs, 0), PROB_FLOOR)) + log(clip_min(answer_prob, PROB_FLOOR)), -1.0)
 
 
 def reference_beam(context, paragraph, params, k1, k2):

@@ -13,9 +13,7 @@ PROBS = [0.2, 0.3, 0.1]
 
 
 def cand(start, end, prob, text):
-    return SpanCandidate(
-        start=start, end=end, start_prob=prob, end_prob=1.0, span_prob=prob, answer_text=text
-    )
+    return SpanCandidate(start=start, end=end, span_prob=prob, answer_text=text)
 
 
 def test_mode_fixtures():

@@ -10,6 +10,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
@@ -32,16 +34,23 @@ def test_every_trace_target_resolves(monkeypatch):
     assert list(inspect.signature(sq.pipeline.beam_candidates).parameters)[3:5] == ["k1", "k2"]
 
 
-def test_tiny_benchmark_run_passes_its_checks(monkeypatch, tmp_path):
+@pytest.mark.parametrize("threaded", [False, True], ids=["serial", "threaded"])
+def test_tiny_benchmark_run_passes_its_checks(monkeypatch, tmp_path, threaded):
     """Every program call the benchmark makes, on a small `long` shape, with
     its checks (probabilities, argmax, repeat and reload reproduce, traced
-    replay reproduces) and the per-layer trace."""
+    replay reproduces) and the per-layer trace.  The threaded case predicts
+    through `predict_dataset`, as the `full` workload does, here with the
+    desk config's one thread; its trace counts examples and paragraphs only
+    where `predict_dataset` calls `pipeline.predict` by its module name."""
     bench = load_bench(monkeypatch)
     sq = bench.import_program()
-    tiny = replace(bench.WORKLOADS["long"], paragraph_lengths=(20, 25, 30), train_examples=20, eval_examples=6)
+    tiny = replace(
+        bench.WORKLOADS["long"], paragraph_lengths=(20, 25, 30), train_examples=20, eval_examples=6, threaded=threaded
+    )
     result, report = bench.run(sq, tiny, seed=5, seconds=0.0, trace=1, workdir=tmp_path / "run")
     assert result["correct"] and result["failed"] == 0
     assert set(report["end_to_end"]) == set(bench.END_TO_END)
     # the tracer still sees the recurrent kernel's calls and time steps
     assert result["metrics"]["diffmath.gru_sequence.calls"]["value"] > 0
     assert result["metrics"]["diffmath.gru_steps"]["value"] > 0
+    assert result["metrics"]["pipeline.predict_dataset.parallel_efficiency"]["value"] > 0

@@ -245,10 +245,18 @@ def float32_dtype(manifest):
     manifest["params"][0]["dtype"] = "float32"
 
 
+def manifest_length(length):
+    def corrupt(path):
+        raw = path.read_bytes()
+        path.write_bytes(MAGIC + length.to_bytes(8, "little") + raw[len(MAGIC) + 8 :])
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (cut_manifest, "invalid JSON: Unterminated string"),
+        (cut_manifest, "runs past the end of the file: length "),
         (non_utf8_manifest, "not UTF-8 text"),
         (lambda path: rewrite_manifest(path, lambda m: m.pop("params")), "missing field 'params'"),
         (lambda path: rewrite_manifest(path, negative_shape), "params item 0: bad parameter entry"),
@@ -276,6 +284,8 @@ def float32_dtype(manifest):
             lambda path: rewrite_manifest(path, lambda m: m["chars"].insert(0, 7)),
             "field 'chars' item 0 must be a string, got int",
         ),
+        (manifest_length(2**40), f"runs past the end of the file: length {2**40}, "),
+        (manifest_length(2**63 - 1), f"runs past the end of the file: length {2**63 - 1}, "),
     ],
     ids=[
         "truncated",
@@ -291,6 +301,8 @@ def float32_dtype(manifest):
         "int_past_conversion_limit",
         "number_in_vocab",
         "number_in_chars",
+        "length_2_40",
+        "length_2_63_minus_1",
     ],
 )
 def test_corrupt_manifest_names_the_file(tmp_path, corrupt, message):

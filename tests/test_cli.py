@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from spanqa.checkpoint import load_checkpoint, save_checkpoint
+from spanqa.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from spanqa.cli import build_parser, main
 
 TINY_CONFIG = {
@@ -547,6 +547,27 @@ def test_predict_missing_checkpoint_fails(tmp_path, capsys, synth_data):
     assert rc == 1
     assert_single_json_error(err)
 
+
+
+@pytest.mark.parametrize("length", [2**40, 2**63 - 1])
+def test_predict_rejects_manifest_length_past_the_end_naming_the_file(tmp_path, capsys, trained, length):
+    ckpt, data = trained
+    raw = Path(ckpt).read_bytes()
+    Path(ckpt).write_bytes(MAGIC + length.to_bytes(8, "little") + raw[len(MAGIC) + 8 :])
+    rc, out, err = run(capsys, ["predict", "--checkpoint", ckpt, "--data", data])
+    assert rc == 1 and out == ""
+    assert assert_single_json_error(err).startswith(
+        f"{ckpt}: corrupt checkpoint manifest: runs past the end of the file: length {length}, "
+    )
+
+
+def test_predict_rejects_repeated_example_id_naming_file_and_line(tmp_path, capsys, trained):
+    ckpt, _ = trained
+    record = {"id": "a", "question": "what", "answers": ["fat"], "paragraphs": [{"id": "p", "text": "fat"}]}
+    data = write_jsonl(tmp_path / "dup.jsonl", [record, record])
+    rc, out, err = run(capsys, ["predict", "--checkpoint", ckpt, "--data", data])
+    assert rc == 1 and out == ""
+    assert assert_single_json_error(err) == f"{data}: line 2: duplicate id 'a'"
 
 
 @pytest.mark.parametrize("flag, value, arg", LIMIT_FLAGS)

@@ -326,6 +326,7 @@ GOOD_RECORD = {"id": "q", "question": "what", "answers": ["fat"], "paragraphs": 
             {**GOOD_RECORD, "paragraphs": [{"id": "p", "text": 5}]},
             "paragraph 0: field 'text' must be a string, got int",
         ),
+        (GOOD_RECORD, "duplicate id 'q'"),
     ],
     ids=[
         "string_record",
@@ -336,6 +337,7 @@ GOOD_RECORD = {"id": "q", "question": "what", "answers": ["fat"], "paragraphs": 
         "dict_paragraphs",
         "string_paragraph",
         "number_text",
+        "duplicate_id",
     ],
 )
 def test_load_rejects_wrongly_typed_record_naming_file_and_line(tmp_path, record, message):

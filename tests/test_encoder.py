@@ -85,7 +85,7 @@ def test_embed_tokens_rejects_empty():
 def test_contextualize_shape():
     model = tiny_model()
     emb = embed_tokens(PARAGRAPH, model.vocab, model.char_vocab, model.encoder)
-    (out,) = contextualize([emb], model.encoder.p_ctx, 1.0, None, training=False)
+    (out,) = contextualize([emb], model.encoder.p_ctx, 1.0, None)
     assert out.shape == (len(PARAGRAPH), 2 * model.config.hidden_dim)
 
 
@@ -94,7 +94,7 @@ def test_contextualize_zero_weights_gives_zeros():
     for _, t in named_tensors(model.encoder.p_ctx):
         t.data[:] = 0.0
     emb = embed_tokens(PARAGRAPH, model.vocab, model.char_vocab, model.encoder)
-    (out,) = contextualize([emb], model.encoder.p_ctx, 1.0, None, training=False)
+    (out,) = contextualize([emb], model.encoder.p_ctx, 1.0, None)
     np.testing.assert_array_equal(out.data, 0.0)
 
 
@@ -104,11 +104,11 @@ def test_contextualize_zero_weights_gives_zeros():
 def encoded_pair(model, para=PARAGRAPH, ques=QUESTION):
     (q,) = contextualize(
         [embed_tokens(ques, model.vocab, model.char_vocab, model.encoder)],
-        model.encoder.q_ctx, 1.0, None, False,
+        model.encoder.q_ctx, 1.0, None,
     )
     (p,) = contextualize(
         [embed_tokens(para, model.vocab, model.char_vocab, model.encoder)],
-        model.encoder.p_ctx, 1.0, None, False,
+        model.encoder.p_ctx, 1.0, None,
     )
     return p, q
 
@@ -155,7 +155,7 @@ def test_self_attend_single_token_is_plain_projection():
     p, q = encoded_pair(model, para=["fat"])
     x = bidaf_attention(p, q, model.encoder)
     (ctx,) = self_attend([x], model.encoder)
-    direct = gru_sequence(Tensor(x.data[:, None]), model.encoder.self_rnn, "both", [1])
+    direct = gru_sequence(Tensor(x.data[:, None]), (model.encoder.self_rnn,), [1])
     np.testing.assert_array_equal(ctx.data, direct.data[:, 0])
 
 
@@ -210,11 +210,12 @@ def test_encoder_end_to_end_gradients():
 
 
 def test_dropout_active_only_in_training():
+    # training passes a dropout stream, inference none
     model = tiny_model(seed=7, keep_prob=0.5)
-    eval_out = model.encode_paragraph(encode_question(model, QUESTION), PARAGRAPH, training=False).data
+    eval_out = model.encode_paragraph(encode_question(model, QUESTION, None), PARAGRAPH, rng=None).data
     rng = make_rng(7, 3)
-    question = encode_question(model, QUESTION, rng, training=True)
-    train_out = model.encode_paragraph(question, PARAGRAPH, rng=rng, training=True).data
+    question = encode_question(model, QUESTION, rng)
+    train_out = model.encode_paragraph(question, PARAGRAPH, rng=rng).data
     assert np.any(eval_out != train_out)
 
 

@@ -1,4 +1,7 @@
-"""Recurrent sequence kernel: cell fixtures, direction contract, BPTT gradients."""
+"""Recurrent sequence kernel: cell fixtures, direction contract, BPTT gradients.
+
+`gru_sequence` runs both directions of bidirectional layers; one direction
+alone is the kernel `_gru_pass` over a single cell."""
 
 import tracemalloc
 import warnings
@@ -23,11 +26,21 @@ from spanqa.diffmath import (
     pad_stack,
     unstack,
 )
-from spanqa.diffmath.rnn import _REVERSE, _gru_pass, _sigmoid
+from spanqa.diffmath.rnn import _gru_pass, _sigmoid
+
+REVERSE = {"forward": (False,), "backward": (True,), "both": (False, True)}
 
 
 def random_params(in_dim, d, seed):
     return init_gru_params(in_dim, d, make_rng(seed, 2))
+
+
+def run_direction(x, bi, direction, lengths):
+    """Both directions of `bi` through `gru_sequence`, or one of them, with its
+    forward cell, through the kernel."""
+    if direction == "both":
+        return gru_sequence(x, (bi,), lengths)
+    return _gru_pass(x, (bi.fwd,), REVERSE[direction], lengths)
 
 
 def zero_params(in_dim, d):
@@ -47,49 +60,44 @@ def test_zero_weights_halve_initial_state():
     params = zero_params(2, d)
     params.b.data[2 * d :] = [2.0, -4.0, 0.5]
     c = np.tanh(params.b.data[2 * d :])
-    out = gru_sequence(Tensor(np.ones((2, 1, 2))), params, "forward", [2])
+    out = _gru_pass(Tensor(np.ones((2, 1, 2))), (params,), (False,), [2])
     np.testing.assert_allclose(out.data[0, 0], 0.5 * c, rtol=1e-15)
     np.testing.assert_allclose(out.data[1, 0], 0.75 * c, rtol=1e-15)
 
 
 def test_zero_weights_zero_init_gives_zeros():
-    out = gru_sequence(Tensor(np.ones((4, 1, 2))), zero_params(2, 3), "forward", [4])
+    out = _gru_pass(Tensor(np.ones((4, 1, 2))), (zero_params(2, 3),), (False,), [4])
     np.testing.assert_array_equal(out.data, np.zeros((4, 1, 3)))
 
 
 def test_single_step_shape():
-    out = gru_sequence(Tensor(np.ones((1, 1, 2))), random_params(2, 4, 31), "forward", [1])
+    out = _gru_pass(Tensor(np.ones((1, 1, 2))), (random_params(2, 4, 31),), (False,), [1])
     assert out.shape == (1, 1, 4)
 
 
 def test_empty_sequence_rejected():
     with pytest.raises(ValueError, match="nonempty"):
-        gru_sequence(Tensor(np.zeros((0, 1, 2))), random_params(2, 2, 32), "forward", [1])
+        gru_sequence(Tensor(np.zeros((0, 1, 2))), (init_bigru_params(2, 2, make_rng(32, 2)),), [1])
 
 
 def test_unpacked_input_rejected():
     # a lone sequence goes as the batch of one, (T, 1, in)
     with pytest.raises(ValueError, match=r"\(T, B, in\)"):
-        gru_sequence(Tensor(np.zeros((3, 2))), random_params(2, 2, 32), "forward", [3])
+        gru_sequence(Tensor(np.zeros((3, 2))), (init_bigru_params(2, 2, make_rng(32, 2)),), [3])
 
 
 def test_input_width_mismatch_rejected():
     with pytest.raises(ValueError, match="width"):
-        gru_sequence(Tensor(np.zeros((3, 1, 5))), random_params(2, 2, 33), "forward", [3])
+        gru_sequence(Tensor(np.zeros((3, 1, 5))), (init_bigru_params(2, 2, make_rng(33, 2)),), [3])
 
 
 def test_backward_direction_equals_reversed_forward():
     rng = make_rng(34, 1)
     x = Tensor(rng.standard_normal((6, 1, 3)))
     params = random_params(3, 4, 34)
-    rev = gru_sequence(x, params, "backward", [6])
-    manual = gru_sequence(Tensor(x.data[::-1]), params, "forward", [6]).data[::-1]
+    rev = _gru_pass(x, (params,), (True,), [6])
+    manual = _gru_pass(Tensor(x.data[::-1]), (params,), (False,), [6]).data[::-1]
     np.testing.assert_array_equal(rev.data, manual)
-
-
-def test_unknown_direction_rejected():
-    with pytest.raises(ValueError, match="direction"):
-        gru_sequence(Tensor(np.zeros((2, 1, 2))), random_params(2, 2, 35), "up", [2])
 
 
 def test_gradients_match_finite_differences():
@@ -99,7 +107,7 @@ def test_gradients_match_finite_differences():
     w = Tensor(rng.standard_normal((3, 1, 2)))
 
     def build():
-        return tsum(gru_sequence(x, params, "forward", [3]) * w)
+        return tsum(_gru_pass(x, (params,), (False,), [3]) * w)
 
     check_grads(build, [x, params.w, params.u_zr, params.u_h, params.b])
 
@@ -111,7 +119,7 @@ def test_backward_direction_gradients():
     w = Tensor(rng.standard_normal((4, 1, 2)))
 
     def build():
-        return tsum(gru_sequence(x, params, "backward", [4]) * w)
+        return tsum(_gru_pass(x, (params,), (True,), [4]) * w)
 
     check_grads(build, [x, params.w, params.u_zr, params.u_h, params.b])
 
@@ -120,17 +128,17 @@ def test_bigru_concatenates_directions():
     rng = make_rng(38, 1)
     x = Tensor(rng.standard_normal((5, 1, 3)))
     params = init_bigru_params(3, 3, make_rng(38, 2))
-    out = gru_sequence(x, params, "both", [5])
+    out = gru_sequence(x, (params,), [5])
     assert out.shape == (5, 1, 6)
-    fwd = gru_sequence(x, params.fwd, "forward", [5])
-    bwd = gru_sequence(x, params.bwd, "backward", [5])
+    fwd = _gru_pass(x, (params.fwd,), (False,), [5])
+    bwd = _gru_pass(x, (params.bwd,), (True,), [5])
     np.testing.assert_array_equal(out.data[..., :3], fwd.data)
     np.testing.assert_array_equal(out.data[..., 3:], bwd.data)
 
 
 def test_bigru_zero_weights_all_zeros():
     params = BiGruParams(fwd=zero_params(2, 3), bwd=zero_params(2, 3))
-    out = gru_sequence(Tensor(np.ones((4, 1, 2))), params, "both", [4])
+    out = gru_sequence(Tensor(np.ones((4, 1, 2))), (params,), [4])
     np.testing.assert_array_equal(out.data, np.zeros((4, 1, 6)))
 
 
@@ -140,7 +148,7 @@ def test_bigru_gradients():
     params = init_bigru_params(2, 2, make_rng(39, 2))
     w = Tensor(rng.standard_normal((3, 1, 4)))
     leaves = [x] + [t for _, t in named_tensors(params)]
-    check_grads(lambda: tsum(gru_sequence(x, params, "both", [3]) * w), leaves)
+    check_grads(lambda: tsum(gru_sequence(x, (params,), [3]) * w), leaves)
 
 
 def test_param_registration_names():
@@ -194,7 +202,7 @@ def test_saturated_gates_stay_finite_without_warnings(direction):
     params = bi if direction == "both" else bi.fwd
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = gru_sequence(x, params, direction, lengths=[5, 2, 4])
+        out = run_direction(x, bi, direction, [5, 2, 4])
         backward(tsum(out))
     assert np.isfinite(out.data).all() and np.isfinite(x.grad).all()
     assert all(np.isfinite(t.grad).all() for _, t in named_tensors(params))
@@ -251,7 +259,9 @@ def test_packed_rows_match_single_sequence_calls(lengths, direction, seed):
         params, width = random_params(in_dim, d, seed), d
 
     def layer(inputs, params, lengths):
-        return gru_sequence(inputs, params, direction, lengths)
+        if direction == "both":
+            return gru_sequence(inputs, (params,), lengths)
+        return _gru_pass(inputs, (params,), (direction == "backward",), lengths)
 
     inputs = [rng.standard_normal((n, in_dim)) for n in lengths]
     weights = [rng.standard_normal((n, width)) for n in lengths]
@@ -273,7 +283,7 @@ def test_packed_gradients_match_finite_differences():
     weights = [Tensor(rng.standard_normal((n, 4))) for n in lengths]
 
     def build():
-        outs = unstack(gru_sequence(pad_stack(xs), params, "both", lengths), lengths)
+        outs = unstack(gru_sequence(pad_stack(xs), (params,), lengths), lengths)
         loss = tsum(outs[0] * weights[0])
         for out, w in zip(outs[1:], weights[1:]):
             loss = loss + tsum(out * w)
@@ -296,7 +306,7 @@ def test_fused_bigru_matches_two_loop_reference(lengths, d, seed):
     params = init_bigru_params(in_dim, d, make_rng(seed, 48))
     inputs = [rng.standard_normal((n, in_dim)) for n in lengths]
     weights = [rng.standard_normal((n, 2 * d)) for n in lengths]
-    got = run_rows(lambda x, p, lengths: gru_sequence(x, p, "both", lengths), params, inputs, lengths, weights)
+    got = run_rows(lambda x, p, lengths: gru_sequence(x, (p,), lengths), params, inputs, lengths, weights)
     ref = run_rows(two_loop_bigru, params, inputs, lengths, weights)
     for (out, dx, dparams), (ref_out, ref_dx, ref_dparams) in zip(got, ref):
         assert out.shape == ref_out.shape and len(dparams) == len(ref_dparams) == 8
@@ -314,7 +324,7 @@ def test_fused_bigru_packed_gradients_match_finite_differences():
     x = Tensor(rng.standard_normal((4, 3, 3)), requires_grad=True)
     params = init_bigru_params(3, 3, make_rng(49, 2))
     w = Tensor(rng.standard_normal((4, 3, 6)))
-    check_grads(lambda: tsum(gru_sequence(x, params, "both", lengths) * w), [x] + [t for _, t in named_tensors(params)])
+    check_grads(lambda: tsum(gru_sequence(x, (params,), lengths) * w), [x] + [t for _, t in named_tensors(params)])
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward", "both"])
@@ -331,14 +341,13 @@ def test_shared_bptt_buffers_are_bit_exact(direction, lengths, d):
     sums in another order, so there the bound is 1e-12 relative."""
     rng = make_rng(sum(lengths) * d, 50)
     bi = init_bigru_params(3, d, make_rng(d, 51))
-    params = bi if direction == "both" else bi.fwd
     cells = (bi.fwd, bi.bwd) if direction == "both" else (bi.fwd,)
     x = rng.standard_normal((max(lengths), len(lengths), 3))
     w = rng.standard_normal((max(lengths), len(lengths), len(cells) * d))
     results = []
     for run in (
-        lambda xt: gru_sequence(xt, params, direction, lengths),
-        lambda xt: copying_gru_pass(xt, cells, _REVERSE[direction], lengths),
+        lambda xt: run_direction(xt, bi, direction, lengths),
+        lambda xt: copying_gru_pass(xt, cells, REVERSE[direction], lengths),
     ):
         xt = Tensor(x, requires_grad=True)
         out = run(xt)
@@ -381,7 +390,8 @@ def test_no_grad_pass_equals_the_recorded_pass(reverse, lengths):
 
 
 def test_pass_without_gradient_parents_is_a_plain_tensor():
-    out = gru_sequence(Tensor(np.ones((4, 2, 2))), zero_params(2, 3), "backward", lengths=[4, 2])
+    params = BiGruParams(fwd=zero_params(2, 3), bwd=zero_params(2, 3))
+    out = gru_sequence(Tensor(np.ones((4, 2, 2))), (params,), [4, 2])
     assert out._backward is None and out._prev == () and not out.requires_grad
 
 
@@ -417,21 +427,27 @@ def test_layers_over_one_input_share_one_loop(direction):
     gradient; the input gradient adds the layers' adjoints in another order."""
     rng = make_rng(54, 1)
     lengths = [5, 2, 4]
+    x = Tensor(rng.standard_normal((5, 3, 3)), requires_grad=True)
     if direction == "both":
         layers = (init_bigru_params(3, 4, make_rng(54, 2)), init_bigru_params(3, 4, make_rng(54, 3)))
+
+        def run(layers):
+            return gru_sequence(x, layers, lengths)
     else:
         layers = (random_params(3, 4, 54), random_params(3, 4, 55))
-    x = Tensor(rng.standard_normal((5, 3, 3)), requires_grad=True)
+
+        def run(layers):
+            return _gru_pass(x, layers, (False,) * len(layers), lengths)
     width = 8 if direction == "both" else 4
     w = rng.standard_normal((5, 3, 2 * width))
     leaves = [t for layer in layers for _, t in named_tensors(layer)]
 
-    shared = gru_sequence(x, layers, direction, lengths)
+    shared = run(layers)
     backward(tsum(shared * w))
     got = [x.grad] + [t.grad for t in leaves]
     for t in [x] + leaves:
         t.zero_grad()
-    separate = [gru_sequence(x, layer, direction, lengths) for layer in layers]
+    separate = [run((layer,)) for layer in layers]
     backward(tsum(separate[0] * w[..., :width]) + tsum(separate[1] * w[..., width:]))
     ref = [x.grad] + [t.grad for t in leaves]
 
@@ -442,8 +458,9 @@ def test_layers_over_one_input_share_one_loop(direction):
 
 
 def test_layers_of_different_shapes_rejected():
+    layers = (init_bigru_params(3, 2, make_rng(56, 2)), init_bigru_params(3, 4, make_rng(57, 2)))
     with pytest.raises(ValueError, match="weight shape"):
-        gru_sequence(Tensor(np.zeros((4, 1, 3))), (random_params(3, 2, 56), random_params(3, 4, 57)), "forward", [4])
+        gru_sequence(Tensor(np.zeros((4, 1, 3))), layers, [4])
 
 
 def test_packed_padding_does_not_leak_into_valid_steps():
@@ -452,16 +469,16 @@ def test_packed_padding_does_not_leak_into_valid_steps():
     short = rng.standard_normal((2, 3))
     packed = pad_stack([Tensor(short), Tensor(rng.standard_normal((5, 3)))]).data.copy()
     packed[2:, 0] = 1e3  # padding content must not matter
-    out = gru_sequence(Tensor(packed), params, "backward", lengths=[2, 5])
-    ref = gru_sequence(Tensor(short[:, None]), params, "backward", [2])
+    out = _gru_pass(Tensor(packed), (params,), (True,), [2, 5])
+    ref = _gru_pass(Tensor(short[:, None]), (params,), (True,), [2])
     assert rel_diff(out.data[:2, 0], ref.data[:, 0]) <= 1e-12
 
 
 def test_lengths_must_fit_the_packed_input():
-    params = random_params(3, 2, 45)
+    layers = (init_bigru_params(3, 2, make_rng(45, 2)),)
     with pytest.raises(ValueError, match="lengths"):
-        gru_sequence(Tensor(np.zeros((4, 2, 3))), params, "forward", [4, 5])
+        gru_sequence(Tensor(np.zeros((4, 2, 3))), layers, [4, 5])
     with pytest.raises(ValueError, match="lengths"):
-        gru_sequence(Tensor(np.zeros((4, 2, 3))), params, "forward", [4])
+        gru_sequence(Tensor(np.zeros((4, 2, 3))), layers, [4])
     with pytest.raises(ValueError, match="lengths"):
-        gru_sequence(Tensor(np.zeros((4, 2, 3))), params, "forward", [0, 4])
+        gru_sequence(Tensor(np.zeros((4, 2, 3))), layers, [0, 4])

@@ -82,9 +82,10 @@ def checkpoint_bytes() -> bytes:
 @settings(max_examples=100, deadline=None)
 @given(position=st.floats(0, 1, exclude_max=True), byte=st.integers(0, 255))
 def test_checkpoint_with_one_manifest_byte_changed_loads_or_names_the_file(position, byte):
+    # the changed byte falls in the manifest or in the 8 bytes of its length
     raw = checkpoint_bytes()
     start = len(MAGIC) + 8
-    at = start + int(position * int.from_bytes(raw[len(MAGIC) : start], "little"))
+    at = len(MAGIC) + int(position * (8 + int.from_bytes(raw[len(MAGIC) : start], "little")))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.ckpt"
         path.write_bytes(raw[:at] + bytes([byte]) + raw[at + 1 :])

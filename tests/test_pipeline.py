@@ -306,7 +306,7 @@ def test_train_batch_matches_sum_of_one_item_references(monkeypatch):
     total = losses[0]
     for extra in losses[1:]:
         total = total + extra
-    total = total / float(len(losses))
+    total = total * (1.0 / len(losses))
     backward(total)
     ref_grads = grads_of(model)
     assert stats.mean_loss == pytest.approx(total.item(), rel=1e-12, abs=0)
@@ -454,11 +454,11 @@ def test_top_indices_ties_prefer_lower():
 
 
 def beam_tuples(start_probs, end_dists, k1, k2):
-    """(start, end, start_prob, end_prob) of beam_candidates over plain arrays."""
+    """(start, end, span_prob) of beam_candidates over plain arrays."""
     paragraph = make_paragraph("p", " ".join(f"w{i}" for i in range(len(start_probs))))
     start_dist = StartDistribution(probs=Tensor(start_probs), states=None)
     cands = beam_candidates(paragraph, start_dist, end_dists, k1, k2)
-    return [(c.start, c.end, c.start_prob, c.end_prob) for c in cands]
+    return [(c.start, c.end, c.span_prob) for c in cands]
 
 
 def test_beam_spans_fixture():
@@ -470,15 +470,15 @@ def test_beam_spans_fixture():
     }
     spans = beam_tuples(start, ends, k1=2, k2=1)
     assert spans == [
-        (0, 1, 0.6, 0.7),
-        (1, 1, pytest.approx(0.3), 0.5),  # tie 0.5/0.5 resolves to the lower end index
+        (0, 1, 0.6 * 0.7),
+        (1, 1, 0.3 * 0.5),  # tie 0.5/0.5 resolves to the lower end index
     ]
 
 
 def test_beam_greedy_single():
     start = np.array([0.2, 0.8])
     spans = beam_tuples(start, {1: np.array([0.0, 1.0])}, 1, 1)
-    assert spans == [(1, 1, pytest.approx(0.8), 1.0)]
+    assert spans == [(1, 1, 0.8 * 1.0)]
 
 
 def test_beam_rejects_bad_widths():

@@ -39,7 +39,7 @@ def test_start_nll_gradient():
 
     def build():
         sd = start_distribution(encoded(model, para), model.decoder)
-        return -log(pick(sd.probs, 2))
+        return log(pick(sd.probs, 2)) * -1.0
 
     check_grads(
         build,
@@ -103,7 +103,7 @@ def test_end_distribution_gradient():
         ctx = encoded(model, para)
         sd = start_distribution(ctx, model.decoder)
         ends = end_distribution(ctx, sd, 1, model.decoder)
-        return -log(pick(ends, 2))
+        return log(pick(ends, 2)) * -1.0
 
     check_grads(
         build,

@@ -17,7 +17,6 @@ from spanqa.diffmath import (
     log,
     make_rng,
     matmul,
-    max_axis1,
     maximum,
     no_grad,
     pad_stack,
@@ -140,13 +139,13 @@ def test_backward_linear_case():
 def test_backward_cross_entropy_gradient():
     x = leaf([0.3, -1.2, 2.0])
     k = 2
-    loss = -log(pick(row_softmax(x), k))
+    loss = log(pick(row_softmax(x), k)) * -1.0
     backward(loss)
     p = np.exp(x.data) / np.exp(x.data).sum()
     expected = p.copy()
     expected[k] -= 1.0
     np.testing.assert_allclose(x.grad, expected, atol=1e-12)
-    numeric = numeric_grad(lambda: (-log(pick(row_softmax(x), k))).item(), x.data)
+    numeric = numeric_grad(lambda: -log(pick(row_softmax(x), k)).item(), x.data)
     assert max_rel_err(x.grad, numeric) < 1e-6
 
 
@@ -195,8 +194,8 @@ def test_sub_neg_div_gradients():
     rng = make_rng(15, 1)
     a = leaf(None, rng, (2, 3))
     b = leaf(None, rng, (2, 3))
-    # subtraction is the sum with a negation; Tensor has no `-` operator
-    check_grads(lambda: tsum((a + -b) * (-a) / 2.0), [a, b])
+    # subtraction, negation and division are sums and products with constants
+    check_grads(lambda: tsum((a + b * -1.0) * (a * -1.0) * 0.5), [a, b])
 
 
 def test_relu_and_clip_min_values():
@@ -283,12 +282,11 @@ def test_unstack_column_returns_only_its_own_slice():
 
 
 def test_single_entry_reads_return_index_adjoints():
-    # pick, max_axis1 and group_max_rows each read one entry per output
+    # pick and group_max_rows each read one entry per output
     # entry, so their adjoint is an (index, value) pair, not a dense array
     x = leaf([[1.0, 5.0, 2.0], [4.0, 2.0, 4.0], [0.0, 7.0, 3.0]])
     for out, dense in [
         (pick(reshape(x, (-1,)), 4), [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]),
-        (max_axis1(x), [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
         (group_max_rows(x, [2, 1]), [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]),
     ]:
         ((index, value),) = out._backward(np.ones(out.shape))
@@ -411,17 +409,24 @@ def test_group_max_rows_size_mismatch():
         group_max_rows(Tensor(np.zeros((3, 2))), [2, 2])
 
 
-def test_max_axis1_tie_goes_to_lowest_column():
-    x = leaf([[2.0, 2.0, 1.0]])
-    backward(tsum(max_axis1(x)))
-    np.testing.assert_array_equal(x.grad, [[1.0, 0.0, 0.0]])
+def row_max(x):
+    """Per-row max of a 2-D tensor as one (1, rows) row: `bidaf_attention`'s form."""
+    return group_max_rows(transpose(x), [x.shape[1]])
 
 
-def test_max_axis1_gradient():
+def test_row_max_tie_goes_to_lowest_column():
+    x = leaf([[2.0, 2.0, 1.0], [0.0, 3.0, 3.0]])
+    out = row_max(x)
+    np.testing.assert_array_equal(out.data, [[2.0, 3.0]])
+    backward(tsum(out))
+    np.testing.assert_array_equal(x.grad, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def test_row_max_gradient():
     rng = make_rng(22, 1)
     x = leaf(None, rng, (3, 4))
-    w = Tensor(rng.standard_normal(3))
-    check_grads(lambda: tsum(max_axis1(x) * w), [x])
+    w = Tensor(rng.standard_normal((1, 3)))
+    check_grads(lambda: tsum(row_max(x) * w), [x])
 
 
 # ---------------------------------------------------------------- dropout
@@ -429,13 +434,13 @@ def test_max_axis1_gradient():
 
 def test_dropout_keep_prob_one_is_identity():
     x = Tensor(np.ones((4, 4)))
-    out = dropout(x, 1.0, rng=None, training=True)
+    out = dropout(x, 1.0, rng=make_rng(24, 2))
     assert out is x
 
 
 def test_dropout_eval_mode_is_identity():
     x = Tensor(np.ones((4, 4)))
-    out = dropout(x, 0.5, rng=None, training=False)
+    out = dropout(x, 0.5, rng=None)
     assert out is x
 
 
@@ -446,7 +451,7 @@ def test_dropout_rejects_nonpositive_keep_prob():
 
 def test_dropout_preserves_mean():
     x = Tensor(np.ones(100_000))
-    out = dropout(x, 0.8, rng=make_rng(24, 1), training=True)
+    out = dropout(x, 0.8, rng=make_rng(24, 1))
     assert 0.98 <= out.data.mean() <= 1.02
 
 
