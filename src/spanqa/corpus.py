@@ -137,6 +137,11 @@ def corpus_stats(dataset) -> dict:
 # planted occurrences are exactly the labeled ones.
 
 
+# Upper bounds on the generator's sizes, so that a mistyped one fails by name
+# instead of generating until it is killed.
+SYNTH_MAX_SIZES = {"num_examples": 10**6, "vocab_size": 10**6, "paragraphs_per_question": 100, "paragraph_len": 10**4}
+
+
 @dataclass
 class SynthConfig:
     num_examples: int = 100
@@ -151,6 +156,9 @@ class SynthConfig:
         for name in ("num_examples", "paragraphs_per_question"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name, bound in SYNTH_MAX_SIZES.items():
+            if getattr(self, name) > bound:
+                raise ValueError(f"{name} must be <= {bound}, got {getattr(self, name)!r}")
         if self.vocab_size < N_CUE_TOKENS + _MAX_ANSWER_LEN + 4:
             raise ValueError(f"vocab_size {self.vocab_size} too small to plant answers")
         if not 0.0 <= self.multi_span_prob <= 1.0:

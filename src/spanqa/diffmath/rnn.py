@@ -108,9 +108,12 @@ def _gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
         # `back` gathers it again rather than keep the reversed copy alive
         return (x[order] if rev else x).reshape(n * batch, -1)
 
-    xw = np.empty((n, dirs, batch, 3 * d))
+    # direction-major, so that each direction's GEMM writes its own block in
+    # place and no (T * B, 3d) product is held beside it
+    xw = np.empty((dirs, n, batch, 3 * d))
     for g, (c, rev) in enumerate(zip(cells, reverse)):
-        np.add((flat_input(rev) @ ws[g]).reshape(n, batch, 3 * d), c.b.data, out=xw[:, g])
+        np.matmul(flat_input(rev), ws[g], out=xw[g].reshape(n * batch, 3 * d))
+        xw[g] += c.b.data
     u_zr, u_h = np.stack(u_zrs), np.stack(u_hs)
     with np.errstate(over="ignore"):
         for t in range(n):
@@ -118,10 +121,10 @@ def _gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
             zr = zrs[t] if recording else a_zr
             c = cs[t] if recording else a_c
             np.matmul(h, u_zr, out=a_zr)
-            _sigmoid(np.add(xw[t, :, :, : 2 * d], a_zr, out=zr), out=zr)
+            _sigmoid(np.add(xw[:, t, :, : 2 * d], a_zr, out=zr), out=zr)
             z, r = zr[..., :d], zr[..., d:]
             np.matmul(np.multiply(r, h, out=rh), u_h, out=a_c)
-            np.tanh(np.add(xw[t, :, :, 2 * d :], a_c, out=c), out=c)
+            np.tanh(np.add(xw[:, t, :, 2 * d :], a_c, out=c), out=c)
             # h' = (1 - z) * h + z * c, with rh free again as scratch
             np.multiply(np.subtract(1.0, z, out=rh), h, out=rh)
             np.add(rh, np.multiply(z, c, out=hs[t + 1]), out=hs[t + 1])

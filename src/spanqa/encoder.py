@@ -35,6 +35,11 @@ from .diffmath import (
 from .inputs import read_lines
 
 
+# Upper bound on every EncoderConfig size, so that a mistyped one fails by
+# name before any weight is drawn; the paper's sizes are 300 and 200.
+MAX_WIDTH = 2048
+
+
 @dataclass
 class EncoderConfig:
     """Sizes for the encoding stack; the output width r is always 2*hidden_dim.
@@ -53,8 +58,8 @@ class EncoderConfig:
 
     def __post_init__(self):
         for name in ("word_dim", "char_dim", "char_conv_width", "char_out_dim", "hidden_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+            if not 1 <= getattr(self, name) <= MAX_WIDTH:
+                raise ValueError(f"{name} must be in [1, {MAX_WIDTH}], got {getattr(self, name)!r}")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError(f"keep_prob must be in (0, 1], got {self.keep_prob!r}")
 

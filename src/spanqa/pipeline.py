@@ -11,9 +11,11 @@ batch of items (question, paragraphs, dropout stream): each recurrent
 layer runs once over the whole batch, through the batched calls
 `encode_questions`, `encode_paragraphs` and `start_and_quality` (whose
 start and quality layers share one time loop), and the end distributions
-share one more pass through `end_distributions`.  Training sends a whole Adadelta batch through it,
-one (positive, negative) pair per example; inference sends one example
-with all its paragraphs.
+share one more pass through `end_distributions`.  Training sends a whole
+Adadelta batch through it, one (positive, negative) pair per example;
+inference sends a chunk of examples with all their paragraphs
+(`encode_for_beams`), and then decodes each example on its own
+(`predict`).
 
 Inference runs a start/end beam per paragraph, groups candidate spans by
 normalized answer text, aggregates within each paragraph, and mixes across
@@ -45,6 +47,19 @@ from .paragraph_quality import quality_logit  # noqa: F401
 from .span_decoder import end_distribution, start_distribution  # noqa: F401
 
 PROB_FLOOR = 1e-12
+# A prediction chunk holds whole examples whose paragraphs, padded to the
+# chunk's longest, fill at most this many row-steps per recurrent layer (an
+# example larger than that is a chunk of its own).  Packing rows saves the
+# fixed cost of each time step, until the (T, G, B, 3d) arrays' memory
+# traffic dominates.  On a 2-core host, of 400, 800 and 1,600, 1,600 was
+# fastest on examples of 3 x 15 and 5 x 40 tokens; on 10 x 55..145 tokens
+# the caps up to 1,600 ran even and 3,200 was slower.
+CHUNK_ROW_STEPS = 1600
+
+
+def check_beam_sizes(k1: int, k2: int):
+    if k1 < 1 or k2 < 1:
+        raise ValueError(f"beam sizes must be >= 1, got k1={k1}, k2={k2}")
 
 
 @dataclass
@@ -58,8 +73,7 @@ class TrainConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.k1 < 1 or self.k2 < 1:
-            raise ValueError(f"beam sizes must be >= 1, got k1={self.k1}, k2={self.k2}")
+        check_beam_sizes(self.k1, self.k2)
         for name in ("epochs", "batch_size", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -284,54 +298,106 @@ def best_answer(scores: dict) -> str:
     return min(scores.items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
 
-def predict(model, example, mode: AggregationMode, k1: int, k2: int, rng=None) -> Prediction:
+@dataclass
+class BeamEncoding:
+    """What `predict` reads of one example's encoding, one entry per paragraph."""
+
+    starts: list  # StartDistributions
+    ends: list  # {start: end-probability array} over the paragraph's top-k1 starts
+    quality: list  # scalar quality logits
+
+
+def encode_for_beams(model, examples, k1: int) -> list:
+    """One BeamEncoding per example of `examples`, from one `encode_items`
+    pass over all their paragraphs and one `end_distributions` pass over
+    every paragraph's top-k1 starts."""
+    for example in examples:
+        if not example.paragraphs:
+            raise ValueError(f"example {example.id} has no paragraphs")
+    with no_grad():
+        encoded = encode_items(model, [(ex.question, [p.tokens for p in ex.paragraphs], None) for ex in examples])
+        beams = [[top_indices(sd.probs.data, k1) for sd in enc.starts] for enc in encoded]
+        rows = [
+            (ctx, sd, s)
+            for enc, example_beams in zip(encoded, beams)
+            for ctx, sd, beam in zip(enc.contexts, enc.starts, example_beams)
+            for s in beam
+        ]
+        ends = iter(end_distributions(rows, model.decoder))
+        return [
+            BeamEncoding(enc.starts, [{s: next(ends).data for s in beam} for beam in example_beams], enc.quality)
+            for enc, example_beams in zip(encoded, beams)
+        ]
+
+
+def predict(model, example, mode: AggregationMode, k1: int, k2: int, rng=None, encoding=None) -> Prediction:
     """Scores for every answer string surfaced by the per-paragraph beams.
 
-    The example is `encode_items`' one item, so each recurrent layer runs
-    once over all its paragraphs, and the end distributions of every
-    paragraph's top-k1 starts share one pass.  With
-    a single paragraph the quality weight collapses to 1 and the score is
-    just the paragraph-level probability.
+    `encoding` is the example's `encode_for_beams` result for the same k1;
+    without one, the example is encoded as a chunk of one.  With a single
+    paragraph the quality weight collapses to 1 and the score is just the
+    paragraph-level probability.  `rng` drives `rand` aggregation only.
     """
-    if k1 < 1 or k2 < 1:
-        raise ValueError(f"beam sizes must be >= 1, got k1={k1}, k2={k2}")
-    if not example.paragraphs:
-        raise ValueError(f"example {example.id} has no paragraphs")
+    check_beam_sizes(k1, k2)
+    if encoding is None:
+        (encoding,) = encode_for_beams(model, [example], k1)
     with no_grad():
-        (encoded,) = encode_items(model, [(example.question, [p.tokens for p in example.paragraphs], None)])
-        beams = [top_indices(sd.probs.data, k1) for sd in encoded.starts]
-        rows = [(ctx, sd, s) for ctx, sd, beam in zip(encoded.contexts, encoded.starts, beams) for s in beam]
-        ends = iter(end_distributions(rows, model.decoder))
         per_paragraph = []
-        for paragraph, sd, beam in zip(example.paragraphs, encoded.starts, beams):
-            end_dists = {s: next(ends).data for s in beam}
+        for paragraph, sd, end_dists in zip(example.paragraphs, encoding.starts, encoding.ends, strict=True):
             cands = beam_candidates(paragraph, sd, end_dists, k1, k2)
             per_paragraph.append(group_candidates(cands, mode, rng))
-        quality = normalize_quality_tensors(encoded.quality).data.tolist()
-        scores = combine_scores(quality, per_paragraph)
-        best = best_answer(scores)
-        return Prediction(
-            example_id=example.id,
-            best_answer=best,
-            answer_scores=scores,
-            paragraph_probs=quality,
-            paragraph_groups=per_paragraph,
-        )
+        quality = normalize_quality_tensors(encoding.quality).data.tolist()
+    scores = combine_scores(quality, per_paragraph)
+    return Prediction(
+        example_id=example.id,
+        best_answer=best_answer(scores),
+        answer_scores=scores,
+        paragraph_probs=quality,
+        paragraph_groups=per_paragraph,
+    )
+
+
+def chunk_bounds(dataset) -> list:
+    """(start, stop) index ranges that cover `dataset` in order, each as
+    many whole examples as fit CHUNK_ROW_STEPS padded paragraph row-steps,
+    and at least one."""
+    bounds, start, rows, longest = [], 0, 0, 0
+    for i, example in enumerate(dataset):
+        n_rows = len(example.paragraphs)
+        n_longest = max((len(p.tokens) for p in example.paragraphs), default=0)
+        if i > start and (rows + n_rows) * max(longest, n_longest) > CHUNK_ROW_STEPS:
+            bounds.append((start, i))
+            start, rows, longest = i, 0, 0
+        rows, longest = rows + n_rows, max(longest, n_longest)
+    if dataset:
+        bounds.append((start, len(dataset)))
+    return bounds
 
 
 def predict_dataset(model, dataset, mode: AggregationMode, k1: int, k2: int, seed: int = 0, threads: int = 1):
-    """Predictions in dataset order; each example gets its own derived stream,
-    so results do not depend on thread scheduling."""
+    """Predictions in dataset order.
 
-    def run(item):
-        index, example = item
-        return predict(model, example, mode, k1, k2, make_rng(seed, STREAM_PREDICT, index))
+    The examples go in chunks (`chunk_bounds`, which reads the data alone):
+    each chunk is encoded in one pass (`encode_for_beams`), and then each of
+    its examples is decoded by `predict` with its own derived stream.  With
+    more than one chunk, up to `threads` threads take chunks; the output
+    does not depend on `threads`.
+    """
+    check_beam_sizes(k1, k2)
 
-    items = list(enumerate(dataset))
-    if threads <= 1:
-        return [run(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, items))
+    def run(bounds):
+        start, stop = bounds
+        encodings = encode_for_beams(model, dataset[start:stop], k1)
+        return [
+            predict(model, dataset[i], mode, k1, k2, make_rng(seed, STREAM_PREDICT, i), encodings[i - start])
+            for i in range(start, stop)
+        ]
+
+    chunks = chunk_bounds(dataset)
+    if threads <= 1 or len(chunks) <= 1:
+        return [pred for chunk in chunks for pred in run(chunk)]
+    with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
+        return [pred for preds in pool.map(run, chunks) for pred in preds]
 
 
 # ------------------------------------------------------------------ metrics

@@ -6,6 +6,7 @@ through every program call the benchmark makes, with its checks."""
 
 import importlib.util
 import inspect
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,20 +35,34 @@ def test_every_trace_target_resolves(monkeypatch):
     assert list(inspect.signature(sq.pipeline.beam_candidates).parameters)[3:5] == ["k1", "k2"]
 
 
-@pytest.mark.parametrize("threaded", [False, True], ids=["serial", "threaded"])
-def test_tiny_benchmark_run_passes_its_checks(monkeypatch, tmp_path, threaded):
+@pytest.mark.parametrize("threads", [None, 1, 2], ids=["serial", "threaded", "chunked"])
+def test_tiny_benchmark_run_passes_its_checks(monkeypatch, tmp_path, threads):
     """Every program call the benchmark makes, on a small `long` shape, with
     its checks (probabilities, argmax, repeat and reload reproduce, traced
-    replay reproduces) and the per-layer trace.  The threaded case predicts
-    through `predict_dataset`, as the `full` workload does, here with the
-    desk config's one thread; its trace counts examples and paragraphs only
-    where `predict_dataset` calls `pipeline.predict` by its module name."""
+    replay reproduces) and the per-layer trace.  The threaded cases predict
+    through `predict_dataset`, as the `full` workload does, with `threads`
+    examples per call: one with the desk config's one thread, and two, as
+    `full` has on two cores, with a copy of it that asks for two, so each
+    call encodes a chunk of two examples.  Their trace counts examples and
+    paragraphs only where `predict_dataset` calls `pipeline.predict` by its
+    module name."""
     bench = load_bench(monkeypatch)
     sq = bench.import_program()
     tiny = replace(
-        bench.WORKLOADS["long"], paragraph_lengths=(20, 25, 30), train_examples=20, eval_examples=6, threaded=threaded
+        bench.WORKLOADS["long"],
+        paragraph_lengths=(20, 25, 30),
+        train_examples=20,
+        eval_examples=6,
+        threaded=threads is not None,
     )
+    if threads not in (None, 1):
+        flat = json.loads((RUN.parents[1] / "configs" / tiny.config).read_text())
+        config = tmp_path / "threads.json"
+        config.write_text(json.dumps({**flat, "threads": threads}))
+        tiny = replace(tiny, config=str(config))  # an absolute path replaces the configs/ directory
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: threads)  # the run caps threads at the core count
     result, report = bench.run(sq, tiny, seed=5, seconds=0.0, trace=1, workdir=tmp_path / "run")
+    assert report["latency"]["examples_per_call"] == (threads or 1)
     assert result["correct"] and result["failed"] == 0
     assert set(report["end_to_end"]) == set(bench.END_TO_END)
     # the tracer still sees the recurrent kernel's calls and time steps

@@ -202,6 +202,8 @@ def test_make_synthetic_rejects_unknown_keys(tmp_path, capsys):
         pytest.param(
             '{"num_examples": 1' + "0" * 400 + "}", "'num_examples' must be finite", id="huge_int_num_examples"
         ),
+        pytest.param('{"num_examples": 1000000000000000000}', "num_examples must be <=", id="num_examples_past_bound"),
+        pytest.param('{"paragraph_len": 100000}', "paragraph_len must be <=", id="paragraph_len_past_bound"),
     ],
 )
 def test_make_synthetic_rejects_bad_config_naming_file_and_key(tmp_path, capsys, text, key):
@@ -369,6 +371,8 @@ def test_train_rejects_negative_seed_before_training(tmp_path, capsys, synth_dat
         # an int too large for a float is not a finite float
         pytest.param('{"keep_prob": 1' + "0" * 400 + "}", "'keep_prob' must be finite", id="huge_int_keep_prob"),
         pytest.param('{"hidden_dim": 1' + "0" * 400 + "}", "'hidden_dim' must be finite", id="huge_int_hidden_dim"),
+        pytest.param('{"hidden_dim": 100000000000}', "hidden_dim must be in [1, ", id="hidden_dim_past_bound"),
+        pytest.param('{"char_conv_width": 5000}', "char_conv_width must be in [1, ", id="char_conv_width_past_bound"),
         # past Python's int conversion limit the JSON itself does not parse
         pytest.param('{"keep_prob": 1' + "0" * 5000 + "}", "integer string conversion", id="int_past_conversion_limit"),
     ],

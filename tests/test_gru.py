@@ -420,6 +420,29 @@ def test_no_grad_pass_peaks_below_the_recorded_pass_by_its_gate_caches(reverse):
     assert recorded - plain >= 3 * steps * len(reverse) * batch * d * 8
 
 
+@pytest.mark.parametrize("reverse", [(False,), (True,), (False, True), (False, True, False, True)])
+def test_no_grad_pass_peaks_at_its_projection_and_states(reverse):
+    """Under no_grad the pass holds the (G, T, B, 3d) input projection, the
+    (T + 1, G, B, d) states and, for a reversed direction, the regathered
+    input, and nothing of (T * B, 3d): each direction's GEMM writes its own
+    block of the projection."""
+    steps, batch, d = 145, 30, 32
+    rng = make_rng(len(reverse), 54)
+    cells = pattern_cells(reverse, 2 * d, d, 54)
+    x = Tensor(rng.standard_normal((steps, batch, 2 * d)))
+    lengths = rng.integers(55, steps + 1, batch)
+    lengths[0] = steps
+    unit = steps * len(reverse) * batch * d * 8
+    tracemalloc.start()
+    try:
+        with no_grad():
+            _gru_pass(x, cells, reverse, lengths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * unit + (x.data.nbytes if any(reverse) else 0)
+
+
 @pytest.mark.parametrize("direction", ["forward", "both"])
 def test_layers_over_one_input_share_one_loop(direction):
     """Two layers over the same input in one call: their states side by

@@ -21,7 +21,7 @@ from helpers import (
 from spanqa.aggregation import AggregationMode, AnswerGroup, normalize_answer_key
 from spanqa.corpus import QAExample, make_paragraph
 from spanqa.diffmath import Tensor, backward, make_rng, no_grad
-from spanqa.diffmath.rng import STREAM_TRAIN
+from spanqa.diffmath.rng import STREAM_PREDICT, STREAM_TRAIN
 from spanqa.paragraph_quality import sample_pair
 from spanqa.pipeline import (
     Prediction,
@@ -651,16 +651,83 @@ def test_one_gru_call_per_bidirectional_layer(monkeypatch):
     assert len(calls) == 5
 
 
-def test_predict_dataset_threads_match_serial():
-    model = tiny_model(seed=15)
-    dataset = [
-        qa_example(["camels store fat in humps", "sand dune walks"], ex_id="a"),
-        qa_example(["fat in their humps", "what do dune walks"], ex_id="b"),
+def mixed_dataset(n=7):
+    """Examples of one to four paragraphs of 2 to 9 tokens, each with its own question."""
+    rng = np.random.default_rng(5)
+    words = [w for w in TINY_WORDS if w != "?"]
+    return [
+        qa_example(
+            [" ".join(rng.choice(words, size=rng.integers(2, 10))) for _ in range(rng.integers(1, 5))],
+            answers=[str(rng.choice(words))],
+            ex_id=f"m{i}",
+            question=list(rng.choice(words, size=rng.integers(2, 6))) + ["?"],
+        )
+        for i in range(n)
     ]
-    serial = predict_dataset(model, dataset, AggregationMode.MAX, 2, 2, seed=1, threads=1)
-    threaded = predict_dataset(model, dataset, AggregationMode.MAX, 2, 2, seed=1, threads=4)
-    assert [p.answer_scores for p in serial] == [p.answer_scores for p in threaded]
-    assert [p.best_answer for p in serial] == [p.best_answer for p in threaded]
+
+
+def test_chunk_bounds_cover_the_data_in_whole_examples_within_the_cap(monkeypatch):
+    import spanqa.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "CHUNK_ROW_STEPS", 40)
+    dataset = mixed_dataset(12)
+    bounds = pipeline.chunk_bounds(dataset)
+    assert [i for start, stop in bounds for i in range(start, stop)] == list(range(len(dataset)))
+    for start, stop in bounds:
+        paragraphs = [p for ex in dataset[start:stop] for p in ex.paragraphs]
+        steps = len(paragraphs) * max(len(p.tokens) for p in paragraphs)
+        assert steps <= 40 or stop - start == 1
+        if stop < len(dataset):  # the next example would have overflowed the chunk
+            paragraphs += dataset[stop].paragraphs
+            assert len(paragraphs) * max(len(p.tokens) for p in paragraphs) > 40
+    assert pipeline.chunk_bounds([]) == []
+
+
+def test_predict_dataset_matches_one_example_predict_calls(monkeypatch):
+    # a chunk pads its paragraphs and questions to its longest, which changes
+    # BLAS shapes and so may change float64 sums in the last bits
+    import spanqa.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "CHUNK_ROW_STEPS", 40)
+    model = tiny_model(seed=16)
+    dataset = mixed_dataset()
+    bounds = pipeline.chunk_bounds(dataset)
+    assert len(bounds) >= 3 and max(stop - start for start, stop in bounds) >= 2
+    chunked = predict_dataset(model, dataset, AggregationMode.RAND, 6, 4, seed=4)
+    for i, (example, pred) in enumerate(zip(dataset, chunked)):
+        alone = predict(model, example, AggregationMode.RAND, 6, 4, make_rng(4, STREAM_PREDICT, i))
+        assert pred.example_id == alone.example_id and pred.best_answer == alone.best_answer
+        assert sorted(pred.answer_scores) == sorted(alone.answer_scores)
+        keys = sorted(alone.answer_scores)
+        np.testing.assert_allclose(
+            [pred.answer_scores[k] for k in keys], [alone.answer_scores[k] for k in keys], rtol=1e-12, atol=0
+        )
+        np.testing.assert_allclose(pred.paragraph_probs, alone.paragraph_probs, rtol=1e-12, atol=0)
+        assert [[g.answer_text for g in groups] for groups in pred.paragraph_groups] == [
+            [g.answer_text for g in groups] for groups in alone.paragraph_groups
+        ]
+
+
+def test_predict_dataset_threads_match_serial(monkeypatch):
+    import spanqa.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "CHUNK_ROW_STEPS", 40)
+    model = tiny_model(seed=15)
+    dataset = mixed_dataset()
+    assert len(pipeline.chunk_bounds(dataset)) >= 3
+    serial = predict_dataset(model, dataset, AggregationMode.RAND, 2, 2, seed=1, threads=1)
+    for threads in (2, 4):
+        assert predict_dataset(model, dataset, AggregationMode.RAND, 2, 2, seed=1, threads=threads) == serial
+
+
+def test_predict_dataset_names_an_example_without_paragraphs_inside_a_chunk():
+    import spanqa.pipeline as pipeline
+
+    dataset = mixed_dataset(4)
+    dataset[2] = QAExample(id="bare", question=QUESTION, answers=["x"], paragraphs=[], question_text="")
+    assert pipeline.chunk_bounds(dataset) == [(0, 4)]
+    with pytest.raises(ValueError, match="example bare has no paragraphs"):
+        predict_dataset(tiny_model(seed=17), dataset, AggregationMode.MAX, 2, 1)
 
 
 # ----------------------------------------------------------------- metrics
