@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k1", type=int, help="beam width over start positions")
     p.add_argument("--k2", type=int, help="beam width over end positions")
     p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--threads", type=int, help="worker thread cap")
+    p.add_argument("--threads", type=int, help="accepted for compatibility; prediction runs on one thread")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score a predictions file against a dataset")

@@ -11,12 +11,14 @@ small and fast; under `no_grad`, or when nothing needs a gradient, the
 loop keeps no caches and returns a plain tensor.  Each step works in place
 in buffers allocated once per call.  Several sequences of different
 lengths can share that one loop, packed time-first and zero-padded
-(`pad_stack`); a single sequence is the batch of one.  The forward and
-backward directions of a bidirectional layer share it too, as do several
-layers that read the same input: each step makes one stacked (G, B, d)
-recurrent product per gate group over all G directions, and a backward
-direction reads its input reversed within each column's length.  Gate
-weights are packed [z | r | h] along the output axis."""
+(`pad_stack`); a single sequence is the batch of one, and a column's
+states do not depend, to the last bit, on what else shares its batch.
+The forward and backward directions of a bidirectional layer share the
+loop too, as do several layers that read the same input: each step makes
+one stacked (G, B, d) recurrent product per gate group over all G
+directions, and a backward direction reads its input reversed within
+each column's length.  Gate weights are packed [z | r | h] along the
+output axis."""
 
 from dataclasses import dataclass
 
@@ -71,6 +73,20 @@ def _sigmoid(x: np.ndarray, out=None) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
+def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.matmul(a, b, out=out), always as a matrix-matrix product.  numpy
+    sends a one-row product to BLAS gemv, which may round differently from
+    gemm, so without this a sequence's states would depend on whether other
+    sequences share its batch; a single row goes through gemm beside a zero
+    row instead."""
+    if a.shape[-2] != 1:
+        return np.matmul(a, b, out=out)
+    pair = np.zeros(a.shape[:-2] + (2, a.shape[-1]))
+    pair[..., :1, :] = a
+    out[...] = np.matmul(pair, b)[..., :1, :]
+    return out
+
+
 def _reversal(n: int, lengths) -> tuple:
     """Index pair that reverses each column of a (n, B, ...) array within its
     first lengths[b] steps and leaves its padded steps in place.  It is its
@@ -112,7 +128,7 @@ def _gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
     # place and no (T * B, 3d) product is held beside it
     xw = np.empty((dirs, n, batch, 3 * d))
     for g, (c, rev) in enumerate(zip(cells, reverse)):
-        np.matmul(flat_input(rev), ws[g], out=xw[g].reshape(n * batch, 3 * d))
+        _gemm(flat_input(rev), ws[g], out=xw[g].reshape(n * batch, 3 * d))
         xw[g] += c.b.data
     u_zr, u_h = np.stack(u_zrs), np.stack(u_hs)
     with np.errstate(over="ignore"):
@@ -120,10 +136,10 @@ def _gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
             h = hs[t]
             zr = zrs[t] if recording else a_zr
             c = cs[t] if recording else a_c
-            np.matmul(h, u_zr, out=a_zr)
+            _gemm(h, u_zr, out=a_zr)
             _sigmoid(np.add(xw[:, t, :, : 2 * d], a_zr, out=zr), out=zr)
             z, r = zr[..., :d], zr[..., d:]
-            np.matmul(np.multiply(r, h, out=rh), u_h, out=a_c)
+            _gemm(np.multiply(r, h, out=rh), u_h, out=a_c)
             np.tanh(np.add(xw[:, t, :, 2 * d :], a_c, out=c), out=c)
             # h' = (1 - z) * h + z * c, with rh free again as scratch
             np.multiply(np.subtract(1.0, z, out=rh), h, out=rh)

@@ -30,7 +30,6 @@ average precision of the quality ranking against contains-answer labels.
 import re
 import string
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -379,25 +378,22 @@ def predict_dataset(model, dataset, mode: AggregationMode, k1: int, k2: int, see
 
     The examples go in chunks (`chunk_bounds`, which reads the data alone):
     each chunk is encoded in one pass (`encode_for_beams`), and then each of
-    its examples is decoded by `predict` with its own derived stream.  With
-    more than one chunk, up to `threads` threads take chunks; the output
-    does not depend on `threads`.
+    its examples is decoded by `predict` with its own derived stream.  An
+    example's prediction does not depend on which examples share its chunk.
+
+    `threads` is accepted and ignored: the chunks run one after another on
+    the calling thread.  A thread pool over chunks ran slower than this on
+    a 2-core host at its default BLAS thread count (ROADMAP item 7).
     """
     check_beam_sizes(k1, k2)
-
-    def run(bounds):
-        start, stop = bounds
+    predictions = []
+    for start, stop in chunk_bounds(dataset):
         encodings = encode_for_beams(model, dataset[start:stop], k1)
-        return [
+        predictions += [
             predict(model, dataset[i], mode, k1, k2, make_rng(seed, STREAM_PREDICT, i), encodings[i - start])
             for i in range(start, stop)
         ]
-
-    chunks = chunk_bounds(dataset)
-    if threads <= 1 or len(chunks) <= 1:
-        return [pred for chunk in chunks for pred in run(chunk)]
-    with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
-        return [pred for preds in pool.map(run, chunks) for pred in preds]
+    return predictions
 
 
 # ------------------------------------------------------------------ metrics

@@ -35,17 +35,19 @@ def test_every_trace_target_resolves(monkeypatch):
     assert list(inspect.signature(sq.pipeline.beam_candidates).parameters)[3:5] == ["k1", "k2"]
 
 
-@pytest.mark.parametrize("threads", [None, 1, 2], ids=["serial", "threaded", "chunked"])
+@pytest.mark.parametrize("threads", [None, 1, 2, 3], ids=["serial", "threaded", "chunked", "chunked_uneven"])
 def test_tiny_benchmark_run_passes_its_checks(monkeypatch, tmp_path, threads):
     """Every program call the benchmark makes, on a small `long` shape, with
     its checks (probabilities, argmax, repeat and reload reproduce, traced
     replay reproduces) and the per-layer trace.  The threaded cases predict
     through `predict_dataset`, as the `full` workload does, with `threads`
-    examples per call: one with the desk config's one thread, and two, as
-    `full` has on two cores, with a copy of it that asks for two, so each
-    call encodes a chunk of two examples.  Their trace counts examples and
-    paragraphs only where `predict_dataset` calls `pipeline.predict` by its
-    module name."""
+    examples per call: one with the desk config's one thread, and two or
+    three, as `full` has on two or three cores, with a copy of it that asks
+    for that many, so each call encodes a chunk of several examples.  Three
+    does not divide the reload check's four examples, so that check sees
+    the fourth example predicted alone on one side and in a chunk of three
+    on the other.  The trace counts examples and paragraphs only where
+    `predict_dataset` calls `pipeline.predict` by its module name."""
     bench = load_bench(monkeypatch)
     sq = bench.import_program()
     tiny = replace(

@@ -497,6 +497,20 @@ def test_packed_padding_does_not_leak_into_valid_steps():
     assert rel_diff(out.data[:2, 0], ref.data[:, 0]) <= 1e-12
 
 
+@pytest.mark.parametrize("lengths", [[1, 3], [7, 2, 5], [4, 4, 1, 6]])
+def test_a_sequence_states_do_not_depend_on_its_batch(lengths):
+    """Equal bit for bit, one-step sequences too: prediction packs examples
+    into chunks, and an example's numbers must not depend on its chunk."""
+    rng = make_rng(46, 1)
+    layers = (init_bigru_params(16, 16, make_rng(46, 2)),)
+    xs = [Tensor(rng.standard_normal((n, 16))) for n in lengths]
+    with no_grad():
+        packed = unstack(gru_sequence(pad_stack(xs), layers, lengths), lengths)
+        for x, n, out in zip(xs, lengths, packed):
+            alone = gru_sequence(pad_stack([x]), layers, [n])
+            assert np.array_equal(out.data, alone.data[:, 0])
+
+
 def test_lengths_must_fit_the_packed_input():
     layers = (init_bigru_params(3, 2, make_rng(45, 2)),)
     with pytest.raises(ValueError, match="lengths"):

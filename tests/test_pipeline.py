@@ -684,28 +684,18 @@ def test_chunk_bounds_cover_the_data_in_whole_examples_within_the_cap(monkeypatc
 
 
 def test_predict_dataset_matches_one_example_predict_calls(monkeypatch):
-    # a chunk pads its paragraphs and questions to its longest, which changes
-    # BLAS shapes and so may change float64 sums in the last bits
+    # equal to the last bit: a chunk pads its paragraphs and questions to its
+    # longest and packs them into one batch, and neither may move a number
     import spanqa.pipeline as pipeline
 
     monkeypatch.setattr(pipeline, "CHUNK_ROW_STEPS", 40)
-    model = tiny_model(seed=16)
+    model = tiny_model(seed=16, hidden_dim=16, word_dim=8, char_out_dim=8)
     dataset = mixed_dataset()
     bounds = pipeline.chunk_bounds(dataset)
     assert len(bounds) >= 3 and max(stop - start for start, stop in bounds) >= 2
     chunked = predict_dataset(model, dataset, AggregationMode.RAND, 6, 4, seed=4)
     for i, (example, pred) in enumerate(zip(dataset, chunked)):
-        alone = predict(model, example, AggregationMode.RAND, 6, 4, make_rng(4, STREAM_PREDICT, i))
-        assert pred.example_id == alone.example_id and pred.best_answer == alone.best_answer
-        assert sorted(pred.answer_scores) == sorted(alone.answer_scores)
-        keys = sorted(alone.answer_scores)
-        np.testing.assert_allclose(
-            [pred.answer_scores[k] for k in keys], [alone.answer_scores[k] for k in keys], rtol=1e-12, atol=0
-        )
-        np.testing.assert_allclose(pred.paragraph_probs, alone.paragraph_probs, rtol=1e-12, atol=0)
-        assert [[g.answer_text for g in groups] for groups in pred.paragraph_groups] == [
-            [g.answer_text for g in groups] for groups in alone.paragraph_groups
-        ]
+        assert pred == predict(model, example, AggregationMode.RAND, 6, 4, make_rng(4, STREAM_PREDICT, i))
 
 
 def test_predict_dataset_threads_match_serial(monkeypatch):
