@@ -6,7 +6,7 @@ paragraph-level answer probability:
 
     head  first span in document order
     rand  a seeded random span (deterministic given the stream)
-    max   the largest span probability
+    max   the first largest; in training it alone gets the gradient
     sum   the total span probability
 
 `aggregate` accepts plain floats (inference) or graph tensors (training,
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .corpus import answer_token_seq
 from .diffmath import Tensor
-from .diffmath import maximum as tmaximum
 
 
 class AggregationMode(enum.Enum):
@@ -54,12 +53,7 @@ def aggregate(span_probs, mode: AggregationMode, rng=None):
             raise ValueError("rand aggregation needs an rng")
         return probs[int(rng.integers(len(probs)))]
     if mode is AggregationMode.MAX:
-        if isinstance(probs[0], Tensor):
-            out = probs[0]
-            for p in probs[1:]:
-                out = tmaximum(out, p)
-            return out
-        return max(probs)
+        return max(probs, key=lambda p: p.data if isinstance(p, Tensor) else p)
     if mode is AggregationMode.SUM:
         out = probs[0]
         for p in probs[1:]:

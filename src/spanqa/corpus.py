@@ -137,9 +137,11 @@ def corpus_stats(dataset) -> dict:
 # planted occurrences are exactly the labeled ones.
 
 
-# Upper bounds on the generator's sizes, so that a mistyped one fails by name
+# Upper bounds on the generator's sizes and on its total work in tokens (10^7
+# take about 20 s on a 2-vCPU VM), so that a mistyped size fails by name
 # instead of generating until it is killed.
 SYNTH_MAX_SIZES = {"num_examples": 10**6, "vocab_size": 10**6, "paragraphs_per_question": 100, "paragraph_len": 10**4}
+SYNTH_MAX_TOKENS = 10**7
 
 
 @dataclass
@@ -159,6 +161,11 @@ class SynthConfig:
         for name, bound in SYNTH_MAX_SIZES.items():
             if getattr(self, name) > bound:
                 raise ValueError(f"{name} must be <= {bound}, got {getattr(self, name)!r}")
+        tokens = self.num_examples * self.paragraphs_per_question * self.paragraph_len
+        if tokens > SYNTH_MAX_TOKENS:
+            raise ValueError(
+                f"num_examples x paragraphs_per_question x paragraph_len must be <= {SYNTH_MAX_TOKENS}, got {tokens}"
+            )
         if self.vocab_size < N_CUE_TOKENS + _MAX_ANSWER_LEN + 4:
             raise ValueError(f"vocab_size {self.vocab_size} too small to plant answers")
         if not 0.0 <= self.multi_span_prob <= 1.0:

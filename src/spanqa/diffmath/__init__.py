@@ -12,7 +12,6 @@ from .tensor import (
     group_max_rows,
     log,
     matmul,
-    maximum,
     mul,
     no_grad,
     pad_stack,
@@ -20,7 +19,6 @@ from .tensor import (
     relu,
     reshape,
     row_softmax,
-    stack_scalars,
     transpose,
     unstack,
 )

@@ -205,20 +205,6 @@ def clip_min(a, floor: float) -> Tensor:
     return _make(np.maximum(a.data, floor), (a,), lambda g: (g * above,))
 
 
-def maximum(a, b) -> Tensor:
-    """Elementwise maximum; on exact ties the gradient goes to the first operand."""
-    a, b = _lift(a), _lift(b)
-    take_a = a.data >= b.data
-    return _make(
-        np.where(take_a, a.data, b.data),
-        (a, b),
-        lambda g: (
-            _unbroadcast(g * take_a, a.data.shape),
-            _unbroadcast(g * ~take_a, b.data.shape),
-        ),
-    )
-
-
 def row_softmax(x, mask=None) -> Tensor:
     """Softmax along the last axis of a 1-D or 2-D tensor.
 
@@ -275,19 +261,6 @@ def concat_cols(parts) -> Tensor:
         return tuple(g[..., offsets[i] : offsets[i + 1]] for i in range(len(parts)))
 
     return _make(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), back)
-
-
-def stack_scalars(parts) -> Tensor:
-    """Stack scalar tensors into a 1-D vector."""
-    parts = [_lift(p) for p in parts]
-    for p in parts:
-        if p.data.size != 1:
-            raise ValueError(f"stack_scalars expects scalars, got shape {p.data.shape}")
-
-    def back(g):
-        return tuple(g[i].reshape(p.data.shape) for i, p in enumerate(parts))
-
-    return _make(np.array([p.data.reshape(()) for p in parts]), tuple(parts), back)
 
 
 def gather_rows(a, indices) -> Tensor:

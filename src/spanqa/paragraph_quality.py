@@ -13,12 +13,12 @@ from .diffmath import (
     BiGruParams,
     Tensor,
     bigru_each,
+    concat_cols,
     glorot_uniform,
     init_bigru_params,
     matmul,
     reshape,
     row_softmax,
-    stack_scalars,
 )
 from .span_decoder import SpanDecoderParams, StartDistribution, start_head
 
@@ -81,7 +81,7 @@ def normalize_quality_tensors(logits) -> Tensor:
     q_i at inference and the pair probabilities in training."""
     if not logits:
         raise ValueError("normalize_quality_tensors needs at least one paragraph")
-    return row_softmax(stack_scalars(logits))
+    return row_softmax(concat_cols([reshape(logit, (1,)) for logit in logits]))
 
 
 def sample_pair(label_counts, rng):

@@ -6,16 +6,17 @@ the pair-normalized quality softmax and p+ aggregates the span probabilities
 at the weakly labeled answer locations.  Batches average example losses into
 one Adadelta step.
 
-Training and inference share one forward path, `encode_items`, over a
-batch of items (question, paragraphs, dropout stream): each recurrent
-layer runs once over the whole batch, through the batched calls
-`encode_questions`, `encode_paragraphs` and `start_and_quality` (whose
-start and quality layers share one time loop), and the end distributions
-share one more pass through `end_distributions`.  Training sends a whole
-Adadelta batch through it, one (positive, negative) pair per example;
-inference sends a chunk of examples with all their paragraphs
-(`encode_for_beams`), and then decodes each example on its own
-(`predict`).
+Training and inference share one forward path through all three levels,
+`encode_items`, over a batch of items (question, paragraphs, dropout
+stream): each recurrent layer runs once over the whole batch, through the
+batched calls `encode_questions`, `encode_paragraphs`, `start_and_quality`
+(whose start and quality layers share one time loop) and
+`end_distributions`, which runs the end layer over every start that a
+rule names per paragraph.  Training sends a whole Adadelta batch through
+it, one (positive, negative) pair per example, with the positive's labeled
+starts; inference sends a chunk of examples with all their paragraphs and
+each paragraph's top-k1 starts (`encode_for_beams`), and then decodes each
+example on its own (`predict`).
 
 Inference runs a start/end beam per paragraph, groups candidate spans by
 normalized answer text, aggregates within each paragraph, and mixes across
@@ -110,12 +111,12 @@ def paragraph_label_table(dataset):
 class ItemEncoding:
     """One item's share of `encode_items`, one entry per paragraph of the item."""
 
-    contexts: list  # (n_i, 2d) context embeddings
     starts: list  # StartDistributions
+    ends: list  # {start: end distribution} over the starts the rule named
     quality: list  # scalar quality logits
 
 
-def encode_items(model, items) -> list:
+def encode_items(model, items, end_starts) -> list:
     """The forward pass shared by training and inference, over a batch of
     (question tokens, list of paragraph token lists, rng) items: one
     ItemEncoding per item.
@@ -123,10 +124,13 @@ def encode_items(model, items) -> list:
     Each recurrent layer runs once over the whole batch: the question layer
     over every item's question, then the paragraph and self-attention layers
     over every paragraph of every item, each paragraph attending to its own
-    item's question, and then the start and quality layers together, in one
-    time loop over the same contexts.  An item's rng drives only its own
-    dropout masks (question first, then its paragraphs in order); an item
-    without one (inference) gets no dropout.
+    item's question, then the start and quality layers together, in one
+    time loop over the same contexts, and last the end layer, over one row
+    per (item, paragraph, start) in that order, where
+    `end_starts(item index, paragraph index, start distribution)` names a
+    paragraph's starts.  An item's rng drives only its own dropout masks
+    (question first, then its paragraphs in order); an item without one
+    (inference) gets no dropout.
     """
     questions, paragraph_lists, rngs = zip(*items)
     owners = [i for i, paragraphs in enumerate(paragraph_lists) for _ in paragraphs]
@@ -137,17 +141,21 @@ def encode_items(model, items) -> list:
         [rngs[i] for i in owners],
     )
     starts, quality = start_and_quality(contexts, model.decoder, model.quality, model.grad_through_start)
-    bounds = np.cumsum([0] + [len(paragraphs) for paragraphs in paragraph_lists]).tolist()
-    return [ItemEncoding(contexts[a:b], starts[a:b], quality[a:b]) for a, b in zip(bounds, bounds[1:])]
+    firsts = np.cumsum([0] + [len(paragraphs) for paragraphs in paragraph_lists]).tolist()
+    wanted = [end_starts(i, j - firsts[i], sd) for j, (i, sd) in enumerate(zip(owners, starts))]
+    rows = [(ctx, sd, s) for ctx, sd, beam in zip(contexts, starts, wanted) for s in beam]
+    dists = iter(end_distributions(rows, model.decoder))
+    ends = [{s: next(dists) for s in beam} for beam in wanted]
+    return [ItemEncoding(starts[a:b], ends[a:b], quality[a:b]) for a, b in zip(firsts, firsts[1:])]
 
 
 def batch_losses(model, pairs, mode) -> list:
     """-(log q+ + log p+) of every training pair in `pairs`, as graph scalars.
 
     A pair is (example, positive index, positive's labels, negative
-    paragraph, rng).  All pairs share one `encode_items` pass, and the end
-    distributions of every positive's distinct labeled starts share one
-    more recurrent pass.  p+ aggregates span probabilities at the labeled
+    paragraph, rng).  All pairs share one `encode_items` pass, which runs
+    the end layer at every positive's distinct labeled starts and at none
+    of the negative's.  p+ aggregates span probabilities at the labeled
     locations.  Both probabilities are floored at PROB_FLOOR before the log
     so early zero-mass labels cannot produce infinities.  Each pair's rng
     gives the dropout masks for its question, positive and negative
@@ -156,15 +164,12 @@ def batch_losses(model, pairs, mode) -> list:
     encoded = encode_items(
         model,
         [(ex.question, [ex.paragraphs[pos].tokens, neg.tokens], rng) for ex, pos, _, neg, rng in pairs],
+        lambda i, j, _: [] if j else list(dict.fromkeys(label.start for label in pairs[i][2])),
     )
-    distinct = [list(dict.fromkeys(label.start for label in labels)) for _, _, labels, _, _ in pairs]
-    rows = [(enc.contexts[0], enc.starts[0], s) for enc, starts in zip(encoded, distinct) for s in starts]
-    ends = iter(end_distributions(rows, model.decoder))
     losses = []
-    for (example, _, labels, _, rng), enc, starts in zip(pairs, encoded, distinct):
-        ends_by_start = {s: next(ends) for s in starts}
-        pos_starts = enc.starts[0]
-        span_probs = [span_probability(pos_starts, ends_by_start[l.start], l.start, l.end) for l in labels]
+    for (example, _, labels, _, rng), enc in zip(pairs, encoded):
+        pos_starts, pos_ends = enc.starts[0], enc.ends[0]
+        span_probs = [span_probability(pos_starts, pos_ends[l.start], l.start, l.end) for l in labels]
         answer_prob = aggregate(span_probs, mode, rng)
         pair_probs = normalize_quality_tensors(enc.quality)
         loss = mul(log(clip_min(pick(pair_probs, 0), PROB_FLOOR)) + log(clip_min(answer_prob, PROB_FLOOR)), -1.0)
@@ -297,53 +302,37 @@ def best_answer(scores: dict) -> str:
     return min(scores.items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
 
-@dataclass
-class BeamEncoding:
-    """What `predict` reads of one example's encoding, one entry per paragraph."""
-
-    starts: list  # StartDistributions
-    ends: list  # {start: end-probability array} over the paragraph's top-k1 starts
-    quality: list  # scalar quality logits
-
-
 def encode_for_beams(model, examples, k1: int) -> list:
-    """One BeamEncoding per example of `examples`, from one `encode_items`
-    pass over all their paragraphs and one `end_distributions` pass over
-    every paragraph's top-k1 starts."""
+    """One `encode_items` ItemEncoding per example of `examples`, with the
+    end distributions of each paragraph's top-k1 starts, all in one pass
+    and without a graph."""
     for example in examples:
         if not example.paragraphs:
             raise ValueError(f"example {example.id} has no paragraphs")
     with no_grad():
-        encoded = encode_items(model, [(ex.question, [p.tokens for p in ex.paragraphs], None) for ex in examples])
-        beams = [[top_indices(sd.probs.data, k1) for sd in enc.starts] for enc in encoded]
-        rows = [
-            (ctx, sd, s)
-            for enc, example_beams in zip(encoded, beams)
-            for ctx, sd, beam in zip(enc.contexts, enc.starts, example_beams)
-            for s in beam
-        ]
-        ends = iter(end_distributions(rows, model.decoder))
-        return [
-            BeamEncoding(enc.starts, [{s: next(ends).data for s in beam} for beam in example_beams], enc.quality)
-            for enc, example_beams in zip(encoded, beams)
-        ]
+        return encode_items(
+            model,
+            [(ex.question, [p.tokens for p in ex.paragraphs], None) for ex in examples],
+            lambda i, j, start_dist: top_indices(start_dist.probs.data, k1),
+        )
 
 
 def predict(model, example, mode: AggregationMode, k1: int, k2: int, rng=None, encoding=None) -> Prediction:
     """Scores for every answer string surfaced by the per-paragraph beams.
 
-    `encoding` is the example's `encode_for_beams` result for the same k1;
-    without one, the example is encoded as a chunk of one.  With a single
-    paragraph the quality weight collapses to 1 and the score is just the
-    paragraph-level probability.  `rng` drives `rand` aggregation only.
+    `encoding` is the example's `encode_for_beams` result for the same k1,
+    which holds its start, end and quality levels; without one, the example
+    is encoded as a chunk of one.  With a single paragraph the quality
+    weight collapses to 1 and the score is just the paragraph-level
+    probability.  `rng` drives `rand` aggregation only.
     """
     check_beam_sizes(k1, k2)
     if encoding is None:
         (encoding,) = encode_for_beams(model, [example], k1)
     with no_grad():
         per_paragraph = []
-        for paragraph, sd, end_dists in zip(example.paragraphs, encoding.starts, encoding.ends, strict=True):
-            cands = beam_candidates(paragraph, sd, end_dists, k1, k2)
+        for paragraph, sd, ends in zip(example.paragraphs, encoding.starts, encoding.ends, strict=True):
+            cands = beam_candidates(paragraph, sd, {s: end.data for s, end in ends.items()}, k1, k2)
             per_paragraph.append(group_candidates(cands, mode, rng))
         quality = normalize_quality_tensors(encoding.quality).data.tolist()
     scores = combine_scores(quality, per_paragraph)

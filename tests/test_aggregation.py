@@ -1,5 +1,7 @@
 """Span-probability aggregation and answer grouping."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,9 @@ def cand(start, end, prob, text):
 def test_mode_fixtures():
     assert aggregate(PROBS, AggregationMode.HEAD) == 0.2
     assert aggregate(PROBS, AggregationMode.MAX) == 0.3
+    # on a tie the first comes back: 0.0 and -0.0 compare equal, and the sign tells them apart
+    assert math.copysign(1.0, aggregate([0.0, -0.0], AggregationMode.MAX)) == 1.0
+    assert math.copysign(1.0, aggregate([-0.0, 0.0], AggregationMode.MAX)) == -1.0
     assert aggregate(PROBS, AggregationMode.SUM) == pytest.approx(0.6)
 
 
@@ -74,6 +79,12 @@ def test_tensor_max_routes_gradient_to_argmax():
     backward(out)
     grads = [float(p.grad) if p.grad is not None else 0.0 for p in probs]
     assert grads == [0.0, 1.0, 0.0]
+    # on a tie the first maximal tensor is returned and alone gets the gradient
+    tied = [Tensor(np.asarray(v), requires_grad=True) for v in (0.1, 0.3, 0.2, 0.3)]
+    out = aggregate(tied, AggregationMode.MAX)
+    assert out is tied[1]
+    backward(out * 2.0)
+    assert [None if p.grad is None else float(p.grad) for p in tied] == [None, 2.0, None, None]
 
 
 def test_tensor_sum_gradient_is_ones():

@@ -204,9 +204,17 @@ def test_make_synthetic_rejects_unknown_keys(tmp_path, capsys):
         ),
         pytest.param('{"num_examples": 1000000000000000000}', "num_examples must be <=", id="num_examples_past_bound"),
         pytest.param('{"paragraph_len": 100000}', "paragraph_len must be <=", id="paragraph_len_past_bound"),
+        # every size within its own bound, 10^12 tokens in all: refused before any is generated
+        pytest.param(
+            '{"num_examples": 1000000, "paragraphs_per_question": 100, "paragraph_len": 10000}',
+            "num_examples x paragraphs_per_question x paragraph_len must be <=",
+            id="total_tokens_past_bound",
+        ),
     ],
 )
-def test_make_synthetic_rejects_bad_config_naming_file_and_key(tmp_path, capsys, text, key):
+def test_make_synthetic_rejects_bad_config_naming_file_and_key(tmp_path, capsys, monkeypatch, text, key):
+    # a config that got past its checks would fail here instead of generating
+    monkeypatch.setattr("spanqa.cli.generate_synthetic", None)
     config = tmp_path / "bad.json"
     config.write_text(text, encoding="utf-8")
     out = tmp_path / "x.jsonl"

@@ -31,6 +31,7 @@ from spanqa.pipeline import (
     batch_losses,
     beam_candidates,
     best_answer,
+    chunk_bounds,
     combine_scores,
     evaluate_dataset,
     exact_match,
@@ -648,6 +649,22 @@ def test_one_gru_call_per_bidirectional_layer(monkeypatch):
     assert len(calls) == 5
     calls.clear()
     example_loss(model, example, 0, labels[0], example.paragraphs[1], AggregationMode.MAX, make_rng(22, 3))
+    assert len(calls) == 5
+    examples = [
+        example,
+        qa_example(["fat in their humps", "dune walks"], ex_id="y", question=QUESTION[1:]),
+        qa_example(["sand dune walks do", "camels store fat"], ex_id="z", question=QUESTION[2:]),
+    ]
+    assert chunk_bounds(examples) == [(0, 3)]
+    calls.clear()
+    predict_dataset(model, examples, AggregationMode.SUM, 3, 2)
+    assert len(calls) == 5
+    pairs = []
+    for i, (ex, ex_labels) in enumerate(zip(examples, paragraph_label_table(examples))):
+        pos = next(j for j, p_labels in enumerate(ex_labels) if p_labels)
+        pairs.append((ex, pos, ex_labels[pos], ex.paragraphs[1 - pos], make_rng(22, 4, i)))
+    calls.clear()
+    batch_losses(model, pairs, AggregationMode.MAX)
     assert len(calls) == 5
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_grads, encode_question, softmax, tiny_model
+from helpers import check_grads, encode_question, softmax, tiny_model, tsum
 from spanqa.diffmath import Tensor, backward, gru_sequence, make_rng
 from spanqa.paragraph_quality import normalize_quality_tensors, quality_logit, sample_pair
 from spanqa.span_decoder import StartDistribution, start_distribution
@@ -103,8 +103,11 @@ def test_normalize_shift_invariant(logits, shift):
 
 def test_normalize_tensor_matches_float_path():
     logits = [1.2, -0.3, 0.8]
-    t = normalize_quality_tensors([Tensor(np.asarray(x), requires_grad=True) for x in logits])
+    leaves = [Tensor(np.asarray(x), requires_grad=True) for x in logits]
+    t = normalize_quality_tensors(leaves)
     np.testing.assert_allclose(t.data, softmax(logits), atol=1e-12)
+    weights = np.array([0.5, -2.0, 1.5])
+    check_grads(lambda: tsum(normalize_quality_tensors(leaves) * weights), leaves)
 
 
 # ------------------------------------------------------------- pair sampling

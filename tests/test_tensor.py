@@ -17,14 +17,12 @@ from spanqa.diffmath import (
     log,
     make_rng,
     matmul,
-    maximum,
     no_grad,
     pad_stack,
     pick,
     relu,
     reshape,
     row_softmax,
-    stack_scalars,
     transpose,
     unstack,
 )
@@ -216,21 +214,6 @@ def test_log_gradient():
     check_grads(lambda: tsum(log(x)), [x])
 
 
-def test_maximum_tie_sends_gradient_to_first():
-    a = leaf([1.0, 5.0])
-    b = leaf([1.0, 3.0])
-    backward(tsum(maximum(a, b)))
-    np.testing.assert_array_equal(a.grad, [1.0, 1.0])
-    np.testing.assert_array_equal(b.grad, [0.0, 0.0])
-
-
-def test_maximum_gradient():
-    rng = make_rng(17, 1)
-    a = leaf(None, rng, (4,))
-    b = leaf(None, rng, (4,))
-    check_grads(lambda: tsum(maximum(a, b)), [a, b])
-
-
 def test_transpose_reshape_gradients():
     rng = make_rng(18, 1)
     x = leaf(None, rng, (3, 4))
@@ -344,14 +327,6 @@ def test_backward_sets_grad_on_leaves_and_root_only():
     np.testing.assert_array_equal(x.grad[:, 0], w.data)
     np.testing.assert_array_equal(x.grad[:2, 1], 1.0)
     assert loss.grad.reshape(()) == 1.0
-
-
-def test_stack_scalars_and_pick_gradients():
-    a = leaf(2.0)
-    b = leaf(-1.0)
-    v = stack_scalars([a, b])
-    np.testing.assert_array_equal(v.data, [2.0, -1.0])
-    check_grads(lambda: pick(stack_scalars([a, b]) * stack_scalars([a, b]), 0), [a, b])
 
 
 def test_gather_rows_repeated_index_accumulates():
