@@ -329,6 +329,17 @@ def test_backward_sets_grad_on_leaves_and_root_only():
     assert loss.grad.reshape(()) == 1.0
 
 
+def test_stack_scalars_and_pick_gradients():
+    a = leaf(2.0)
+    b = leaf(-1.0)
+
+    def stack():
+        return concat_cols([reshape(a, (1,)), reshape(b, (1,))])
+
+    np.testing.assert_array_equal(stack().data, [2.0, -1.0])
+    check_grads(lambda: pick(stack() * stack(), 0), [a, b])
+
+
 def test_gather_rows_repeated_index_accumulates():
     x = leaf(np.arange(6.0).reshape(3, 2))
     out = gather_rows(x, [1, 1, 0])
