@@ -37,7 +37,7 @@ def _load_data(args):
 
 
 def _apply_overrides(flat, args):
-    for key in ("mode", "k1", "k2", "seed", "threads"):
+    for key in ("mode", "k1", "k2", "seed"):
         value = getattr(args, key, None)
         if value is not None:
             flat[key] = value
@@ -132,7 +132,6 @@ def cmd_predict(args) -> int:
         train_config.k1,
         train_config.k2,
         seed=train_config.seed,
-        threads=train_config.threads,
     )
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -221,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k1", type=int, help="beam width over start positions")
     p.add_argument("--k2", type=int, help="beam width over end positions")
     p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--threads", type=int, help="accepted for compatibility; prediction runs on one thread")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score a predictions file against a dataset")

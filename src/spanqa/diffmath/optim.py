@@ -13,15 +13,9 @@ EPS = 1e-6
 
 
 def glorot_uniform(shape, rng) -> np.ndarray:
-    """Uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out)).
-
-    Vectors are treated as fan_in = fan_out = len, which keeps their scale
-    in line with the matrices they multiply.
-    """
-    if len(shape) == 2:
-        fan_in, fan_out = shape
-    else:
-        fan_in = fan_out = shape[0]
+    """Uniform(-a, a) of the 2-D `shape` (fan_in, fan_out), with
+    a = sqrt(6 / (fan_in + fan_out))."""
+    fan_in, fan_out = shape
     a = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=shape)
 

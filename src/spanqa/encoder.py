@@ -191,10 +191,8 @@ def embed_tokens(tokens, vocab: Vocab, char_vocab: CharVocab, params: EncoderPar
 
 def contextualize(embedded, rnn: BiGruParams, keep_prob: float, rngs) -> list:
     """Dropout on each (n_i, k) embedding of the list in turn, the i-th
-    drawing from rngs[i] (no dropout where that is None, and `rngs` may be
-    None outright), then one bidirectional recurrent pass over them all: a
-    list of (n_i, 2d)."""
-    rngs = [None] * len(embedded) if rngs is None else rngs
+    drawing from rngs[i] (no dropout where that is None), then one
+    bidirectional recurrent pass over them all: a list of (n_i, 2d)."""
     (states,) = bigru_each([dropout(x, keep_prob, rng) for x, rng in zip(embedded, rngs, strict=True)], rnn)
     return states
 

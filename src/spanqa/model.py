@@ -64,13 +64,13 @@ class QaModel:
             grad_through_start=grad_through_start,
         )
 
-    def encode_questions(self, questions, rngs=None) -> list:
+    def encode_questions(self, questions, rngs) -> list:
         """Contextual encoding (m_i, 2d) of every token list in `questions`,
         with one recurrent pass over all of them; each is shared by every
         paragraph of its example.
 
-        rngs[i] drives question i's dropout; with no rng (inference) there
-        is none.  It is only drawn from when keep_prob < 1.
+        rngs[i] drives question i's dropout; where it is None (inference)
+        there is none.  It is only drawn from when keep_prob < 1.
         """
         embedded = [embed_tokens(tokens, self.vocab, self.char_vocab, self.encoder) for tokens in questions]
         return contextualize(embedded, self.encoder.q_ctx, self.config.keep_prob, rngs)
@@ -81,7 +81,7 @@ class QaModel:
         the question's `encode_questions` output."""
         return self.encode_paragraphs([question], [paragraph_tokens], [rng])[0]
 
-    def encode_paragraphs(self, questions, paragraphs, rngs=None) -> list:
+    def encode_paragraphs(self, questions, paragraphs, rngs) -> list:
         """`encode_paragraph` of every token list in `paragraphs`, where
         paragraph i attends to the encoded question questions[i] and draws
         its dropout from rngs[i]; each recurrent layer runs once over all of

@@ -321,20 +321,19 @@ def predict(model, example, mode: AggregationMode, k1: int, k2: int, rng=None, e
     """Scores for every answer string surfaced by the per-paragraph beams.
 
     `encoding` is the example's `encode_for_beams` result for the same k1,
-    which holds its start, end and quality levels; without one, the example
-    is encoded as a chunk of one.  With a single paragraph the quality
-    weight collapses to 1 and the score is just the paragraph-level
-    probability.  `rng` drives `rand` aggregation only.
+    its start, end and quality levels held without a graph, so decoding
+    records none; without one, the example is encoded as a chunk of one.
+    With a single paragraph the quality weight collapses to 1 and the score
+    is just the paragraph-level probability.  `rng` drives `rand` only.
     """
     check_beam_sizes(k1, k2)
     if encoding is None:
         (encoding,) = encode_for_beams(model, [example], k1)
-    with no_grad():
-        per_paragraph = []
-        for paragraph, sd, ends in zip(example.paragraphs, encoding.starts, encoding.ends, strict=True):
-            cands = beam_candidates(paragraph, sd, {s: end.data for s, end in ends.items()}, k1, k2)
-            per_paragraph.append(group_candidates(cands, mode, rng))
-        quality = normalize_quality_tensors(encoding.quality).data.tolist()
+    per_paragraph = []
+    for paragraph, sd, ends in zip(example.paragraphs, encoding.starts, encoding.ends, strict=True):
+        cands = beam_candidates(paragraph, sd, {s: end.data for s, end in ends.items()}, k1, k2)
+        per_paragraph.append(group_candidates(cands, mode, rng))
+    quality = normalize_quality_tensors(encoding.quality).data.tolist()
     scores = combine_scores(quality, per_paragraph)
     return Prediction(
         example_id=example.id,
@@ -370,9 +369,10 @@ def predict_dataset(model, dataset, mode: AggregationMode, k1: int, k2: int, see
     its examples is decoded by `predict` with its own derived stream.  An
     example's prediction does not depend on which examples share its chunk.
 
-    `threads` is accepted and ignored: the chunks run one after another on
-    the calling thread.  A thread pool over chunks ran slower than this on
-    a 2-core host at its default BLAS thread count (ROADMAP item 7).
+    `threads` is ignored: the chunks run one after another on the calling
+    thread.  The keyword and the `threads` config key stay only because
+    perfbench/run.py passes it and sizes its calls by the key (ROADMAP
+    item 7).
     """
     check_beam_sizes(k1, k2)
     predictions = []
@@ -477,9 +477,9 @@ def score_predictions(dataset, predictions) -> dict:
     }
 
 
-def evaluate_dataset(model, dataset, mode: AggregationMode, k1: int, k2: int, seed: int = 0, threads: int = 1, predictions=None):
+def evaluate_dataset(model, dataset, mode: AggregationMode, k1: int, k2: int, seed: int = 0, predictions=None):
     """EM / F1 / MAP / mean predicted answer length over a dataset, from
     `predictions` or, when none are given, from predicting it."""
     if predictions is None:
-        predictions = predict_dataset(model, dataset, mode, k1, k2, seed=seed, threads=threads)
+        predictions = predict_dataset(model, dataset, mode, k1, k2, seed=seed)
     return score_predictions(dataset, predictions)

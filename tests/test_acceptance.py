@@ -308,7 +308,7 @@ def max_model(protocol_data):
 
 
 def held_out_metrics(model, test_set, mode, k1=3, k2=1):
-    return evaluate_dataset(model, test_set, AggregationMode.parse(mode), k1, k2, seed=0, threads=4)
+    return evaluate_dataset(model, test_set, AggregationMode.parse(mode), k1, k2, seed=0)
 
 
 def test_criterion_5_synthetic_learnability(protocol_data, max_model):

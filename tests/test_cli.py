@@ -419,7 +419,7 @@ def test_settable_values_are_pinned():
         "--config", "--out", "--checkpoint", "--word-vectors", "--mode", "--seed",
     }
     assert command_flags("predict") == data | {
-        "--checkpoint", "--out", "--mode", "--k1", "--k2", "--seed", "--threads",
+        "--checkpoint", "--out", "--mode", "--k1", "--k2", "--seed",
     }
 
 
@@ -511,14 +511,6 @@ def test_predict_stdout_and_single_paragraph_probs(tmp_path, capsys, trained):
     record = json.loads(out.strip())
     assert record["id"] == "solo"
     assert record["paragraph_probs"] == [1.0]
-
-
-def test_predict_threads_do_not_change_output(tmp_path, capsys, trained):
-    ckpt, data = trained
-    a, b = tmp_path / "a.pred", tmp_path / "b.pred"
-    run(capsys, ["predict", "--checkpoint", ckpt, "--data", data, "--out", str(a), "--threads", "1"])
-    run(capsys, ["predict", "--checkpoint", ckpt, "--data", data, "--out", str(b), "--threads", "4"])
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_checkpoint_with_retired_span_table_cap_still_loads(tmp_path, capsys, trained):

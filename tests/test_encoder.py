@@ -85,7 +85,7 @@ def test_embed_tokens_rejects_empty():
 def test_contextualize_shape():
     model = tiny_model()
     emb = embed_tokens(PARAGRAPH, model.vocab, model.char_vocab, model.encoder)
-    (out,) = contextualize([emb], model.encoder.p_ctx, 1.0, None)
+    (out,) = contextualize([emb], model.encoder.p_ctx, 1.0, [None])
     assert out.shape == (len(PARAGRAPH), 2 * model.config.hidden_dim)
 
 
@@ -94,7 +94,7 @@ def test_contextualize_zero_weights_gives_zeros():
     for _, t in named_tensors(model.encoder.p_ctx):
         t.data[:] = 0.0
     emb = embed_tokens(PARAGRAPH, model.vocab, model.char_vocab, model.encoder)
-    (out,) = contextualize([emb], model.encoder.p_ctx, 1.0, None)
+    (out,) = contextualize([emb], model.encoder.p_ctx, 1.0, [None])
     np.testing.assert_array_equal(out.data, 0.0)
 
 
@@ -104,11 +104,11 @@ def test_contextualize_zero_weights_gives_zeros():
 def encoded_pair(model, para=PARAGRAPH, ques=QUESTION):
     (q,) = contextualize(
         [embed_tokens(ques, model.vocab, model.char_vocab, model.encoder)],
-        model.encoder.q_ctx, 1.0, None,
+        model.encoder.q_ctx, 1.0, [None],
     )
     (p,) = contextualize(
         [embed_tokens(para, model.vocab, model.char_vocab, model.encoder)],
-        model.encoder.p_ctx, 1.0, None,
+        model.encoder.p_ctx, 1.0, [None],
     )
     return p, q
 

@@ -59,3 +59,14 @@ def test_comparison_catches_a_moved_float():
     assert mismatches(expected, moved) == ["/runs/0/epoch_losses/0: 1.000000000001 != 1.0"]
     renamed = {"runs": [{**expected["runs"][0], "answer": "b"}]}
     assert mismatches(expected, renamed) == ["/runs/0/answer: 'b' != 'a'"]
+
+
+def test_parity_cmp_names_each_exact_difference():
+    from parity_cmp import differences
+
+    base = {"runs": [{"epoch_losses": ["1.0"], "scores": {"a": 0.5}, "x_sha256": "0"}]}
+    assert list(differences(base, json.loads(json.dumps(base)))) == []
+    moved = {"runs": [{"epoch_losses": ["1.0"], "scores": {"a": 0.5000000000000001, "b": 0.1}, "x_sha256": "1"}]}
+    assert list(differences(base, moved)) == ["/runs/0/scores/a", "/runs/0/scores/b", "/runs/0/x_sha256"]
+    assert list(differences(base, {"runs": []})) == ["/runs"]
+    assert list(differences(1, 1.0)) == ["/"]
