@@ -11,8 +11,9 @@ by the same `enc/` name (only `enc/word_emb`, when it was loaded from word
 vectors).  Loading reads each array once and adopts it as the parameter's
 data, so the rebuilt model draws no initial weights; it hands the frozen
 table back to `QaModel.create` as its `word_init`, and rejects a file whose
-names in either section differ from the rebuilt model's, or whose entries
-are not float64.
+names in either section differ from the rebuilt model's, whose entries are
+not float64, or any of whose values is not finite (a NaN or an infinity
+would only surface later, as NaN scores).
 
 Because the manifest serialization is canonical (sorted keys, no spaces) and
 the payload is raw bits, load -> save reproduces the file byte for byte.
@@ -141,6 +142,8 @@ def load_checkpoint(path):
             if array is None or fh.readinto(array) != nbytes:
                 raise ValueError(f"{path}: truncated payload at parameter {entry['name']!r}")
             left -= nbytes
+            if not np.isfinite(array).all():
+                raise ValueError(f"{path}: parameter {entry['name']!r} holds a non-finite value")
             arrays[entry["name"]] = array.astype(np.float64, copy=False)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after payload")

@@ -6,6 +6,7 @@ from .tensor import (
     backward,
     clip_min,
     concat_cols,
+    concat_rows,
     dropout,
     gather_rows,
     grad_enabled,
@@ -14,7 +15,6 @@ from .tensor import (
     matmul,
     mul,
     no_grad,
-    pad_stack,
     pick,
     relu,
     reshape,
@@ -22,7 +22,7 @@ from .tensor import (
     transpose,
     unstack,
 )
-from .rnn import BiGruParams, GruParams, bigru_each, gru_sequence, init_bigru_params, init_gru_params
+from .rnn import BiGruParams, GruParams, bigru_each, bigru_rows, gru_sequence, init_bigru_params, init_gru_params
 from .optim import ParameterStore, glorot_uniform, named_tensors
 from .rng import make_rng
 

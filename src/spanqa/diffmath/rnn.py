@@ -9,23 +9,31 @@ the pass is recorded, the forward loop caches gate activations and the
 closure runs backpropagation-through-time in one sweep, which keeps graphs
 small and fast; under `no_grad`, or when nothing needs a gradient, the
 loop keeps no caches and returns a plain tensor.  Each step works in place
-in buffers allocated once per call.  Several sequences of different
-lengths can share that one loop, packed time-first and zero-padded
-(`pad_stack`); a single sequence is the batch of one, and a column's
-states do not depend, to the last bit, on what else shares its batch.
-The forward and backward directions of a bidirectional layer share the
-loop too, as do several layers that read the same input: each step makes
-one stacked (G, B, d) recurrent product per gate group over all G
-directions, and a backward direction reads its input reversed within
-each column's length.  Gate weights are packed [z | r | h] along the
-output axis."""
+in buffers allocated once per call.
+
+The kernel has one call form: a table of distinct input rows and a (T, B)
+map naming the row that each step of each column reads (`gru_sequence`).
+Each row's input product x W + b is computed once per direction, in one
+GEMM, and each step gathers its gate pre-activations from it, so columns
+that share rows (the end layer's starts in one paragraph, under
+`no_grad`) share their products too.  Several sequences of different
+lengths share the one loop, packed time-first, their padded steps reading
+one zero row (`bigru_rows`, `bigru_each`); a single sequence is the batch
+of one, and a column's states do not depend, to the last bit, on what
+else shares its batch or its rows.  The forward and backward directions
+of a bidirectional layer share the loop too, as do several layers that
+read the same rows: each step makes one stacked (G, B, d) recurrent
+product per gate group over all G directions, and a backward direction
+reads its steps reversed within each column's length.  Gate weights are
+packed [z | r | h] along the output axis."""
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .optim import glorot_uniform
-from .tensor import Tensor, _make, grad_enabled, pad_stack, reshape, unstack
+from .tensor import Tensor, _make, concat_rows, grad_enabled, reshape, unstack
 
 
 @dataclass
@@ -96,17 +104,24 @@ def _reversal(n: int, lengths) -> tuple:
     return np.where(steps < ends, ends - 1 - steps, steps), np.arange(ends.shape[1])[None, :]
 
 
-def _gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
-    """Run len(cells) directions over axis 0 of a (T, B, in) input in one
-    time loop; direction g reads each column backwards within its length
-    when reverse[g].  Returns the directions' states side by side, with the
-    gate caches and the BPTT closure only when recording."""
-    x = inputs.data
-    n, batch, _ = x.shape
+def _gru_pass(steps: np.ndarray, rows: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
+    """Run len(cells) directions over the T steps of B columns in one time
+    loop, column b reading rows[steps[t, b]] at step t, or a zero row where
+    that is -1; direction g reads each column backwards within its length
+    when reverse[g].  Each row is projected once per direction, and each
+    step gathers its gate pre-activations from that projection.  Returns
+    the directions' states side by side, with the gate caches and the BPTT
+    closure only when recording."""
+    x = rows.data
+    count = len(x)
+    n, batch = steps.shape
     dirs, d = len(cells), cells[0].hidden
     order = _reversal(n, lengths) if any(reverse) else None
+    # each direction's step map in its own time order, the zero row as row `count`
+    steps = np.where(steps < 0, count, steps)
+    maps = [steps[order] if rev else steps for rev in reverse]
     ws, u_zrs, u_hs = [c.w.data for c in cells], [c.u_zr.data for c in cells], [c.u_h.data for c in cells]
-    parents = (inputs,) + tuple(t for c in cells for t in (c.w, c.u_zr, c.u_h, c.b))
+    parents = (rows,) + tuple(t for c in cells for t in (c.w, c.u_zr, c.u_h, c.b))
     recording = grad_enabled() and any(p.requires_grad for p in parents)
 
     # hs[t] is the state before step t (row 0 the zero state), hs[t + 1] after it;
@@ -119,28 +134,28 @@ def _gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
     a_c = np.empty((dirs, batch, d))
     rh = np.empty((dirs, batch, d))
 
-    def flat_input(rev):
-        # the input in one direction's time order, flattened for the GEMMs;
-        # `back` gathers it again rather than keep the reversed copy alive
-        return (x[order] if rev else x).reshape(n * batch, -1)
-
-    # direction-major, so that each direction's GEMM writes its own block in
-    # place and no (T * B, 3d) product is held beside it
-    xw = np.empty((dirs, n, batch, 3 * d))
-    for g, (c, rev) in enumerate(zip(cells, reverse)):
-        _gemm(flat_input(rev), ws[g], out=xw[g].reshape(n * batch, 3 * d))
+    # xw[g, r] is row r's input product under direction g, bias included, and
+    # at[t] names the (G, B) entries of xw, flattened, that step t reads
+    xw = np.empty((dirs, count + 1, 3 * d))
+    xw[:, count] = 0.0
+    for g, c in enumerate(cells):
+        _gemm(x, ws[g], out=xw[g, :count])
         xw[g] += c.b.data
+    xw = xw.reshape(-1, 3 * d)
+    at = np.stack(maps, axis=1) + (count + 1) * np.arange(dirs)[:, None]
+    xt = np.empty((dirs, batch, 3 * d))
     u_zr, u_h = np.stack(u_zrs), np.stack(u_hs)
     with np.errstate(over="ignore"):
         for t in range(n):
             h = hs[t]
             zr = zrs[t] if recording else a_zr
             c = cs[t] if recording else a_c
+            xw.take(at[t], axis=0, out=xt, mode="clip")
             _gemm(h, u_zr, out=a_zr)
-            _sigmoid(np.add(xw[:, t, :, : 2 * d], a_zr, out=zr), out=zr)
+            _sigmoid(np.add(xt[..., : 2 * d], a_zr, out=zr), out=zr)
             z, r = zr[..., :d], zr[..., d:]
             _gemm(np.multiply(r, h, out=rh), u_h, out=a_c)
-            np.tanh(np.add(xw[:, t, :, 2 * d :], a_c, out=c), out=c)
+            np.tanh(np.add(xt[..., 2 * d :], a_c, out=c), out=c)
             # h' = (1 - z) * h + z * c, with rh free again as scratch
             np.multiply(np.subtract(1.0, z, out=rh), h, out=rh)
             np.add(rh, np.multiply(z, c, out=hs[t + 1]), out=hs[t + 1])
@@ -174,61 +189,90 @@ def _gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
             dxws[:, t, :, :d] = (dht * (c - hp)) * z * (1.0 - z)
             dxws[:, t, :, d : 2 * d] = (drh * hp) * r * (1.0 - r)
             dh = dht * (1.0 - z) + drh * r + dxws[:, t, :, : 2 * d] @ u_zr_t
-        dx, dparams = None, []
-        for g, rev in enumerate(reverse):
+        # drows[r] sums the input adjoints of the steps that read row r, over
+        # the directions in order; the zero row's, at `count`, is dropped
+        shared = np.bincount(steps[steps < count], minlength=count).max(initial=0) > 1
+        drows, dparams = np.zeros((count + 1, x.shape[1])), []
+        for g in range(dirs):
             dxw = dxws[g].reshape(n * batch, 3 * d)
             hp = hs[:-1, g].reshape(n * batch, d)
-            dxg = (dxw @ ws[g].T).reshape(x.shape)
-            dxg = dxg[order] if rev else dxg
-            dx = dxg if dx is None else dx + dxg
+            at_g = maps[g].reshape(-1)
+            x_g = x.take(at_g, axis=0, mode="clip")
+            x_g[at_g == count] = 0.0
             dparams += [
-                flat_input(rev).T @ dxw,
+                x_g.T @ dxw,
                 hp.T @ dxw[:, : 2 * d],
                 (zrs[:, g, :, d:].reshape(n * batch, d) * hp).T @ dxw[:, 2 * d :],
                 dxw.sum(axis=0),
             ]
-        return (dx, *dparams)
+            del x_g  # freed before the input adjoint is allocated
+            dx_g = dxw @ ws[g].T
+            if shared:
+                np.add.at(drows, at_g, dx_g)
+            else:  # each row read once, the zero row aside: plain indexing is several times faster
+                drows[at_g] += dx_g
+        return (drows[:count], *dparams)
 
     return _make(out, parents, back)
 
 
-def gru_sequence(inputs: Tensor, layers, lengths) -> Tensor:
-    """Both directions of every BiGruParams in `layers` along axis 0 of
-    `inputs`, in one time loop, returning one state per step.
+def gru_sequence(steps, rows: Tensor, layers, lengths) -> Tensor:
+    """Both directions of every BiGruParams in `layers` over a batch of B
+    columns, in one time loop, returning one state per step.
 
-    `inputs` is a batch of B sequences packed time-first as (T, B, in),
-    where column b holds `lengths[b]` steps followed by padding; a single
-    sequence is the batch of one.  Each column's states match a separate
-    call on its own steps, and states at padded steps are meaningless.  The
-    backward direction reads each column in reverse within its own length,
-    so step t still describes token t and padded steps stay after the valid
-    ones.  The layers, all of one shape, read the same input; the output
-    holds, side by side in `layers` order, each layer's forward and
+    `rows` (R, in) holds the distinct input rows, and the (T, B) integer
+    array `steps` names the row each step reads: column b reads
+    rows[steps[t, b]] at step t, or a row of zeros where steps[t, b] is -1,
+    for its first `lengths[b]` steps, and its padded steps after those may
+    read any row.  Each row's input product is computed once, however many
+    steps read it.  Each column's states match a separate call on its own
+    steps, and states at padded steps are meaningless.  The backward
+    direction reads each column in reverse within its own length, so step
+    t still describes the column's step t and padded steps stay after the
+    valid ones.  The layers, all of one shape, read the same rows; the
+    output holds, side by side in `layers` order, each layer's forward and
     backward states: (T, B, 2d * len(layers)).
     """
     cells = tuple(c for p in layers for c in (p.fwd, p.bwd))
-    shape = inputs.data.shape
-    if inputs.data.ndim != 3 or shape[0] < 1 or shape[1] < 1:
-        raise ValueError(f"gru_sequence needs a nonempty (T, B, in) input, got shape {shape}")
+    steps = np.asarray(steps)
+    if steps.ndim != 2 or steps.size == 0 or steps.dtype.kind not in "iu":
+        raise ValueError(f"gru_sequence needs a nonempty (T, B) integer step map, got shape {steps.shape}")
     if any(c.w.data.shape != cells[0].w.data.shape for c in cells):
         raise ValueError(f"gru_sequence layers differ in weight shape: {[c.w.data.shape for c in cells]}")
-    if shape[-1] != cells[0].w.data.shape[0]:
-        raise ValueError(f"gru_sequence input width {shape[-1]} does not match weight shape {cells[0].w.data.shape}")
+    shape = rows.data.shape
+    if len(shape) != 2 or shape[-1] != cells[0].w.data.shape[0]:
+        raise ValueError(f"gru_sequence input width of rows {shape} does not fit weight shape {cells[0].w.data.shape}")
+    if steps.min() < -1 or steps.max() >= shape[0]:
+        raise ValueError(f"gru_sequence step map reads rows {steps.min()}..{steps.max()} of {shape[0]}")
     lengths = np.asarray(lengths)
-    if lengths.shape != shape[1:2] or lengths.min() < 1 or lengths.max() > shape[0]:
-        raise ValueError(f"gru_sequence lengths {lengths.tolist()} do not fit input shape {shape}")
-    return _gru_pass(inputs, cells, (False, True) * len(layers), lengths)
+    if lengths.shape != steps.shape[1:] or lengths.min() < 1 or lengths.max() > steps.shape[0]:
+        raise ValueError(f"gru_sequence lengths {lengths.tolist()} do not fit step map shape {steps.shape}")
+    return _gru_pass(steps, rows, cells, (False, True) * len(layers), lengths)
 
 
-def bigru_each(sequences, *layers) -> list:
-    """The forward and backward states, side by side, of every (n_i, in)
-    tensor in `sequences` under each BiGruParams of `layers`: one list of
-    (n_i, 2d) tensors per layer.  The sequences go as one packed batch, so
-    one time loop steps both directions of every layer over all of them."""
-    lengths = [s.data.shape[0] for s in sequences]
-    packed = gru_sequence(pad_stack(sequences), layers, lengths)
-    # (T, B, k * 2d) as (T, B * k, 2d): column b * k + j holds layer j of sequence b
+def bigru_rows(parts, columns, *layers) -> list:
+    """The forward and backward states, side by side, of every column under
+    each BiGruParams of `layers`: one list of (len(columns[b]), 2d) tensors
+    per layer.  The rows of the 2-D tensors `parts` form one table, and
+    column b reads row columns[b][t] of it at step t; every column goes in
+    one packed batch, so one time loop steps both directions of every layer
+    over all of them, and a row that several steps read is projected once.
+    Padded steps read the zero row (-1)."""
+    rows = concat_rows(parts)
+    lengths = [len(c) for c in columns]
+    steps = np.full((max(lengths), len(columns)), -1)
+    for b, c in enumerate(columns):
+        steps[: lengths[b], b] = c
+    packed = gru_sequence(steps, rows, layers, lengths)
+    # (T, B, k * 2d) as (T, B * k, 2d): column b * k + j holds layer j of column b
     n, batch, width = packed.shape
     k = len(layers)
     states = unstack(reshape(packed, (n, batch * k, width // k)), [m for m in lengths for _ in layers])
     return [states[j::k] for j in range(k)]
+
+
+def bigru_each(sequences, *layers) -> list:
+    """`bigru_rows` over the (n_i, in) tensors in `sequences`, each its own
+    column reading its own rows in order."""
+    ends = accumulate(s.shape[0] for s in sequences)
+    return bigru_rows(sequences, [np.arange(e - s.shape[0], e) for s, e in zip(sequences, ends)], *layers)

@@ -300,20 +300,20 @@ def group_max_rows(a, group_sizes) -> Tensor:
     return _make(out, (a,), lambda g: ((index, g),))
 
 
-def pad_stack(parts) -> Tensor:
-    """Pack 2-D tensors (n_b, k) time-first into a zero-padded (max n_b, B, k)
-    tensor whose column b holds parts[b]."""
+def concat_rows(parts) -> Tensor:
+    """Stack 2-D tensors along the first (row) axis."""
     parts = [_lift(p) for p in parts]
-    lengths = [p.data.shape[0] for p in parts]
-    out = np.zeros((max(lengths), len(parts), parts[0].data.shape[1]))
-    for b, p in enumerate(parts):
-        out[: lengths[b], b] = p.data
-    return _make(out, tuple(parts), lambda g: tuple(g[:n, b] for b, n in enumerate(lengths)))
+    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
+
+    def back(g):
+        return tuple(g[offsets[i] : offsets[i + 1]] for i in range(len(parts)))
+
+    return _make(np.concatenate([p.data for p in parts]), tuple(parts), back)
 
 
 def unstack(a, lengths) -> list:
-    """Inverse of pad_stack: the first lengths[b] steps of each column b of a
-    (T, B, k) tensor, as a list of (lengths[b], k) tensors."""
+    """The first lengths[b] steps of each column b of a packed (T, B, k)
+    tensor, as a list of (lengths[b], k) tensors."""
     a = _lift(a)
 
     def column(b, n):

@@ -6,6 +6,13 @@ in as an indicator input column, and every position before it is masked out
 of the end softmax.  Because each conditional end distribution renormalizes
 over the suffix, the probabilities of all well-formed spans sum to one.
 
+The end layer reads [context | start states | indicator] rows.  In
+prediction, which records no graph, a paragraph's starts share its
+start-free rows and differ in one indicator row each, so the layer
+projects each paragraph's rows once rather than once per start; in
+training each start reads its own copy, so its adjoints sum as they
+would for that start alone.
+
 There is deliberately no cap on span length: the end distribution covers the
 whole suffix and long answers stay reachable.
 """
@@ -18,8 +25,10 @@ from .diffmath import (
     BiGruParams,
     Tensor,
     bigru_each,
+    bigru_rows,
     concat_cols,
     glorot_uniform,
+    grad_enabled,
     init_bigru_params,
     matmul,
     pick,
@@ -104,21 +113,59 @@ def end_distribution(
 
 def end_distributions(rows, params: SpanDecoderParams) -> list:
     """`end_distribution` of every (context, start_dist, start) triple in
-    `rows`, with one recurrent pass over all of them."""
-    inputs = []
-    for context, start_dist, start in rows:
-        n = context.shape[0]
-        if not 0 <= start < n:
-            raise ValueError(f"start {start} out of range for paragraph length {n}")
-        indicator = np.zeros((n, 1))
-        indicator[start, 0] = 1.0
-        inputs.append(concat_cols([context, start_dist.states, Tensor(indicator)]))
+    `rows`, with one recurrent pass over all of them.
+
+    Recording a graph (training), each triple reads its own copy of its
+    paragraph's rows, so the adjoints sum as over separate triples.
+    Without one (prediction), the triples of one paragraph share its
+    start-free rows and each reads one indicator row of its own at its
+    start, so the paragraph's input product is computed once, not once
+    per start; the states are the same to the last bit."""
+    for context, _, start in rows:
+        if not 0 <= start < context.shape[0]:
+            raise ValueError(f"start {start} out of range for paragraph length {context.shape[0]}")
+    if grad_enabled():
+        (states_each,) = bigru_each([_end_input(context, sd, start) for context, sd, start in rows], params.end_rnn)
+    else:
+        (states_each,) = bigru_rows(*_shared_end_rows(rows), params.end_rnn)
     dists = []
-    (states_each,) = bigru_each(inputs, params.end_rnn)
     for (_, _, start), states in zip(rows, states_each):
         logits = reshape(matmul(states, params.w_end), (-1,))
         dists.append(row_softmax(logits, np.arange(logits.data.shape[0]) >= start))
     return dists
+
+
+def _end_input(context: Tensor, start_dist: StartDistribution, start) -> Tensor:
+    """The end layer's (n, 4d + 1) input [context | start states | indicator]
+    for one start, or start-free (a zero indicator) for start None."""
+    indicator = np.zeros((context.shape[0], 1))
+    if start is not None:
+        indicator[start, 0] = 1.0
+    return concat_cols([context, start_dist.states, Tensor(indicator)])
+
+
+def _shared_end_rows(rows) -> tuple:
+    """`bigru_rows`' (parts, columns) for the end layer's triples `rows`: the
+    start-free rows of each distinct (context, start_dist) once, then one
+    indicator row per triple, which its column reads at its start in place
+    of the start-free row."""
+    parts, firsts, count = [], {}, 0
+    for context, start_dist, _ in rows:
+        key = (id(context), id(start_dist))
+        if key not in firsts:
+            firsts[key] = (len(parts), count)
+            parts.append(_end_input(context, start_dist, None))
+            count += context.shape[0]
+    columns, indicators = [], []
+    for context, start_dist, start in rows:
+        part, first = firsts[(id(context), id(start_dist))]
+        indicators.append(parts[part].data[start])
+        column = first + np.arange(context.shape[0])
+        column[start] = count + len(columns)
+        columns.append(column)
+    indicators = np.array(indicators)
+    indicators[:, -1] = 1.0
+    return parts + [Tensor(indicators)], columns
 
 
 def span_probability(start_dist: StartDistribution, end_dist: Tensor, start: int, end: int) -> Tensor:

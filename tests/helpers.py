@@ -1,11 +1,15 @@
 """Shared test utilities: finite-difference gradient checking, tiny models,
 and reference oracles for the tokenizer, the span decoder and the encode path."""
 
+import json
+import math
 import string
+from pathlib import Path
 
 import numpy as np
 
 from spanqa.aggregation import aggregate, group_candidates
+from spanqa.checkpoint import MAGIC
 from spanqa.diffmath import (
     BiGruParams,
     Tensor,
@@ -95,6 +99,22 @@ def check_grads(build, tensors, tol=1e-4, h=1e-5):
         t.zero_grad()
 
 
+def set_checkpoint_value(path, name, value):
+    """Overwrite the first entry of parameter `name` in the checkpoint file at
+    `path` with the float `value`, leaving every other byte as it was."""
+    raw = bytearray(Path(path).read_bytes())
+    length = int.from_bytes(raw[len(MAGIC) : len(MAGIC) + 8], "little")
+    manifest = json.loads(raw[len(MAGIC) + 8 : len(MAGIC) + 8 + length])
+    offset = len(MAGIC) + 8 + length
+    for entry in manifest["params"] + manifest["frozen"]:
+        if entry["name"] == name:
+            raw[offset : offset + 8] = np.array([value], dtype="<f8").tobytes()
+            Path(path).write_bytes(bytes(raw))
+            return
+        offset += 8 * math.prod(entry["shape"])
+    raise KeyError(name)
+
+
 # ------------------------------------------------------------- oracles
 
 
@@ -107,22 +127,43 @@ def reverse_columns(a: Tensor, lengths) -> Tensor:
     return reshape(gather_rows(reshape(a, (n * batch, k)), rows.reshape(-1)), (n, batch, k))
 
 
-def two_loop_bigru(inputs: Tensor, params: BiGruParams, lengths) -> Tensor:
-    """Both directions of a packed (T, B, in) batch as two separate forward passes, the
-    second over the input reversed within each column: the reference for
-    the kernel that steps both directions in one loop."""
-    fwd = _gru_pass(inputs, (params.fwd,), (False,), lengths)
-    bwd = reverse_columns(_gru_pass(reverse_columns(inputs, lengths), (params.bwd,), (False,), lengths), lengths)
+def pad_stack(parts) -> Tensor:
+    """Pack 2-D tensors (n_b, k) time-first into a zero-padded (max n_b, B, k)
+    tensor whose column b holds parts[b]."""
+    lengths = [p.data.shape[0] for p in parts]
+    out = np.zeros((max(lengths), len(parts), parts[0].data.shape[1]))
+    for b, p in enumerate(parts):
+        out[: lengths[b], b] = p.data
+    return _make(out, tuple(parts), lambda g: tuple(g[:n, b] for b, n in enumerate(lengths)))
+
+
+def step_rows(inputs: Tensor) -> tuple:
+    """A packed (T, B, in) batch in the recurrent kernel's call form: the
+    (T, B) step map and the (T * B, in) rows, each step reading its own row."""
+    n, batch, width = inputs.shape
+    return np.arange(n * batch).reshape(n, batch), reshape(inputs, (n * batch, width))
+
+
+def two_loop_bigru(steps, rows: Tensor, params: BiGruParams, lengths) -> Tensor:
+    """Both directions of a packed batch as two separate forward passes, the
+    second reading each column's steps reversed within its length: the
+    reference for the kernel that steps both directions in one loop."""
+    fwd = _gru_pass(steps, rows, (params.fwd,), (False,), lengths)
+    backwards = steps[_reversal(len(steps), lengths)]
+    bwd = reverse_columns(_gru_pass(backwards, rows, (params.bwd,), (False,), lengths), lengths)
     return concat_cols([fwd, bwd])
 
 
-def copying_gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
+def copying_gru_pass(steps, rows: Tensor, cells: tuple, reverse: tuple, lengths) -> Tensor:
     """The recurrent kernel (`diffmath.rnn._gru_pass`, same arguments) as it
-    was before its BPTT buffers were shared: the closure keeps the backward
-    direction's reversed copy of the input, and the epilogue concatenates
-    separate dzr and dah arrays per direction.  The reference that the
-    shared-buffer kernel must match bit for bit."""
-    x = inputs.data
+    was before it projected each row once and shared its BPTT buffers: it
+    gathers the padded (T, B, in) input from the rows (a zero row where a
+    step reads -1) and projects every step, the closure keeps the backward
+    direction's reversed copy of the input, the epilogue concatenates
+    separate dzr and dah arrays per direction, and the steps' input
+    adjoints are added into their rows last.  The reference that the
+    kernel must match bit for bit."""
+    x = np.concatenate([rows.data, np.zeros((1, rows.shape[1]))])[steps]
     n, batch, _ = x.shape
     dirs, d = len(cells), cells[0].hidden
     order = _reversal(n, lengths) if any(reverse) else None
@@ -177,12 +218,14 @@ def copying_gru_pass(inputs: Tensor, cells: tuple, reverse: tuple, lengths) -> T
                 (rs[:, g].reshape(n * batch, d) * hp).T @ dah[:, g].reshape(n * batch, d),
                 dxw.sum(axis=0),
             ]
-        return (dx, *dparams)
+        drows = np.zeros((len(rows.data) + 1, x.shape[-1]))
+        np.add.at(drows, steps, dx)  # a step reading -1 adds into the dropped last row
+        return (drows[:-1], *dparams)
 
     out = np.empty((n, batch, dirs, d))
     for g, rev in enumerate(reverse):
         out[:, :, g] = hs[1:, g][order] if rev else hs[1:, g]
-    parents = (inputs,) + tuple(t for c in cells for t in (c.w, c.u_zr, c.u_h, c.b))
+    parents = (rows,) + tuple(t for c in cells for t in (c.w, c.u_zr, c.u_h, c.b))
     return _make(out.reshape(n, batch, dirs * d), parents, back)
 
 

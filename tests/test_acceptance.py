@@ -19,6 +19,7 @@ from helpers import (
     max_rel_err,
     numeric_grad,
     softmax,
+    step_rows,
     tiny_model,
     tsum,
 )
@@ -131,7 +132,7 @@ def test_criterion_1_gradient_suite():
         x = Tensor(rng.standard_normal((n, 1, width)), requires_grad=True)
 
         def build_rnn():
-            return tsum(gru_sequence(x, (params,), [n]))
+            return tsum(gru_sequence(*step_rows(x), (params,), [n]))
 
         fd_check(build_rnn, [x, params.fwd.u_h, params.bwd.w, params.fwd.b])
 

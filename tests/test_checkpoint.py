@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import TINY_WORDS, tiny_model
+from helpers import TINY_WORDS, set_checkpoint_value, tiny_model
 from spanqa.aggregation import AggregationMode
 from spanqa.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from spanqa.config import default_config
@@ -380,3 +380,20 @@ def test_rejects_config_param_shape_drift(tmp_path):
     rewrite_manifest(path, lambda m: m["config"].update(hidden_dim=3))
     with pytest.raises(ValueError, match="shape mismatch|truncated"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["qual/w_c", "dec/end_rnn/bwd/b", "enc/word_emb"])
+def test_rejects_a_non_finite_parameter_value_naming_file_and_parameter(tmp_path, name, value):
+    # enc/word_emb is the frozen section's table, loaded from word vectors
+    config = EncoderConfig(**TINY_FLAT)
+    vocab = Vocab(TINY_WORDS)
+    word_init = make_rng(0, 82).standard_normal((len(vocab), config.word_dim))
+    model = QaModel.create(config, vocab, CharVocab.from_vocab(vocab), seed=2, word_init=word_init)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, snapshot(), epoch=0, seed=2)
+    load_checkpoint(path)
+    set_checkpoint_value(path, name, value)
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: parameter {name!r} holds a non-finite value"

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import set_checkpoint_value
 from spanqa.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from spanqa.cli import build_parser, main
 
@@ -551,6 +552,17 @@ def test_predict_missing_checkpoint_fails(tmp_path, capsys, synth_data):
     assert rc == 1
     assert_single_json_error(err)
 
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_predict_rejects_a_non_finite_parameter_naming_file_and_parameter(tmp_path, capsys, trained, value):
+    ckpt, data = trained
+    set_checkpoint_value(ckpt, "qual/w_c", value)
+    out = tmp_path / "out.pred"
+    rc, stdout, err = run(capsys, ["predict", "--checkpoint", ckpt, "--data", data, "--out", str(out)])
+    assert rc == 1 and stdout == ""
+    assert assert_single_json_error(err) == f"{ckpt}: parameter 'qual/w_c' holds a non-finite value"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("length", [2**40, 2**63 - 1])

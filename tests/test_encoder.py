@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import check_grads, encode_question, tiny_model, tsum
+from helpers import check_grads, encode_question, step_rows, tiny_model, tsum
 from spanqa.diffmath import Tensor, gru_sequence, make_rng, named_tensors
 from spanqa.encoder import (
     CharVocab,
@@ -155,7 +155,7 @@ def test_self_attend_single_token_is_plain_projection():
     p, q = encoded_pair(model, para=["fat"])
     x = bidaf_attention(p, q, model.encoder)
     (ctx,) = self_attend([x], model.encoder)
-    direct = gru_sequence(Tensor(x.data[:, None]), (model.encoder.self_rnn,), [1])
+    direct = gru_sequence(*step_rows(Tensor(x.data[:, None])), (model.encoder.self_rnn,), [1])
     np.testing.assert_array_equal(ctx.data, direct.data[:, 0])
 
 

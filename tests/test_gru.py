@@ -11,19 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_grads, copying_gru_pass, tsum, two_loop_bigru
+from helpers import check_grads, copying_gru_pass, pad_stack, step_rows, tsum, two_loop_bigru
 from spanqa.diffmath import (
     BiGruParams,
     GruParams,
     Tensor,
     backward,
+    bigru_each,
+    bigru_rows,
     gru_sequence,
     init_bigru_params,
     init_gru_params,
     make_rng,
     named_tensors,
     no_grad,
-    pad_stack,
     unstack,
 )
 from spanqa.diffmath.rnn import _gru_pass, _sigmoid
@@ -39,8 +40,8 @@ def run_direction(x, bi, direction, lengths):
     """Both directions of `bi` through `gru_sequence`, or one of them, with its
     forward cell, through the kernel."""
     if direction == "both":
-        return gru_sequence(x, (bi,), lengths)
-    return _gru_pass(x, (bi.fwd,), REVERSE[direction], lengths)
+        return gru_sequence(*step_rows(x), (bi,), lengths)
+    return _gru_pass(*step_rows(x), (bi.fwd,), REVERSE[direction], lengths)
 
 
 def zero_params(in_dim, d):
@@ -60,43 +61,44 @@ def test_zero_weights_halve_initial_state():
     params = zero_params(2, d)
     params.b.data[2 * d :] = [2.0, -4.0, 0.5]
     c = np.tanh(params.b.data[2 * d :])
-    out = _gru_pass(Tensor(np.ones((2, 1, 2))), (params,), (False,), [2])
+    out = _gru_pass(*step_rows(Tensor(np.ones((2, 1, 2)))), (params,), (False,), [2])
     np.testing.assert_allclose(out.data[0, 0], 0.5 * c, rtol=1e-15)
     np.testing.assert_allclose(out.data[1, 0], 0.75 * c, rtol=1e-15)
 
 
 def test_zero_weights_zero_init_gives_zeros():
-    out = _gru_pass(Tensor(np.ones((4, 1, 2))), (zero_params(2, 3),), (False,), [4])
+    out = _gru_pass(*step_rows(Tensor(np.ones((4, 1, 2)))), (zero_params(2, 3),), (False,), [4])
     np.testing.assert_array_equal(out.data, np.zeros((4, 1, 3)))
 
 
 def test_single_step_shape():
-    out = _gru_pass(Tensor(np.ones((1, 1, 2))), (random_params(2, 4, 31),), (False,), [1])
+    out = _gru_pass(*step_rows(Tensor(np.ones((1, 1, 2)))), (random_params(2, 4, 31),), (False,), [1])
     assert out.shape == (1, 1, 4)
 
 
 def test_empty_sequence_rejected():
     with pytest.raises(ValueError, match="nonempty"):
-        gru_sequence(Tensor(np.zeros((0, 1, 2))), (init_bigru_params(2, 2, make_rng(32, 2)),), [1])
+        layers = (init_bigru_params(2, 2, make_rng(32, 2)),)
+        gru_sequence(np.zeros((0, 1), dtype=int), Tensor(np.zeros((1, 2))), layers, [1])
 
 
 def test_unpacked_input_rejected():
-    # a lone sequence goes as the batch of one, (T, 1, in)
-    with pytest.raises(ValueError, match=r"\(T, B, in\)"):
-        gru_sequence(Tensor(np.zeros((3, 2))), (init_bigru_params(2, 2, make_rng(32, 2)),), [3])
+    # a lone sequence goes as the batch of one, a (T, 1) step map
+    with pytest.raises(ValueError, match=r"\(T, B\)"):
+        gru_sequence(np.arange(3), Tensor(np.zeros((3, 2))), (init_bigru_params(2, 2, make_rng(32, 2)),), [3])
 
 
 def test_input_width_mismatch_rejected():
     with pytest.raises(ValueError, match="width"):
-        gru_sequence(Tensor(np.zeros((3, 1, 5))), (init_bigru_params(2, 2, make_rng(33, 2)),), [3])
+        gru_sequence(*step_rows(Tensor(np.zeros((3, 1, 5)))), (init_bigru_params(2, 2, make_rng(33, 2)),), [3])
 
 
 def test_backward_direction_equals_reversed_forward():
     rng = make_rng(34, 1)
     x = Tensor(rng.standard_normal((6, 1, 3)))
     params = random_params(3, 4, 34)
-    rev = _gru_pass(x, (params,), (True,), [6])
-    manual = _gru_pass(Tensor(x.data[::-1]), (params,), (False,), [6]).data[::-1]
+    rev = _gru_pass(*step_rows(x), (params,), (True,), [6])
+    manual = _gru_pass(*step_rows(Tensor(x.data[::-1])), (params,), (False,), [6]).data[::-1]
     np.testing.assert_array_equal(rev.data, manual)
 
 
@@ -107,7 +109,7 @@ def test_gradients_match_finite_differences():
     w = Tensor(rng.standard_normal((3, 1, 2)))
 
     def build():
-        return tsum(_gru_pass(x, (params,), (False,), [3]) * w)
+        return tsum(_gru_pass(*step_rows(x), (params,), (False,), [3]) * w)
 
     check_grads(build, [x, params.w, params.u_zr, params.u_h, params.b])
 
@@ -119,7 +121,7 @@ def test_backward_direction_gradients():
     w = Tensor(rng.standard_normal((4, 1, 2)))
 
     def build():
-        return tsum(_gru_pass(x, (params,), (True,), [4]) * w)
+        return tsum(_gru_pass(*step_rows(x), (params,), (True,), [4]) * w)
 
     check_grads(build, [x, params.w, params.u_zr, params.u_h, params.b])
 
@@ -128,17 +130,17 @@ def test_bigru_concatenates_directions():
     rng = make_rng(38, 1)
     x = Tensor(rng.standard_normal((5, 1, 3)))
     params = init_bigru_params(3, 3, make_rng(38, 2))
-    out = gru_sequence(x, (params,), [5])
+    out = gru_sequence(*step_rows(x), (params,), [5])
     assert out.shape == (5, 1, 6)
-    fwd = _gru_pass(x, (params.fwd,), (False,), [5])
-    bwd = _gru_pass(x, (params.bwd,), (True,), [5])
+    fwd = _gru_pass(*step_rows(x), (params.fwd,), (False,), [5])
+    bwd = _gru_pass(*step_rows(x), (params.bwd,), (True,), [5])
     np.testing.assert_array_equal(out.data[..., :3], fwd.data)
     np.testing.assert_array_equal(out.data[..., 3:], bwd.data)
 
 
 def test_bigru_zero_weights_all_zeros():
     params = BiGruParams(fwd=zero_params(2, 3), bwd=zero_params(2, 3))
-    out = gru_sequence(Tensor(np.ones((4, 1, 2))), (params,), [4])
+    out = gru_sequence(*step_rows(Tensor(np.ones((4, 1, 2)))), (params,), [4])
     np.testing.assert_array_equal(out.data, np.zeros((4, 1, 6)))
 
 
@@ -148,7 +150,7 @@ def test_bigru_gradients():
     params = init_bigru_params(2, 2, make_rng(39, 2))
     w = Tensor(rng.standard_normal((3, 1, 4)))
     leaves = [x] + [t for _, t in named_tensors(params)]
-    check_grads(lambda: tsum(gru_sequence(x, (params,), [3]) * w), leaves)
+    check_grads(lambda: tsum(gru_sequence(*step_rows(x), (params,), [3]) * w), leaves)
 
 
 def test_param_registration_names():
@@ -260,8 +262,8 @@ def test_packed_rows_match_single_sequence_calls(lengths, direction, seed):
 
     def layer(inputs, params, lengths):
         if direction == "both":
-            return gru_sequence(inputs, (params,), lengths)
-        return _gru_pass(inputs, (params,), (direction == "backward",), lengths)
+            return gru_sequence(*step_rows(inputs), (params,), lengths)
+        return _gru_pass(*step_rows(inputs), (params,), (direction == "backward",), lengths)
 
     inputs = [rng.standard_normal((n, in_dim)) for n in lengths]
     weights = [rng.standard_normal((n, width)) for n in lengths]
@@ -283,7 +285,7 @@ def test_packed_gradients_match_finite_differences():
     weights = [Tensor(rng.standard_normal((n, 4))) for n in lengths]
 
     def build():
-        outs = unstack(gru_sequence(pad_stack(xs), (params,), lengths), lengths)
+        outs = unstack(gru_sequence(*step_rows(pad_stack(xs)), (params,), lengths), lengths)
         loss = tsum(outs[0] * weights[0])
         for out, w in zip(outs[1:], weights[1:]):
             loss = loss + tsum(out * w)
@@ -306,8 +308,8 @@ def test_fused_bigru_matches_two_loop_reference(lengths, d, seed):
     params = init_bigru_params(in_dim, d, make_rng(seed, 48))
     inputs = [rng.standard_normal((n, in_dim)) for n in lengths]
     weights = [rng.standard_normal((n, 2 * d)) for n in lengths]
-    got = run_rows(lambda x, p, lengths: gru_sequence(x, (p,), lengths), params, inputs, lengths, weights)
-    ref = run_rows(two_loop_bigru, params, inputs, lengths, weights)
+    got = run_rows(lambda x, p, lengths: gru_sequence(*step_rows(x), (p,), lengths), params, inputs, lengths, weights)
+    ref = run_rows(lambda x, p, lengths: two_loop_bigru(*step_rows(x), p, lengths), params, inputs, lengths, weights)
     for (out, dx, dparams), (ref_out, ref_dx, ref_dparams) in zip(got, ref):
         assert out.shape == ref_out.shape and len(dparams) == len(ref_dparams) == 8
         assert rel_diff(out, ref_out) <= 1e-12
@@ -324,7 +326,8 @@ def test_fused_bigru_packed_gradients_match_finite_differences():
     x = Tensor(rng.standard_normal((4, 3, 3)), requires_grad=True)
     params = init_bigru_params(3, 3, make_rng(49, 2))
     w = Tensor(rng.standard_normal((4, 3, 6)))
-    check_grads(lambda: tsum(gru_sequence(x, (params,), lengths) * w), [x] + [t for _, t in named_tensors(params)])
+    leaves = [x] + [t for _, t in named_tensors(params)]
+    check_grads(lambda: tsum(gru_sequence(*step_rows(x), (params,), lengths) * w), leaves)
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward", "both"])
@@ -347,7 +350,7 @@ def test_shared_bptt_buffers_are_bit_exact(direction, lengths, d):
     results = []
     for run in (
         lambda xt: run_direction(xt, bi, direction, lengths),
-        lambda xt: copying_gru_pass(xt, cells, REVERSE[direction], lengths),
+        lambda xt: copying_gru_pass(*step_rows(xt), cells, REVERSE[direction], lengths),
     ):
         xt = Tensor(x, requires_grad=True)
         out = run(xt)
@@ -381,9 +384,9 @@ def test_no_grad_pass_equals_the_recorded_pass(reverse, lengths):
     rng = make_rng(steps * batch * len(reverse), 52)
     cells = pattern_cells(reverse, 3, 4, 52)
     x = Tensor(rng.standard_normal((steps, batch, 3)), requires_grad=True)
-    recorded = _gru_pass(x, cells, reverse, lengths)
+    recorded = _gru_pass(*step_rows(x), cells, reverse, lengths)
     with no_grad():
-        plain = _gru_pass(x, cells, reverse, lengths)
+        plain = _gru_pass(*step_rows(x), cells, reverse, lengths)
     assert recorded._backward is not None and len(recorded._prev) == 1 + 4 * len(cells)
     assert plain._backward is None and plain._prev == () and not plain.requires_grad
     np.testing.assert_array_equal(plain.data, recorded.data)
@@ -391,7 +394,7 @@ def test_no_grad_pass_equals_the_recorded_pass(reverse, lengths):
 
 def test_pass_without_gradient_parents_is_a_plain_tensor():
     params = BiGruParams(fwd=zero_params(2, 3), bwd=zero_params(2, 3))
-    out = gru_sequence(Tensor(np.ones((4, 2, 2))), (params,), [4, 2])
+    out = gru_sequence(*step_rows(Tensor(np.ones((4, 2, 2)))), (params,), [4, 2])
     assert out._backward is None and out._prev == () and not out.requires_grad
 
 
@@ -408,7 +411,7 @@ def test_no_grad_pass_peaks_below_the_recorded_pass_by_its_gate_caches(reverse):
     def peak():
         tracemalloc.start()
         try:
-            _gru_pass(x, cells, reverse, lengths)
+            _gru_pass(*step_rows(x), cells, reverse, lengths)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -436,7 +439,7 @@ def test_no_grad_pass_peaks_at_its_projection_and_states(reverse):
     tracemalloc.start()
     try:
         with no_grad():
-            _gru_pass(x, cells, reverse, lengths)
+            _gru_pass(*step_rows(x), cells, reverse, lengths)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -455,12 +458,12 @@ def test_layers_over_one_input_share_one_loop(direction):
         layers = (init_bigru_params(3, 4, make_rng(54, 2)), init_bigru_params(3, 4, make_rng(54, 3)))
 
         def run(layers):
-            return gru_sequence(x, layers, lengths)
+            return gru_sequence(*step_rows(x), layers, lengths)
     else:
         layers = (random_params(3, 4, 54), random_params(3, 4, 55))
 
         def run(layers):
-            return _gru_pass(x, layers, (False,) * len(layers), lengths)
+            return _gru_pass(*step_rows(x), layers, (False,) * len(layers), lengths)
     width = 8 if direction == "both" else 4
     w = rng.standard_normal((5, 3, 2 * width))
     leaves = [t for layer in layers for _, t in named_tensors(layer)]
@@ -483,7 +486,7 @@ def test_layers_over_one_input_share_one_loop(direction):
 def test_layers_of_different_shapes_rejected():
     layers = (init_bigru_params(3, 2, make_rng(56, 2)), init_bigru_params(3, 4, make_rng(57, 2)))
     with pytest.raises(ValueError, match="weight shape"):
-        gru_sequence(Tensor(np.zeros((4, 1, 3))), layers, [4])
+        gru_sequence(*step_rows(Tensor(np.zeros((4, 1, 3)))), layers, [4])
 
 
 def test_packed_padding_does_not_leak_into_valid_steps():
@@ -492,30 +495,120 @@ def test_packed_padding_does_not_leak_into_valid_steps():
     short = rng.standard_normal((2, 3))
     packed = pad_stack([Tensor(short), Tensor(rng.standard_normal((5, 3)))]).data.copy()
     packed[2:, 0] = 1e3  # padding content must not matter
-    out = _gru_pass(Tensor(packed), (params,), (True,), [2, 5])
-    ref = _gru_pass(Tensor(short[:, None]), (params,), (True,), [2])
+    out = _gru_pass(*step_rows(Tensor(packed)), (params,), (True,), [2, 5])
+    ref = _gru_pass(*step_rows(Tensor(short[:, None])), (params,), (True,), [2])
     assert rel_diff(out.data[:2, 0], ref.data[:, 0]) <= 1e-12
 
 
 @pytest.mark.parametrize("lengths", [[1, 3], [7, 2, 5], [4, 4, 1, 6]])
 def test_a_sequence_states_do_not_depend_on_its_batch(lengths):
     """Equal bit for bit, one-step sequences too: prediction packs examples
-    into chunks, and an example's numbers must not depend on its chunk."""
+    into chunks, and an example's numbers must not depend on its chunk.  Nor
+    on whether its rows are its own or shared with other columns: the end
+    layer's starts in one paragraph read the paragraph's rows and one row
+    of their own each."""
     rng = make_rng(46, 1)
     layers = (init_bigru_params(16, 16, make_rng(46, 2)),)
     xs = [Tensor(rng.standard_normal((n, 16))) for n in lengths]
     with no_grad():
-        packed = unstack(gru_sequence(pad_stack(xs), layers, lengths), lengths)
+        packed = unstack(gru_sequence(*step_rows(pad_stack(xs)), layers, lengths), lengths)
         for x, n, out in zip(xs, lengths, packed):
-            alone = gru_sequence(pad_stack([x]), layers, [n])
+            alone = gru_sequence(*step_rows(pad_stack([x])), layers, [n])
             assert np.array_equal(out.data, alone.data[:, 0])
+
+        # column b with step n // 2 swapped for extra row b: first each from
+        # its own copy, then all from one table beside the plain columns
+        extra = rng.standard_normal((len(lengths), 16))
+        copies = []
+        for b, (x, n) in enumerate(zip(xs, lengths)):
+            copies.append(Tensor(x.data.copy()))
+            copies[-1].data[n // 2] = extra[b]
+        (own,) = bigru_each(copies, *layers)
+        firsts = np.cumsum([0] + lengths[:-1])
+        columns = [firsts[b] + np.arange(n) for b, n in enumerate(lengths)]
+        for b, n in enumerate(lengths):
+            columns.append(columns[b].copy())
+            columns[-1][n // 2] = sum(lengths) + b
+        (shared,) = bigru_rows(xs + [Tensor(extra)], columns, *layers)
+    for out, got in zip(packed + own, shared):
+        assert np.array_equal(got.data, out.data)
+
+
+def test_step_map_must_name_rows():
+    layers = (init_bigru_params(3, 2, make_rng(45, 2)),)
+    rows = Tensor(np.zeros((4, 3)))
+    for bad in (4, -2):
+        with pytest.raises(ValueError, match="step map reads rows"):
+            gru_sequence(np.array([[0], [bad]]), rows, layers, [2])
+    with pytest.raises(ValueError, match="integer"):
+        gru_sequence(np.zeros((2, 1)), rows, layers, [2])
+    # -1 reads a zero row
+    out = gru_sequence(np.array([[1, -1]]), Tensor(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])), layers, [1, 1])
+    np.testing.assert_array_equal(out.data[:, 0], out.data[:, 1])
+
+
+@pytest.mark.parametrize(
+    "lengths, d",
+    [([1], 2), ([6], 3), ([5, 2, 4], 2), ([5, 2, 4], 8), ([1, 7, 7, 3, 2], 3), ([4, 4], 32), ([5, 2, 4], 1)],
+)
+def test_row_form_matches_the_copying_and_two_loop_references(lengths, d):
+    """A recorded pass built as `bigru_rows` builds it (the sequences' rows
+    stacked, padded steps reading -1) equals the kernel that gathers and
+    projects every padded step, and the two one-direction loops, in its
+    states and in every gradient, bit for bit (at hidden size 1, within
+    1e-12 relative: see test_shared_bptt_buffers_are_bit_exact)."""
+    rng = make_rng(sum(lengths) * d, 58)
+    bi = init_bigru_params(3, d, make_rng(d, 59))
+    cells = (bi.fwd, bi.bwd)
+    x = rng.standard_normal((sum(lengths), 3))
+    steps = np.full((max(lengths), len(lengths)), -1)
+    for b, n in enumerate(lengths):
+        steps[:n, b] = sum(lengths[:b]) + np.arange(n)
+    w = rng.standard_normal((max(lengths), len(lengths), 2 * d))
+    results = []
+    for run in (
+        lambda rows: gru_sequence(steps, rows, (bi,), lengths),
+        lambda rows: copying_gru_pass(steps, rows, cells, (False, True), lengths),
+        lambda rows: two_loop_bigru(steps, rows, bi, lengths),
+    ):
+        rows = Tensor(x, requires_grad=True)
+        out = run(rows)
+        backward(tsum(out * w))
+        results.append([out.data, rows.grad] + [t.grad for c in cells for _, t in named_tensors(c)])
+        for c in cells:
+            for _, t in named_tensors(c):
+                t.zero_grad()
+    for ref in results[1:]:
+        for got, want in zip(results[0], ref):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want) if d > 1 else rel_diff(got, want) <= 1e-12
+
+
+def test_shared_row_gradients_match_finite_differences():
+    """Rows that several steps read, in one column and across columns and
+    directions, take the sum of those steps' adjoints."""
+    rng = make_rng(60, 1)
+    rows = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    steps = np.array([[0, 2, 1], [1, 2, 3], [0, -1, 3], [3, -1, -1]])
+    lengths = [4, 2, 3]
+    params = init_bigru_params(3, 2, make_rng(60, 2))
+    w = Tensor(rng.standard_normal((4, 3, 4)))
+    leaves = [rows] + [t for _, t in named_tensors(params)]
+    check_grads(lambda: tsum(gru_sequence(steps, rows, (params,), lengths) * w), leaves)
+    # the same gradients, summed in another order, as the copying reference's
+    got = gru_sequence(steps, rows, (params,), lengths)
+    backward(tsum(got * w))
+    kernel = rows.grad.copy()
+    rows.zero_grad()
+    backward(tsum(copying_gru_pass(steps, rows, (params.fwd, params.bwd), (False, True), lengths) * w))
+    assert rel_diff(kernel, rows.grad) <= 1e-12
 
 
 def test_lengths_must_fit_the_packed_input():
     layers = (init_bigru_params(3, 2, make_rng(45, 2)),)
     with pytest.raises(ValueError, match="lengths"):
-        gru_sequence(Tensor(np.zeros((4, 2, 3))), layers, [4, 5])
+        gru_sequence(*step_rows(Tensor(np.zeros((4, 2, 3)))), layers, [4, 5])
     with pytest.raises(ValueError, match="lengths"):
-        gru_sequence(Tensor(np.zeros((4, 2, 3))), layers, [4])
+        gru_sequence(*step_rows(Tensor(np.zeros((4, 2, 3)))), layers, [4])
     with pytest.raises(ValueError, match="lengths"):
-        gru_sequence(Tensor(np.zeros((4, 2, 3))), layers, [0, 4])
+        gru_sequence(*step_rows(Tensor(np.zeros((4, 2, 3)))), layers, [0, 4])

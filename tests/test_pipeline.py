@@ -33,6 +33,8 @@ from spanqa.pipeline import (
     best_answer,
     chunk_bounds,
     combine_scores,
+    encode_for_beams,
+    encode_items,
     evaluate_dataset,
     exact_match,
     example_loss,
@@ -638,15 +640,23 @@ def test_one_gru_call_per_bidirectional_layer(monkeypatch):
     gru_sequence, calls = rnn.gru_sequence, []
 
     def counted(*args, **kwargs):
-        calls.append(args[0].shape)
+        # perfbench/run.py counts args[0].data.shape[0] of each call as its GRU steps
+        calls.append(args[0].data.shape[0])
         return gru_sequence(*args, **kwargs)
+
+    def steps(questions, paragraphs, ends):
+        """Each pass's step count: its longest question, paragraph or end row."""
+        longest = max(len(p.tokens) for p in paragraphs)
+        return [max(map(len, questions)), longest, longest, longest, max(len(p.tokens) for p in ends)]
 
     monkeypatch.setattr(rnn, "gru_sequence", counted)
     predict(model, example, AggregationMode.SUM, 3, 2)
     assert len(calls) == 5
+    assert calls == steps([example.question], example.paragraphs, example.paragraphs)
     calls.clear()
     example_loss(model, example, 0, labels[0], example.paragraphs[1], AggregationMode.MAX, make_rng(22, 3))
     assert len(calls) == 5
+    assert calls == steps([example.question], example.paragraphs[:2], example.paragraphs[:1])
     examples = [
         example,
         qa_example(["fat in their humps", "dune walks"], ex_id="y", question=QUESTION[1:]),
@@ -656,6 +666,8 @@ def test_one_gru_call_per_bidirectional_layer(monkeypatch):
     calls.clear()
     predict_dataset(model, examples, AggregationMode.SUM, 3, 2)
     assert len(calls) == 5
+    every = [p for ex in examples for p in ex.paragraphs]
+    assert calls == steps([ex.question for ex in examples], every, every)
     pairs = []
     for i, (ex, ex_labels) in enumerate(zip(examples, paragraph_label_table(examples))):
         pos = next(j for j, p_labels in enumerate(ex_labels) if p_labels)
@@ -663,6 +675,33 @@ def test_one_gru_call_per_bidirectional_layer(monkeypatch):
     calls.clear()
     batch_losses(model, pairs, AggregationMode.MAX)
     assert len(calls) == 5
+    positives = [ex.paragraphs[pos] for ex, pos, _, _, _ in pairs]
+    negatives = [neg for _, _, _, neg, _ in pairs]
+    assert calls == steps([ex.question for ex in examples], positives + negatives, positives)
+
+
+def test_beam_encoding_equals_the_recorded_pass_bit_for_bit():
+    """`encode_for_beams` runs the end layer without a graph, over rows that
+    a paragraph's starts share; every start, quality and end number equals
+    that of a recorded `encode_items` pass over the same chunk of examples,
+    which reads one copy of the paragraph per start."""
+    model = tiny_model(hidden_dim=8, seed=31)
+    examples = mixed_dataset()
+    shared = encode_for_beams(model, examples, 3)
+    recorded = encode_items(
+        model,
+        [(ex.question, [p.tokens for p in ex.paragraphs], None) for ex in examples],
+        lambda i, j, start_dist: top_indices(start_dist.probs.data, 3),
+    )
+    assert recorded[0].quality[0].requires_grad
+    for got, want in zip(shared, recorded):
+        assert len(got.ends) == len(want.ends)
+        for sd, want_sd, q, want_q in zip(got.starts, want.starts, got.quality, want.quality):
+            assert np.array_equal(sd.probs.data, want_sd.probs.data) and np.array_equal(q.data, want_q.data)
+        for ends, want_ends in zip(got.ends, want.ends):
+            assert list(ends) == list(want_ends)
+            for s in ends:
+                assert np.array_equal(ends[s].data, want_ends[s].data)
 
 
 def mixed_dataset(n=7):

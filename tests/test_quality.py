@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_grads, encode_question, softmax, tiny_model, tsum
+from helpers import check_grads, encode_question, softmax, step_rows, tiny_model, tsum
 from spanqa.diffmath import Tensor, backward, gru_sequence, make_rng
 from spanqa.paragraph_quality import normalize_quality_tensors, quality_logit, sample_pair
 from spanqa.span_decoder import StartDistribution, start_distribution
@@ -32,7 +32,7 @@ def test_uniform_key_pools_to_row_mean():
     n = ctx.shape[0]
     uniform = StartDistribution(probs=Tensor(np.full(n, 1.0 / n)), states=sd.states)
     got = quality_logit(ctx, uniform, model.quality).item()
-    states = gru_sequence(Tensor(ctx.data[:, None]), (model.quality.rnn,), [n]).data[:, 0]
+    states = gru_sequence(*step_rows(Tensor(ctx.data[:, None])), (model.quality.rnn,), [n]).data[:, 0]
     expected = float(states.mean(axis=0) @ model.quality.w_c.data.reshape(-1))
     assert got == pytest.approx(expected, abs=1e-12)
 

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from helpers import all_span_probabilities, check_grads, encode_question, independent_end_distribution, tiny_model
-from spanqa.diffmath import Tensor, glorot_uniform, init_bigru_params, log, make_rng, pick
-from spanqa.span_decoder import end_distribution, span_probability, start_distribution
+from spanqa.diffmath import Tensor, glorot_uniform, init_bigru_params, log, make_rng, no_grad, pick
+from spanqa.span_decoder import (
+    StartDistribution,
+    end_distribution,
+    end_distributions,
+    span_probability,
+    start_distribution,
+)
 
 QUESTION = ["what", "do", "camels", "store", "?"]
 PARAGRAPH = ["camels", "store", "fat", "in", "their", "humps"]
@@ -186,3 +192,37 @@ def test_independent_baseline_ignores_start():
     assert base.data.sum() == pytest.approx(1.0, abs=1e-9)
     again = independent_end_distribution(ctx, sd, rnn, w_end)
     assert np.max(np.abs(base.data - again.data)) == 0.0
+
+
+@pytest.mark.parametrize("hidden", [2, 16])
+def test_end_layer_without_graph_shares_paragraph_rows_bit_for_bit(monkeypatch, hidden):
+    """Without a graph the end layer projects each paragraph's start-free
+    rows once, plus one indicator row per start; recording one, it reads a
+    copy of the paragraph per start.  Both give the same distributions, bit
+    for bit: paragraphs of 1 to 9 tokens, 1 to 3 starts each, at 0 and at
+    n - 1 among them, in shuffled order."""
+    import spanqa.diffmath.rnn as rnn
+
+    model = tiny_model(hidden_dim=hidden, seed=7)
+    rng = make_rng(62, hidden)
+    rows = []
+    for n in range(1, 10):
+        context = Tensor(rng.standard_normal((n, 2 * hidden)))
+        states = Tensor(rng.standard_normal((n, 2 * hidden)))
+        start_dist = StartDistribution(probs=Tensor(np.full(n, 1.0 / n)), states=states)
+        rows += [(context, start_dist, s) for s in sorted({0, n // 2, n - 1})]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    gru_sequence, table_rows = rnn.gru_sequence, []
+
+    def counted(steps, table, layers, lengths):
+        table_rows.append(table.shape[0])
+        return gru_sequence(steps, table, layers, lengths)
+
+    monkeypatch.setattr(rnn, "gru_sequence", counted)
+    recorded = end_distributions(rows, model.decoder)
+    with no_grad():
+        shared = end_distributions(rows, model.decoder)
+    assert recorded[0].requires_grad and not shared[0].requires_grad
+    assert table_rows == [sum(context.shape[0] for context, _, _ in rows), sum(range(1, 10)) + len(rows)]
+    for got, want in zip(shared, recorded):
+        assert np.array_equal(got.data, want.data)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_grads, dense_unstack, loop_group_max_rows, max_rel_err, numeric_grad, tsum
+from helpers import check_grads, dense_unstack, loop_group_max_rows, max_rel_err, numeric_grad, pad_stack, tsum
 from spanqa.diffmath import (
     Tensor,
     backward,
     clip_min,
     concat_cols,
+    concat_rows,
     dropout,
     gather_rows,
     group_max_rows,
@@ -18,7 +19,6 @@ from spanqa.diffmath import (
     make_rng,
     matmul,
     no_grad,
-    pad_stack,
     pick,
     relu,
     reshape,
@@ -232,6 +232,17 @@ def test_concat_cols_values_and_gradient():
     np.testing.assert_array_equal(out.data[:, 2:], b.data)
     w = Tensor(rng.standard_normal((2, 5)))
     check_grads(lambda: tsum(concat_cols([a, b]) * w), [a, b])
+
+
+def test_concat_rows_values_and_gradient():
+    rng = make_rng(19, 2)
+    a = leaf(None, rng, (2, 3))
+    b = leaf(None, rng, (1, 3))
+    out = concat_rows([a, b, a])
+    assert out.shape == (5, 3)
+    np.testing.assert_array_equal(out.data, np.concatenate([a.data, b.data, a.data]))
+    w = Tensor(rng.standard_normal((5, 3)))
+    check_grads(lambda: tsum(concat_rows([a, b, a]) * w), [a, b])
 
 
 def test_pad_stack_unstack_roundtrip():
