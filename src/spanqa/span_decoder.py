@@ -6,12 +6,10 @@ in as an indicator input column, and every position before it is masked out
 of the end softmax.  Because each conditional end distribution renormalizes
 over the suffix, the probabilities of all well-formed spans sum to one.
 
-The end layer reads [context | start states | indicator] rows.  In
-prediction, which records no graph, a paragraph's starts share its
+The end layer reads [context | start states | indicator] rows.  A
+paragraph's starts, in training and in prediction alike, share its
 start-free rows and differ in one indicator row each, so the layer
-projects each paragraph's rows once rather than once per start; in
-training each start reads its own copy, so its adjoints sum as they
-would for that start alone.
+projects each paragraph's rows once rather than once per start.
 
 There is deliberately no cap on span length: the end distribution covers the
 whole suffix and long answers stay reachable.
@@ -27,8 +25,9 @@ from .diffmath import (
     bigru_each,
     bigru_rows,
     concat_cols,
+    concat_rows,
+    gather_rows,
     glorot_uniform,
-    grad_enabled,
     init_bigru_params,
     matmul,
     pick,
@@ -115,19 +114,16 @@ def end_distributions(rows, params: SpanDecoderParams) -> list:
     """`end_distribution` of every (context, start_dist, start) triple in
     `rows`, with one recurrent pass over all of them.
 
-    Recording a graph (training), each triple reads its own copy of its
-    paragraph's rows, so the adjoints sum as over separate triples.
-    Without one (prediction), the triples of one paragraph share its
-    start-free rows and each reads one indicator row of its own at its
-    start, so the paragraph's input product is computed once, not once
-    per start; the states are the same to the last bit."""
+    The triples of one paragraph share its start-free rows, and each reads
+    one indicator row of its own at its start, so the paragraph's input
+    product is computed once, not once per start.  The states equal those
+    of one copy of the paragraph per start, to the last bit, and the
+    indicator rows are graph ops on the start-free rows, so their adjoints
+    reach the context and the start states."""
     for context, _, start in rows:
         if not 0 <= start < context.shape[0]:
             raise ValueError(f"start {start} out of range for paragraph length {context.shape[0]}")
-    if grad_enabled():
-        (states_each,) = bigru_each([_end_input(context, sd, start) for context, sd, start in rows], params.end_rnn)
-    else:
-        (states_each,) = bigru_rows(*_shared_end_rows(rows), params.end_rnn)
+    (states_each,) = bigru_rows(*_shared_end_rows(rows), params.end_rnn)
     dists = []
     for (_, _, start), states in zip(rows, states_each):
         logits = reshape(matmul(states, params.w_end), (-1,))
@@ -135,37 +131,30 @@ def end_distributions(rows, params: SpanDecoderParams) -> list:
     return dists
 
 
-def _end_input(context: Tensor, start_dist: StartDistribution, start) -> Tensor:
-    """The end layer's (n, 4d + 1) input [context | start states | indicator]
-    for one start, or start-free (a zero indicator) for start None."""
-    indicator = np.zeros((context.shape[0], 1))
-    if start is not None:
-        indicator[start, 0] = 1.0
-    return concat_cols([context, start_dist.states, Tensor(indicator)])
-
-
 def _shared_end_rows(rows) -> tuple:
-    """`bigru_rows`' (parts, columns) for the end layer's triples `rows`: the
-    start-free rows of each distinct (context, start_dist) once, then one
-    indicator row per triple, which its column reads at its start in place
-    of the start-free row."""
+    """`bigru_rows`' (parts, columns) for the end layer's triples `rows`: a
+    table of the start-free rows [context | start states | 0] of each
+    distinct (context, start_dist) once, then one indicator row per triple,
+    its start's table row with the last column set to one, which its column
+    reads at its start in place of the start-free row."""
     parts, firsts, count = [], {}, 0
     for context, start_dist, _ in rows:
         key = (id(context), id(start_dist))
         if key not in firsts:
-            firsts[key] = (len(parts), count)
-            parts.append(_end_input(context, start_dist, None))
+            firsts[key] = count
+            parts.append(concat_cols([context, start_dist.states, Tensor(np.zeros((context.shape[0], 1)))]))
             count += context.shape[0]
-    columns, indicators = [], []
+    table = concat_rows(parts)
+    columns, at = [], []
     for context, start_dist, start in rows:
-        part, first = firsts[(id(context), id(start_dist))]
-        indicators.append(parts[part].data[start])
-        column = first + np.arange(context.shape[0])
+        column = firsts[(id(context), id(start_dist))] + np.arange(context.shape[0])
+        at.append(column[start])
         column[start] = count + len(columns)
         columns.append(column)
-    indicators = np.array(indicators)
-    indicators[:, -1] = 1.0
-    return parts + [Tensor(indicators)], columns
+    # the last column holds 0.0 in the table, and x + 0.0 = x elsewhere
+    marks = np.zeros((len(rows), table.shape[1]))
+    marks[:, -1] = 1.0
+    return [table, gather_rows(table, at) + marks], columns
 
 
 def span_probability(start_dist: StartDistribution, end_dist: Tensor, start: int, end: int) -> Tensor:

@@ -336,12 +336,11 @@ def test_fused_bigru_packed_gradients_match_finite_differences():
     [([1], 2), ([6], 3), ([5, 2, 4], 2), ([5, 2, 4], 8), ([1, 7, 7, 3, 2], 3), ([4, 4], 32), ([5, 2, 4], 1)],
 )
 def test_shared_bptt_buffers_are_bit_exact(direction, lengths, d):
-    """The kernel regathers the backward direction's input in BPTT and keeps
-    the gate adjoints of all directions in one array; outputs and every
-    gradient equal those of the kernel that held the reversed copy and
-    concatenated per-direction arrays, bit for bit.  At hidden size 1 a
-    parameter-gradient product reads a single strided column, which BLAS
-    sums in another order, so there the bound is 1e-12 relative."""
+    """The kernel keeps the gate adjoints of all directions in one array and
+    sums them per input row before the weight and input products; its
+    outputs equal those of the kernel that held the reversed copy, projected
+    every step and concatenated per-direction arrays, bit for bit, and every
+    gradient, whose sums it reorders, within 1e-12 relative."""
     rng = make_rng(sum(lengths) * d, 50)
     bi = init_bigru_params(3, d, make_rng(d, 51))
     cells = (bi.fwd, bi.bwd) if direction == "both" else (bi.fwd,)
@@ -359,9 +358,11 @@ def test_shared_bptt_buffers_are_bit_exact(direction, lengths, d):
         for c in cells:
             for _, t in named_tensors(c):
                 t.zero_grad()
-    for got, ref in zip(*results):
+    (out, *grads), (ref_out, *ref_grads) = results
+    assert np.array_equal(out, ref_out)
+    for got, ref in zip(grads, ref_grads):
         assert got.shape == ref.shape
-        assert np.array_equal(got, ref) if d > 1 else rel_diff(got, ref) <= 1e-12
+        assert rel_diff(got, ref) <= 1e-12
 
 
 # ------------------------------------------------------ inference pass
@@ -555,8 +556,9 @@ def test_row_form_matches_the_copying_and_two_loop_references(lengths, d):
     """A recorded pass built as `bigru_rows` builds it (the sequences' rows
     stacked, padded steps reading -1) equals the kernel that gathers and
     projects every padded step, and the two one-direction loops, in its
-    states and in every gradient, bit for bit (at hidden size 1, within
-    1e-12 relative: see test_shared_bptt_buffers_are_bit_exact)."""
+    states bit for bit, and in every gradient within 1e-12 relative: it
+    drops the padded steps from the weight and input products and sums
+    each row's step adjoints before them."""
     rng = make_rng(sum(lengths) * d, 58)
     bi = init_bigru_params(3, d, make_rng(d, 59))
     cells = (bi.fwd, bi.bwd)
@@ -578,10 +580,12 @@ def test_row_form_matches_the_copying_and_two_loop_references(lengths, d):
         for c in cells:
             for _, t in named_tensors(c):
                 t.zero_grad()
-    for ref in results[1:]:
-        for got, want in zip(results[0], ref):
+    out, *grads = results[0]
+    for ref_out, *ref_grads in results[1:]:
+        assert np.array_equal(out, ref_out)
+        for got, want in zip(grads, ref_grads):
             assert got.shape == want.shape
-            assert np.array_equal(got, want) if d > 1 else rel_diff(got, want) <= 1e-12
+            assert rel_diff(got, want) <= 1e-12
 
 
 def test_shared_row_gradients_match_finite_differences():

@@ -64,9 +64,36 @@ def test_comparison_catches_a_moved_float():
 def test_parity_cmp_names_each_exact_difference():
     from parity_cmp import differences
 
+    def paths(a, b):
+        return [path for path, _, _ in differences(a, b)]
+
     base = {"runs": [{"epoch_losses": ["1.0"], "scores": {"a": 0.5}, "x_sha256": "0"}]}
-    assert list(differences(base, json.loads(json.dumps(base)))) == []
+    assert paths(base, json.loads(json.dumps(base))) == []
     moved = {"runs": [{"epoch_losses": ["1.0"], "scores": {"a": 0.5000000000000001, "b": 0.1}, "x_sha256": "1"}]}
-    assert list(differences(base, moved)) == ["/runs/0/scores/a", "/runs/0/scores/b", "/runs/0/x_sha256"]
-    assert list(differences(base, {"runs": []})) == ["/runs"]
-    assert list(differences(1, 1.0)) == ["/"]
+    assert list(differences(base, moved)) == [
+        ("/runs/0/scores/a", 0.5, 0.5000000000000001),
+        ("/runs/0/scores/b", None, 0.1),
+        ("/runs/0/x_sha256", "0", "1"),
+    ]
+    assert paths(base, {"runs": []}) == ["/runs"]
+    assert paths(1, 1.0) == ["/"]
+
+
+def test_parity_cmp_reports_the_largest_relative_difference():
+    from parity_cmp import summary
+
+    base = {"runs": [{"epoch_losses": ["2.0", "4.0"], "scores": {"a": 0.5}, "x_sha256": "1e5", "skipped": [0]}]}
+    # a float moved by one ulp, a loss string moved by 1e-12 relative, and
+    # a hash that float() parses but that is no float's repr
+    moved = {"runs": [{"epoch_losses": ["2.0", "4.000000000004"], "scores": {"a": 0.5000000000000001},
+                       "x_sha256": "2e5", "skipped": [0]}]}
+    assert summary(base, moved) == (
+        "differ at /runs/0/epoch_losses/1 (3 differing leaves; largest relative difference 1e-12 over the 2 numeric ones)"
+    )
+    counted = {"runs": [{**base["runs"][0], "skipped": [2]}]}
+    assert summary(base, counted) == (
+        "differ at /runs/0/skipped/0 (1 differing leaves; largest relative difference 1 over the 1 numeric ones)"
+    )
+    renamed = {"runs": [{**base["runs"][0], "x_sha256": "ab"}]}
+    assert summary(base, renamed) == "differ at /runs/0/x_sha256 (1 differing leaves)"
+    assert summary(base, json.loads(json.dumps(base))) == "differ at (same JSON, different bytes)"

@@ -9,6 +9,8 @@ from helpers import (
     TINY_WORDS,
     all_span_probabilities,
     check_grads,
+    copying_end_distributions,
+    copying_gru_pass,
     encode_question,
     quality_probs,
     reference_beam,
@@ -385,6 +387,37 @@ def test_shared_start_and_quality_loop_gradients_match_separate_loops(monkeypatc
         np.testing.assert_allclose(
             shared_grads[name], grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max(), err_msg=name
         )
+
+
+def test_training_step_matches_the_copying_kernel_and_end_layer(monkeypatch):
+    """A training step's losses equal, and its gradients are within 1e-12
+    relative of, the same step through the kernel that projects and
+    backpropagates every step from its own gathered row, with one copy of
+    the paragraph per end-layer start: the kernel sums each row's step
+    adjoints before its weight and input products, which reorders only the
+    gradients' sums.  The first positive holds two labelled starts."""
+    import spanqa.diffmath.rnn as rnn
+    import spanqa.pipeline as pipeline
+
+    model = tiny_model(hidden_dim=4, seed=29, keep_prob=0.7)
+    labels = paragraph_label_table(BATCH)
+
+    def losses_and_grads():
+        pairs = [(BATCH[i], 0, labels[i][0], BATCH[i].paragraphs[1], make_rng(29, i)) for i in (0, 3, 4)]
+        model.store.zero_grads()
+        losses = batch_losses(model, pairs, AggregationMode.SUM)
+        backward(losses[0] + losses[1] + losses[2])
+        return [loss.item() for loss in losses], grads_of(model)
+
+    assert len({label.start for label in labels[0][0]}) == 2
+    got_losses, got_grads = losses_and_grads()
+    monkeypatch.setattr(rnn, "_gru_pass", copying_gru_pass)
+    monkeypatch.setattr(pipeline, "end_distributions", copying_end_distributions)
+    ref_losses, ref_grads = losses_and_grads()
+    assert got_losses == ref_losses
+    assert set(got_grads) == set(ref_grads)
+    for name, grad in ref_grads.items():
+        np.testing.assert_allclose(got_grads[name], grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max(), err_msg=name)
 
 
 @pytest.mark.parametrize("batch_size", [1, 2, 5])

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from helpers import all_span_probabilities, check_grads, encode_question, independent_end_distribution, tiny_model
+from helpers import (
+    all_span_probabilities,
+    check_grads,
+    copying_end_distributions,
+    encode_question,
+    independent_end_distribution,
+    tiny_model,
+)
 from spanqa.diffmath import Tensor, glorot_uniform, init_bigru_params, log, make_rng, no_grad, pick
 from spanqa.span_decoder import (
     StartDistribution,
@@ -102,18 +109,32 @@ def test_end_distribution_depends_on_start():
 
 
 def test_end_distribution_gradient():
+    """One recorded end layer over starts 0, 1 and n - 1 of one paragraph,
+    which share its start-free rows: the indicator rows' adjoints must reach
+    the context and the start states, so the encoder and start-layer
+    weights are checked with the end layer's."""
     model = tiny_model(seed=8)
     para = PARAGRAPH[:4]
+    picks = {0: 2, 1: 1, len(para) - 1: len(para) - 1}
 
     def build():
         ctx = encoded(model, para)
         sd = start_distribution(ctx, model.decoder)
-        ends = end_distribution(ctx, sd, 1, model.decoder)
-        return log(pick(ends, 2)) * -1.0
+        ends = end_distributions([(ctx, sd, s) for s in picks], model.decoder)
+        losses = [log(pick(dist, e)) * -1.0 for dist, e in zip(ends, picks.values())]
+        return losses[0] + losses[1] + losses[2]
 
     check_grads(
         build,
-        [model.decoder.w_end, model.decoder.end_rnn.fwd.w, model.decoder.start_rnn.bwd.u_h],
+        [
+            model.encoder.p_ctx.bwd.u_h,
+            model.encoder.self_rnn.fwd.w,
+            model.decoder.start_rnn.bwd.u_h,
+            model.decoder.start_rnn.fwd.w,
+            model.decoder.w_end,
+            model.decoder.end_rnn.fwd.w,
+            model.decoder.end_rnn.bwd.u_zr,
+        ],
     )
 
 
@@ -195,12 +216,12 @@ def test_independent_baseline_ignores_start():
 
 
 @pytest.mark.parametrize("hidden", [2, 16])
-def test_end_layer_without_graph_shares_paragraph_rows_bit_for_bit(monkeypatch, hidden):
-    """Without a graph the end layer projects each paragraph's start-free
-    rows once, plus one indicator row per start; recording one, it reads a
-    copy of the paragraph per start.  Both give the same distributions, bit
-    for bit: paragraphs of 1 to 9 tokens, 1 to 3 starts each, at 0 and at
-    n - 1 among them, in shuffled order."""
+def test_end_layer_shares_paragraph_rows_bit_for_bit(monkeypatch, hidden):
+    """Recording a graph or not, the end layer projects each paragraph's
+    start-free rows once, plus one indicator row per start, and gives the
+    distributions of one copy of the paragraph per start bit for bit:
+    paragraphs of 1 to 9 tokens, 1 to 3 starts each, at 0 and at n - 1
+    among them, in shuffled order."""
     import spanqa.diffmath.rnn as rnn
 
     model = tiny_model(hidden_dim=hidden, seed=7)
@@ -222,7 +243,10 @@ def test_end_layer_without_graph_shares_paragraph_rows_bit_for_bit(monkeypatch, 
     recorded = end_distributions(rows, model.decoder)
     with no_grad():
         shared = end_distributions(rows, model.decoder)
+    copies = copying_end_distributions(rows, model.decoder)
     assert recorded[0].requires_grad and not shared[0].requires_grad
-    assert table_rows == [sum(context.shape[0] for context, _, _ in rows), sum(range(1, 10)) + len(rows)]
-    for got, want in zip(shared, recorded):
+    shared_rows = sum(range(1, 10)) + len(rows)
+    assert table_rows == [shared_rows, shared_rows, sum(context.shape[0] for context, _, _ in rows)]
+    for got, also, want in zip(recorded, shared, copies):
         assert np.array_equal(got.data, want.data)
+        assert np.array_equal(also.data, want.data)
