@@ -22,21 +22,25 @@ the rows' adjoints are each one GEMM over the distinct rows, and steps
 that read the zero row drop out of both.  Several sequences of different
 lengths share the one loop, packed time-first, their padded steps reading
 one zero row (`bigru_rows`, `bigru_each`); a single sequence is the batch
-of one, and a column's states do not depend, to the last bit, on what
-else shares its batch or its rows.  The forward and backward directions
-of a bidirectional layer share the loop too, as do several layers that
-read the same rows: each step makes one stacked (G, B, d) recurrent
-product per gate group over all G directions, and a backward direction
-reads its steps reversed within each column's length.  Gate weights are
-packed [z | r | h] along the output axis."""
+of one, and a column's states do not depend on what else shares its
+batch or its rows beyond BLAS's rounding, which at an inner width above
+200 can change with a product's row count.  The forward and backward
+directions of a bidirectional layer share the loop too, as do several
+layers that read the same rows: each step makes one stacked (G, B, d)
+recurrent product per gate group over all G directions, and a backward
+direction reads its steps reversed within each column's length.  Inside
+`workers.workers(threads)` the directions go in groups, each on a thread
+of its own.  Gate weights are packed [z | r | h] along the output axis."""
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
 
 from .optim import glorot_uniform
 from .tensor import Tensor, _make, concat_rows, grad_enabled, reshape, unstack
+from .workers import current_threads, direction_groups, together, usable_cpus
 
 
 @dataclass
@@ -98,6 +102,11 @@ def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+# BPTT's scatter of gate adjoints into rows indexes a block of steps at a
+# time, of at most this many entries, so its index buffer stays within 1 MB
+_SCATTER_ENTRIES = 1 << 17
+
+
 def _reversal(n: int, lengths) -> tuple:
     """Index pair that reverses each column of a (n, B, ...) array within its
     first lengths[b] steps and leaves its padded steps in place.  It is its
@@ -114,7 +123,14 @@ def _gru_pass(steps: np.ndarray, rows: Tensor, cells: tuple, reverse: tuple, len
     when reverse[g].  Each row is projected once per direction, and each
     step gathers its gate pre-activations from that projection.  Returns
     the directions' states side by side, with the gate caches and the BPTT
-    closure only when recording."""
+    closure only when recording.
+
+    Inside `workers(threads)` the directions go in contiguous groups, and
+    each group's projection, time loop and BPTT sweep run on a thread of
+    their own; in BPTT's epilogue, one direction at a time, the weight
+    products run beside the input product.  Each direction runs the same
+    ops on the same operands in any group, and the input adjoints are
+    added in direction order, so no number depends on the grouping."""
     x = rows.data
     count = len(x)
     n, batch = steps.shape
@@ -126,44 +142,61 @@ def _gru_pass(steps: np.ndarray, rows: Tensor, cells: tuple, reverse: tuple, len
     ws, u_zrs, u_hs = [c.w.data for c in cells], [c.u_zr.data for c in cells], [c.u_h.data for c in cells]
     parents = (rows,) + tuple(t for c in cells for t in (c.w, c.u_zr, c.u_h, c.b))
     recording = grad_enabled() and any(p.requires_grad for p in parents)
+    threads = current_threads()
+    spans = direction_groups(threads, dirs, usable_cpus()) if threads > 1 else [(0, dirs)]
 
-    # hs[t] is the state before step t (row 0 the zero state), hs[t + 1] after it;
-    # a_zr and a_c take each step's recurrent products, and the gates go to
-    # the caches zrs ([z | r]) and cs when recording, else over a_zr and a_c
+    # hs[t] is the state before step t (row 0 the zero state) and hs[t + 1]
+    # after it; the gates go to the caches zrs ([z | r]) and cs when
+    # recording; xw[g, r] is row r's input product under direction g, bias
+    # included.  Each array is allocated whole, on the calling thread, and a
+    # group of directions [a, b) works in its slice of it: one array per
+    # group kept more memory resident, since malloc keeps smaller blocks in
+    # its heaps (a worker's in an arena of its own) where it unmaps larger
+    # ones when they are freed
     hs = np.zeros((n + 1, dirs, batch, d))
     zrs = np.empty((n, dirs, batch, 2 * d)) if recording else None
     cs = np.empty((n, dirs, batch, d)) if recording else None
+    xw = np.empty((dirs, count + 1, 3 * d))
+    xw[:, count] = 0.0
+    # at[t] names the (G, B) entries of xw, flattened, that step t reads;
+    # a_zr and a_c take each step's recurrent products, and the gates go
+    # over them when not recording
+    at = np.stack(maps, axis=1) + (count + 1) * np.arange(dirs)[:, None]
+    xt = np.empty((dirs, batch, 3 * d))
     a_zr = np.empty((dirs, batch, 2 * d))
     a_c = np.empty((dirs, batch, d))
     rh = np.empty((dirs, batch, d))
-
-    # xw[g, r] is row r's input product under direction g, bias included, and
-    # at[t] names the (G, B) entries of xw, flattened, that step t reads
-    xw = np.empty((dirs, count + 1, 3 * d))
-    xw[:, count] = 0.0
-    for g, c in enumerate(cells):
-        _gemm(x, ws[g], out=xw[g, :count])
-        xw[g] += c.b.data
-    xw = xw.reshape(-1, 3 * d)
-    at = np.stack(maps, axis=1) + (count + 1) * np.arange(dirs)[:, None]
-    xt = np.empty((dirs, batch, 3 * d))
     u_zr, u_h = np.stack(u_zrs), np.stack(u_hs)
-    with np.errstate(over="ignore"):
-        for t in range(n):
-            h = hs[t]
-            zr = zrs[t] if recording else a_zr
-            c = cs[t] if recording else a_c
-            xw.take(at[t], axis=0, out=xt, mode="clip")
-            _gemm(h, u_zr, out=a_zr)
-            _sigmoid(np.add(xt[..., : 2 * d], a_zr, out=zr), out=zr)
-            z, r = zr[..., :d], zr[..., d:]
-            _gemm(np.multiply(r, h, out=rh), u_h, out=a_c)
-            np.tanh(np.add(xt[..., 2 * d :], a_c, out=c), out=c)
-            # h' = (1 - z) * h + z * c, with rh free again as scratch
-            np.multiply(np.subtract(1.0, z, out=rh), h, out=rh)
-            np.add(rh, np.multiply(z, c, out=hs[t + 1]), out=hs[t + 1])
+    if not recording:
+        del steps, maps  # only BPTT reads them
 
-    del xw  # dead once the loop ends; freed before the output is gathered
+    def forward(a, b):
+        """Directions [a, b), each array read and written in its slice."""
+        for g in range(a, b):
+            _gemm(x, ws[g], out=xw[g, :count])
+            xw[g] += cells[g].b.data
+        xw_flat = xw.reshape(-1, 3 * d)
+        hs_g, at_g, xt_g = hs[:, a:b], at[:, a:b], xt[a:b]
+        zrs_g = zrs[:, a:b] if recording else None
+        cs_g = cs[:, a:b] if recording else None
+        a_zr_g, a_c_g, rh_g, u_zr_g, u_h_g = a_zr[a:b], a_c[a:b], rh[a:b], u_zr[a:b], u_h[a:b]
+        with np.errstate(over="ignore"):
+            for t in range(n):
+                h = hs_g[t]
+                zr = zrs_g[t] if recording else a_zr_g
+                c = cs_g[t] if recording else a_c_g
+                xw_flat.take(at_g[t], axis=0, out=xt_g, mode="clip")
+                _gemm(h, u_zr_g, out=a_zr_g)
+                _sigmoid(np.add(xt_g[..., : 2 * d], a_zr_g, out=zr), out=zr)
+                z, r = zr[..., :d], zr[..., d:]
+                _gemm(np.multiply(r, h, out=rh_g), u_h_g, out=a_c_g)
+                np.tanh(np.add(xt_g[..., 2 * d :], a_c_g, out=c), out=c)
+                # h' = (1 - z) * h + z * c, with rh free again as scratch
+                np.multiply(np.subtract(1.0, z, out=rh_g), h, out=rh_g)
+                np.add(rh_g, np.multiply(z, c, out=hs_g[t + 1]), out=hs_g[t + 1])
+
+    together([partial(forward, a, b) for a, b in spans])
+    del xw  # dead once the loops end; freed before the output is gathered
     out = np.empty((n, batch, dirs, d))
     for g, rev in enumerate(reverse):
         out[:, :, g] = hs[1:, g][order] if rev else hs[1:, g]
@@ -173,47 +206,76 @@ def _gru_pass(steps: np.ndarray, rows: Tensor, cells: tuple, reverse: tuple, len
 
     def back(grad):
         grad = grad.reshape(n, batch, dirs, d)
-        gs = np.empty((n, dirs, batch, d))
+        # Allocated whole here too: the output adjoints in each direction's
+        # time order and the gate pre-activation adjoints [dz | dr | dc],
+        # both direction-major so that a direction's block is contiguous for
+        # the epilogue, and each direction's parameter adjoints
+        gs = np.empty((dirs, n, batch, d))
         for g, rev in enumerate(reverse):
-            gs[:, g] = grad[:, :, g][order] if rev else grad[:, :, g]
-        # built here, not captured, so no stacked weight copy stays alive in the graph
-        u_zr_t = np.stack([u.T for u in u_zrs])
-        u_h_t = np.stack([u.T for u in u_hs])
-        # gate pre-activation adjoints [dz | dr | dc], direction-major so that
-        # each direction's (T * B, 3d) block is contiguous for the epilogue
+            gs[g] = grad[:, :, g][order] if rev else grad[:, :, g]
         dxws = np.empty((dirs, n, batch, 3 * d))
-        dh = np.zeros((dirs, batch, d))
-        for t in range(n - 1, -1, -1):
-            dht = gs[t] + dh
-            z, r, c, hp = zrs[t, ..., :d], zrs[t, ..., d:], cs[t], hs[t]
-            da = (dht * z) * (1.0 - c * c)
-            dxws[:, t, :, 2 * d :] = da
-            drh = da @ u_h_t
-            dxws[:, t, :, :d] = (dht * (c - hp)) * z * (1.0 - z)
-            dxws[:, t, :, d : 2 * d] = (drh * hp) * r * (1.0 - r)
-            dh = dht * (1.0 - z) + drh * r + dxws[:, t, :, : 2 * d] @ u_zr_t
+        dparams = [[np.empty_like(t.data) for t in (c.w, c.u_zr, c.u_h, c.b)] for c in cells]
+
+        def bptt(a, b):
+            # built here, not captured, so no stacked weight copy stays alive in the graph
+            u_zr_t = np.stack([u.T for u in u_zrs[a:b]])
+            u_h_t = np.stack([u.T for u in u_hs[a:b]])
+            gs_g, hs_g, zrs_g, cs_g, dxws_g = gs[a:b], hs[:, a:b], zrs[:, a:b], cs[:, a:b], dxws[a:b]
+            dh = np.zeros((b - a, batch, d))
+            for t in range(n - 1, -1, -1):
+                dht = gs_g[:, t] + dh
+                z, r, c, hp = zrs_g[t, ..., :d], zrs_g[t, ..., d:], cs_g[t], hs_g[t]
+                da = (dht * z) * (1.0 - c * c)
+                dxws_g[:, t, :, 2 * d :] = da
+                drh = da @ u_h_t
+                dxws_g[:, t, :, :d] = (dht * (c - hp)) * z * (1.0 - z)
+                dxws_g[:, t, :, d : 2 * d] = (drh * hp) * r * (1.0 - r)
+                dh = dht * (1.0 - z) + drh * r + dxws_g[:, t, :, : 2 * d] @ u_zr_t
+
+        together([partial(bptt, a, b) for a, b in spans])
+
         # per_row[r] sums the gate adjoints of the steps that read row r, so
         # the weight and input products run over the distinct rows; the zero
         # row's, at `count`, is dropped, and with it every padded step.  The
-        # scatter goes through flat entry indices: np.add.at's 1-D path is
-        # several times faster than its row-indexed one
+        # scatter goes through flat entry indices, a block of steps at a
+        # time: np.add.at's 1-D path is several times faster than its
+        # row-indexed one, and it adds in step order either way
         per_row = np.empty((count + 1, 3 * d))
-        entries = np.empty((n * batch, 3 * d), dtype=np.intp)
-        drows, dparams = np.zeros((count, x.shape[1])), []
-        for g in range(dirs):
+        block = min(max(1, _SCATTER_ENTRIES // (3 * d)), n * batch)
+        entries = np.empty((block, 3 * d), dtype=np.intp)
+        drows, product = np.zeros((count, x.shape[1])), np.empty((count, x.shape[1]))
+
+        def weights(g):
             dxw = dxws[g].reshape(n * batch, 3 * d)
-            hp = hs[:-1, g].reshape(n * batch, d)
+            dw, du_zr, du_h, db = dparams[g]
+            np.matmul(x.T, per_row[:count], out=dw)
+            # the output adjoints are spent, so their block takes h, then z_r * h
+            spent = gs[g].reshape(n * batch, d)
+            np.copyto(gs[g], hs[:-1, g])
+            np.matmul(spent.T, dxw[:, : 2 * d], out=du_zr)
+            np.multiply(zrs[:, g, :, d:], gs[g], out=gs[g])
+            np.matmul(spent.T, dxw[:, 2 * d :], out=du_h)
+            dxw.sum(axis=0, out=db)
+
+        def add_input_adjoint(g):
+            np.matmul(per_row[:count], ws[g].T, out=product)
+            np.add(drows, product, out=drows)
+
+        for g in range(dirs):
+            dxw = dxws[g].reshape(-1)
+            reads = maps[g].reshape(-1, 1) * (3 * d)
             per_row.fill(0.0)
-            np.add(maps[g].reshape(-1, 1) * (3 * d), np.arange(3 * d), out=entries)
-            np.add.at(per_row.reshape(-1), entries.reshape(-1), dxw.reshape(-1))
-            dparams += [
-                x.T @ per_row[:count],
-                hp.T @ dxw[:, : 2 * d],
-                (zrs[:, g, :, d:].reshape(n * batch, d) * hp).T @ dxw[:, 2 * d :],
-                dxw.sum(axis=0),
-            ]
-            drows += per_row[:count] @ ws[g].T
-        return (drows, *dparams)
+            for s in range(0, n * batch, block):
+                chunk = entries[: min(block, n * batch - s)]
+                np.add(reads[s : s + len(chunk)], np.arange(3 * d), out=chunk)
+                np.add.at(per_row.reshape(-1), chunk.reshape(-1), dxw[s * 3 * d : (s + len(chunk)) * 3 * d])
+            # the input adjoints go into drows in direction order
+            if len(spans) > 1:
+                together([partial(add_input_adjoint, g), partial(weights, g)])
+            else:
+                weights(g)
+                add_input_adjoint(g)
+        return (drows, *[p for ps in dparams for p in ps])
 
     return _make(out, parents, back)
 

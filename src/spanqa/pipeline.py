@@ -39,6 +39,7 @@ from .aggregation import AggregationMode, aggregate, group_candidates
 from .corpus import label_spans
 from .diffmath import backward, clip_min, log, mul, no_grad, pick
 from .diffmath.rng import STREAM_PREDICT, STREAM_TRAIN, make_rng
+from .diffmath.workers import workers
 from .paragraph_quality import normalize_quality_tensors, sample_pair, start_and_quality
 from .span_decoder import SpanCandidate, end_distributions, span_probability
 
@@ -201,34 +202,37 @@ def train_epoch(model, dataset, labels, config: TrainConfig, epoch: int) -> Epoc
 
     Examples whose pair cannot be formed (no positive paragraph, or no
     negative available anywhere in the batch) are skipped and counted.
+    With `config.threads` >= 2, the recurrent passes run on that many
+    threads (`diffmath.workers`).
     """
     mode = AggregationMode.parse(config.mode)
-    order = make_rng(config.seed, STREAM_TRAIN, epoch).permutation(len(dataset)).tolist()
-    loss_total, counted, skipped = 0.0, 0, 0
-    for batch_start in range(0, len(order), config.batch_size):
-        batch = order[batch_start : batch_start + config.batch_size]
-        pairs = []
-        for offset, ex_idx in enumerate(batch):
-            example = dataset[ex_idx]
-            rng = make_rng(config.seed, STREAM_TRAIN, epoch, batch_start + offset + 1)
-            pair = sample_pair([len(l) for l in labels[ex_idx]], rng)
-            if pair is None:
-                skipped += 1
-                continue
-            pos_idx, neg_idx = pair
-            if neg_idx is not None:
-                negative = example.paragraphs[neg_idx]
-            else:
-                negative = _fallback_negative(dataset, batch, ex_idx, rng)
-                if negative is None:
+    with workers(config.threads):
+        order = make_rng(config.seed, STREAM_TRAIN, epoch).permutation(len(dataset)).tolist()
+        loss_total, counted, skipped = 0.0, 0, 0
+        for batch_start in range(0, len(order), config.batch_size):
+            batch = order[batch_start : batch_start + config.batch_size]
+            pairs = []
+            for offset, ex_idx in enumerate(batch):
+                example = dataset[ex_idx]
+                rng = make_rng(config.seed, STREAM_TRAIN, epoch, batch_start + offset + 1)
+                pair = sample_pair([len(l) for l in labels[ex_idx]], rng)
+                if pair is None:
                     skipped += 1
                     continue
-            pairs.append((example, pos_idx, labels[ex_idx][pos_idx], negative, rng))
-        if pairs:
-            loss_total += _train_step(model, pairs, mode)
-            counted += len(pairs)
-    mean = loss_total / counted if counted else None
-    return EpochStats(epoch=epoch, mean_loss=mean, skipped=skipped, steps=counted)
+                pos_idx, neg_idx = pair
+                if neg_idx is not None:
+                    negative = example.paragraphs[neg_idx]
+                else:
+                    negative = _fallback_negative(dataset, batch, ex_idx, rng)
+                    if negative is None:
+                        skipped += 1
+                        continue
+                pairs.append((example, pos_idx, labels[ex_idx][pos_idx], negative, rng))
+            if pairs:
+                loss_total += _train_step(model, pairs, mode)
+                counted += len(pairs)
+        mean = loss_total / counted if counted else None
+        return EpochStats(epoch=epoch, mean_loss=mean, skipped=skipped, steps=counted)
 
 
 def _train_step(model, pairs, mode) -> float:
@@ -367,21 +371,27 @@ def predict_dataset(model, dataset, mode: AggregationMode, k1: int, k2: int, see
     The examples go in chunks (`chunk_bounds`, which reads the data alone):
     each chunk is encoded in one pass (`encode_for_beams`), and then each of
     its examples is decoded by `predict` with its own derived stream.  An
-    example's prediction does not depend on which examples share its chunk.
+    example's prediction agrees with the example predicted alone within
+    1e-12 relative, but not always to the last bit: at full width BLAS
+    picks its gemm kernel by the product's size, so a row's bits can depend
+    on how many rows share its chunk.
 
-    `threads` is ignored: the chunks run one after another on the calling
-    thread.  The keyword and the `threads` config key stay only because
-    perfbench/run.py passes it and sizes its calls by the key (ROADMAP
-    item 7).
+    With `threads` >= 2, the directions of each recurrent pass run on up to
+    min(`threads`, directions, usable CPUs) threads, and numpy's OpenBLAS is
+    pinned to one thread for the call (`diffmath.workers`).  The output then
+    equals, bit for bit, that of `threads` = 1 under a one-thread BLAS, for
+    any `threads` and any number of cores.  Where the BLAS thread count
+    cannot be set, every pass runs serially at the ambient BLAS setting.
     """
     check_beam_sizes(k1, k2)
     predictions = []
-    for start, stop in chunk_bounds(dataset):
-        encodings = encode_for_beams(model, dataset[start:stop], k1)
-        predictions += [
-            predict(model, dataset[i], mode, k1, k2, make_rng(seed, STREAM_PREDICT, i), encodings[i - start])
-            for i in range(start, stop)
-        ]
+    with workers(threads):
+        for start, stop in chunk_bounds(dataset):
+            encodings = encode_for_beams(model, dataset[start:stop], k1)
+            predictions += [
+                predict(model, dataset[i], mode, k1, k2, make_rng(seed, STREAM_PREDICT, i), encodings[i - start])
+                for i in range(start, stop)
+            ]
     return predictions
 
 

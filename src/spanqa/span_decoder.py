@@ -117,9 +117,10 @@ def end_distributions(rows, params: SpanDecoderParams) -> list:
     The triples of one paragraph share its start-free rows, and each reads
     one indicator row of its own at its start, so the paragraph's input
     product is computed once, not once per start.  The states equal those
-    of one copy of the paragraph per start, to the last bit, and the
-    indicator rows are graph ops on the start-free rows, so their adjoints
-    reach the context and the start states."""
+    of one copy of the paragraph per start, to the last bit at small
+    widths and within BLAS's rounding at full width, and the indicator
+    rows are graph ops on the start-free rows, so their adjoints reach the
+    context and the start states."""
     for context, _, start in rows:
         if not 0 <= start < context.shape[0]:
             raise ValueError(f"start {start} out of range for paragraph length {context.shape[0]}")

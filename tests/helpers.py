@@ -4,9 +4,11 @@ and reference oracles for the tokenizer, the span decoder and the encode path.""
 import json
 import math
 import string
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from spanqa.aggregation import aggregate, group_candidates
 from spanqa.checkpoint import MAGIC
@@ -27,6 +29,7 @@ from spanqa.diffmath import (
     row_softmax,
 )
 from spanqa.diffmath.rnn import _gru_pass, _reversal, _sigmoid
+from spanqa.diffmath import rnn, workers
 from spanqa.diffmath.tensor import _make
 from spanqa.encoder import CharVocab, EncoderConfig, Vocab
 from spanqa.model import QaModel
@@ -55,6 +58,48 @@ def tiny_model(hidden_dim=2, word_dim=4, char_out_dim=3, words=None, seed=0, kee
     )
     vocab = Vocab(words or TINY_WORDS)
     return QaModel.create(config, vocab, CharVocab.from_vocab(vocab), seed=seed)
+
+
+def full_width_model(seed=0, keep_prob=1.0):
+    """`tiny_model` at the full profile's widths (tokens 400 wide, hidden
+    200), where BLAS's rounding depends on its thread count and on a
+    product's size."""
+    return tiny_model(hidden_dim=200, word_dim=300, char_out_dim=100, seed=seed, keep_prob=keep_prob)
+
+
+# `threads` >= 2 runs serially where numpy's BLAS thread count cannot be set
+needs_blas_threads = pytest.mark.skipif(
+    workers._blas_thread_calls() is None, reason="numpy's BLAS thread count cannot be set here"
+)
+
+
+@contextmanager
+def one_blas_thread():
+    """numpy's OpenBLAS at one thread inside the block, the setting whose
+    bits a run at `threads` >= 2 reproduces (tests marked
+    `needs_blas_threads`)."""
+    get, put = workers._blas_thread_calls()
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def spy_groups(monkeypatch, cpus):
+    """Split each recurrent pass as on a host with `cpus` usable CPUs, and
+    return the list that records how many calls each of the kernel's
+    `together` runs at once."""
+    sizes = []
+
+    def together(calls):
+        sizes.append(len(calls))
+        workers.together(calls)
+
+    monkeypatch.setattr(rnn, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(rnn, "together", together)
+    return sizes
 
 
 def numeric_grad(f, x, h=1e-5):

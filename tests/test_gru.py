@@ -11,7 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_grads, copying_gru_pass, pad_stack, step_rows, tsum, two_loop_bigru
+from helpers import (
+    check_grads,
+    copying_gru_pass,
+    needs_blas_threads,
+    one_blas_thread,
+    pad_stack,
+    spy_groups,
+    step_rows,
+    tsum,
+    two_loop_bigru,
+)
 from spanqa.diffmath import (
     BiGruParams,
     GruParams,
@@ -27,7 +37,9 @@ from spanqa.diffmath import (
     no_grad,
     unstack,
 )
+from spanqa.diffmath import rnn, workers
 from spanqa.diffmath.rnn import _gru_pass, _sigmoid
+from spanqa.diffmath.workers import direction_groups, usable_cpus
 
 REVERSE = {"forward": (False,), "backward": (True,), "both": (False, True)}
 
@@ -447,6 +459,65 @@ def test_no_grad_pass_peaks_at_its_projection_and_states(reverse):
     assert peak <= 4.25 * unit + (x.data.nbytes if any(reverse) else 0)
 
 
+@needs_blas_threads
+@pytest.mark.parametrize("reverse", [(False, True), (False, True, False, True)])
+def test_memory_checks_hold_with_the_directions_on_two_threads(monkeypatch, reverse):
+    """The two peak checks above, with each pass's directions split over
+    two threads: the calling thread allocates every buffer before the
+    loops start, so the peaks do not depend on how the threads
+    interleave."""
+    monkeypatch.setattr(rnn, "usable_cpus", lambda: 2)
+    with workers.workers(2):
+        test_no_grad_pass_peaks_below_the_recorded_pass_by_its_gate_caches(reverse)
+        test_no_grad_pass_peaks_at_its_projection_and_states(reverse)
+
+
+@needs_blas_threads
+def test_directions_on_worker_threads_give_the_serial_bits(monkeypatch):
+    """A recorded pass of four directions over shared rows and zero rows,
+    split over 1, 2 and 3 threads: its states and every gradient equal
+    the serial pass's under a one-thread BLAS, bit for bit.  Each direction
+    runs the same ops, and the rows' adjoints are added in direction
+    order."""
+    sizes = spy_groups(monkeypatch, 4)
+    reverse = (False, True, False, True)
+    rng = make_rng(62, 1)
+    cells = pattern_cells(reverse, 12, 16, 62)
+    rows = Tensor(rng.standard_normal((9, 12)), requires_grad=True)
+    steps = rng.integers(-1, 9, (7, 5))
+    lengths = [7, 3, 5, 1, 6]
+    w = rng.standard_normal((7, 5, 4 * 16))
+    leaves = [rows] + [t for c in cells for _, t in named_tensors(c)]
+
+    def run(threads):
+        for t in leaves:
+            t.zero_grad()
+        sizes.clear()
+        with workers.workers(threads):
+            out = _gru_pass(steps, rows, cells, reverse, lengths)
+            backward(tsum(out * w))
+        assert max(sizes) == threads
+        return [out.data] + [t.grad for t in leaves]
+
+    with one_blas_thread():
+        serial = run(1)
+    for threads in (2, 3):
+        for got, want in zip(run(threads), serial, strict=True):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+def test_direction_groups_cap_the_threads_at_the_directions_and_cpus(cpus):
+    groups = direction_groups(10**6, 4, cpus)
+    assert len(groups) == min(4, cpus)
+    assert [g for a, b in groups for g in range(a, b)] == [0, 1, 2, 3]
+    sizes = [b - a for a, b in groups]
+    assert max(sizes) - min(sizes) <= 1
+    assert direction_groups(1, 4, cpus) == [(0, 4)]
+    assert direction_groups(10**6, 1, cpus) == [(0, 1)]
+    assert usable_cpus() >= 1
+
+
 @pytest.mark.parametrize("direction", ["forward", "both"])
 def test_layers_over_one_input_share_one_loop(direction):
     """Two layers over the same input in one call: their states side by
@@ -503,11 +574,14 @@ def test_packed_padding_does_not_leak_into_valid_steps():
 
 @pytest.mark.parametrize("lengths", [[1, 3], [7, 2, 5], [4, 4, 1, 6]])
 def test_a_sequence_states_do_not_depend_on_its_batch(lengths):
-    """Equal bit for bit, one-step sequences too: prediction packs examples
-    into chunks, and an example's numbers must not depend on its chunk.  Nor
-    on whether its rows are its own or shared with other columns: the end
-    layer's starts in one paragraph read the paragraph's rows and one row
-    of their own each."""
+    """Equal bit for bit at this width, one-step sequences too: prediction
+    packs examples into chunks, and a column's states come from the same
+    per-row products whatever shares its batch, or whether its rows are
+    its own or shared with other columns (the end layer's starts in one
+    paragraph read the paragraph's rows and one row of their own each).
+    At an inner width above 200 BLAS picks its gemm kernel by the
+    product's row count, so there the bits can move within 1e-12
+    (`test_pipeline.py::test_a_chunk_agrees_with_each_example_alone_at_full_width`)."""
     rng = make_rng(46, 1)
     layers = (init_bigru_params(16, 16, make_rng(46, 2)),)
     xs = [Tensor(rng.standard_normal((n, 16))) for n in lengths]

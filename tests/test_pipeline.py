@@ -12,17 +12,21 @@ from helpers import (
     copying_end_distributions,
     copying_gru_pass,
     encode_question,
+    full_width_model,
+    needs_blas_threads,
+    one_blas_thread,
     quality_probs,
     reference_beam,
     reference_example_loss,
     reference_predict,
     separate_start_and_quality,
     softmax,
+    spy_groups,
     tiny_model,
 )
 from spanqa.aggregation import AggregationMode, AnswerGroup, normalize_answer_key
 from spanqa.corpus import QAExample, make_paragraph
-from spanqa.diffmath import Tensor, backward, make_rng, no_grad
+from spanqa.diffmath import Tensor, backward, make_rng, no_grad, workers
 from spanqa.diffmath.rng import STREAM_PREDICT, STREAM_TRAIN
 from spanqa.paragraph_quality import sample_pair
 from spanqa.pipeline import (
@@ -804,6 +808,111 @@ def test_predict_dataset_names_an_example_without_paragraphs_inside_a_chunk():
     assert pipeline.chunk_bounds(dataset) == [(0, 4)]
     with pytest.raises(ValueError, match="example bare has no paragraphs"):
         predict_dataset(tiny_model(seed=17), dataset, AggregationMode.MAX, 2, 1)
+
+
+def test_a_chunk_agrees_with_each_example_alone_at_full_width():
+    """Within 1e-12 relative, though not always to the last bit: BLAS picks
+    its gemm kernel by the product's size, and with 400-wide tokens a
+    question of four projects as a product of 4 rows alone and of 8 in
+    this chunk, which round differently here."""
+    import spanqa.pipeline as pipeline
+
+    model = full_width_model(seed=18)
+    dataset = [
+        qa_example(["camels store fat in their fat humps", "sand dune walks do"], ex_id="a", question=QUESTION[:3] + ["?"]),
+        qa_example(["what do camels store in their humps ? fat", "dune"], ex_id="b", question=QUESTION[1:]),
+    ]
+    assert pipeline.chunk_bounds(dataset) == [(0, 2)]
+    chunked = predict_dataset(model, dataset, AggregationMode.SUM, 3, 2, seed=3)
+    for i, (example, pred) in enumerate(zip(dataset, chunked)):
+        alone = predict(model, example, AggregationMode.SUM, 3, 2, make_rng(3, STREAM_PREDICT, i))
+        assert pred.best_answer == alone.best_answer
+        assert list(pred.answer_scores) == list(alone.answer_scores)
+        np.testing.assert_allclose(
+            list(pred.answer_scores.values()), list(alone.answer_scores.values()), rtol=1e-12, atol=0
+        )
+        np.testing.assert_allclose(pred.paragraph_probs, alone.paragraph_probs, rtol=1e-12, atol=0)
+
+
+@needs_blas_threads
+def test_predict_dataset_bits_do_not_depend_on_threads_at_full_width(monkeypatch):
+    sizes = spy_groups(monkeypatch, 4)
+    model = full_width_model(seed=19)
+    dataset = mixed_dataset(4)
+    with one_blas_thread():
+        serial = predict_dataset(model, dataset, AggregationMode.RAND, 3, 2, seed=2, threads=1)
+    assert max(sizes) == 1
+    for threads in (2, 3, 4):
+        sizes.clear()
+        assert predict_dataset(model, dataset, AggregationMode.RAND, 3, 2, seed=2, threads=threads) == serial
+        assert max(sizes) == threads  # the start and quality layers' four directions
+
+
+@needs_blas_threads
+def test_train_step_bits_do_not_depend_on_threads_at_full_width(monkeypatch):
+    """One Adadelta batch, with dropout: its loss and every parameter
+    gradient at `threads` 2 and 4 equal those at 1 under a one-thread BLAS."""
+    sizes = spy_groups(monkeypatch, 4)
+    model = full_width_model(seed=20, keep_prob=0.8)
+    labels = paragraph_label_table(BATCH)
+    steps = []
+    capture_steps(monkeypatch, model, lambda: steps.append(grads_of(model)))
+
+    def run(threads):
+        config = TrainConfig(batch_size=len(BATCH), seed=20, threads=threads)
+        return train_epoch(model, BATCH, labels, config, epoch=0).mean_loss, steps[-1]
+
+    with one_blas_thread():
+        loss, grads = run(1)
+    for threads in (2, 4):
+        sizes.clear()
+        got_loss, got_grads = run(threads)
+        assert max(sizes) == threads
+        assert got_loss == loss and list(got_grads) == list(grads)
+        for name, grad in grads.items():
+            assert np.array_equal(got_grads[name], grad), name
+
+
+@needs_blas_threads
+def test_blas_thread_count_is_pinned_inside_and_restored_when_a_call_raises(monkeypatch):
+    import spanqa.pipeline as pipeline
+
+    get, put = workers._blas_thread_calls()
+    ambient = get()
+    inside = []
+    encode = pipeline.encode_for_beams
+    monkeypatch.setattr(pipeline, "encode_for_beams", lambda *args: inside.append(get()) or encode(*args))
+
+    def failing_step(*args):
+        inside.append(get())
+        raise RuntimeError("step failed")
+
+    monkeypatch.setattr(pipeline, "_train_step", failing_step)
+    dataset = mixed_dataset(4)
+    dataset[2] = QAExample(id="bare", question=QUESTION, answers=["x"], paragraphs=[], question_text="")
+    put(2)
+    try:
+        with pytest.raises(ValueError, match="example bare has no paragraphs"):
+            predict_dataset(tiny_model(seed=17), dataset, AggregationMode.MAX, 2, 1, threads=2)
+        assert (inside, get()) == ([1], 2)
+        config = TrainConfig(batch_size=len(BATCH), threads=2)
+        with pytest.raises(RuntimeError, match="step failed"):
+            train_epoch(tiny_model(seed=17), BATCH, paragraph_label_table(BATCH), config, epoch=0)
+        assert (inside, get()) == ([1, 1], 2)
+        predict_dataset(tiny_model(seed=17), mixed_dataset(1), AggregationMode.MAX, 2, 1, threads=1)
+        assert (inside, get()) == ([1, 1, 2], 2)  # one thread leaves BLAS as it is
+    finally:
+        put(ambient)
+
+
+def test_threads_run_serially_where_the_blas_thread_count_cannot_be_set(monkeypatch):
+    sizes = spy_groups(monkeypatch, 4)
+    monkeypatch.setattr(workers, "_blas_thread_calls", lambda: None)
+    model = full_width_model(seed=21)
+    dataset = mixed_dataset(3)
+    serial = predict_dataset(model, dataset, AggregationMode.MAX, 3, 1, threads=1)
+    assert predict_dataset(model, dataset, AggregationMode.MAX, 3, 1, threads=2) == serial
+    assert max(sizes) == 1
 
 
 # ----------------------------------------------------------------- metrics
