@@ -27,9 +27,10 @@ from spanqa.diffmath import (
     pick,
     reshape,
     row_softmax,
+    rnn,
+    workers,
 )
 from spanqa.diffmath.rnn import _gru_pass, _reversal, _sigmoid
-from spanqa.diffmath import rnn, workers
 from spanqa.diffmath.tensor import _make
 from spanqa.encoder import CharVocab, EncoderConfig, Vocab
 from spanqa.model import QaModel
