@@ -132,7 +132,6 @@ def cmd_predict(args) -> int:
         train_config.k1,
         train_config.k2,
         seed=train_config.seed,
-        threads=train_config.threads,
     )
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:

@@ -51,10 +51,6 @@ class ParameterStore:
             raise ValueError(f"duplicate parameter name: {name!r}")
         tensor.requires_grad = True
         self._params[name] = tensor
-        # np.zeros, unlike zeros_like, leaves the pages unwritten until a step
-        # touches them, so a model that only predicts never pays for them
-        self._square_avg[name] = np.zeros(tensor.data.shape)
-        self._accum_delta[name] = np.zeros(tensor.data.shape)
         return tensor
 
     def __contains__(self, name: str) -> bool:
@@ -96,6 +92,12 @@ class ParameterStore:
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
             grads[name] = g
+        # the accumulators start at zero with the first step, so a model that
+        # only predicts never allocates them: np.zeros writes its pages when
+        # malloc hands back reused memory, and a full model's two take 95 MB
+        if not self._square_avg:
+            self._square_avg = {name: np.zeros(p.data.shape) for name, p in self.items()}
+            self._accum_delta = {name: np.zeros(p.data.shape) for name, p in self.items()}
         for name, p in self.items():
             g = grads[name]
             sq = self._square_avg[name]

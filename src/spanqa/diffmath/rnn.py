@@ -28,9 +28,10 @@ batch or its rows beyond BLAS's rounding, which at an inner width above
 directions of a bidirectional layer share the loop too, as do several
 layers that read the same rows: each step makes one stacked (G, B, d)
 recurrent product per gate group over all G directions, and a backward
-direction reads its steps reversed within each column's length.  Inside
-`workers.workers(threads)` the directions go in groups, each on a thread
-of its own.  Gate weights are packed [z | r | h] along the output axis."""
+direction reads its steps reversed within each column's length.  Inside a
+`workers.workers` block that pins BLAS the directions go in groups, each
+on a thread of its own.  Gate weights are packed [z | r | h] along the
+output axis."""
 
 from dataclasses import dataclass
 from functools import partial
@@ -40,7 +41,7 @@ import numpy as np
 
 from .optim import glorot_uniform
 from .tensor import Tensor, _make, concat_rows, grad_enabled, reshape, unstack
-from .workers import current_threads, direction_groups, together, usable_cpus
+from .workers import direction_groups, split_cpus, together
 
 
 @dataclass
@@ -125,12 +126,13 @@ def _gru_pass(steps: np.ndarray, rows: Tensor, cells: tuple, reverse: tuple, len
     the directions' states side by side, with the gate caches and the BPTT
     closure only when recording.
 
-    Inside `workers(threads)` the directions go in contiguous groups, and
-    each group's projection, time loop and BPTT sweep run on a thread of
-    their own; in BPTT's epilogue, one direction at a time, the weight
-    products run beside the input product.  Each direction runs the same
-    ops on the same operands in any group, and the input adjoints are
-    added in direction order, so no number depends on the grouping."""
+    Inside a `workers` block that pins BLAS the directions go in contiguous
+    groups (`direction_groups`), and each group's projection, time loop and
+    BPTT sweep run on a thread of their own; in BPTT's epilogue, one
+    direction at a time, the weight products run beside the input product.
+    Each direction runs the same ops on the same operands in any group,
+    and the input adjoints are added in direction order, so no number
+    depends on the grouping."""
     x = rows.data
     count = len(x)
     n, batch = steps.shape
@@ -142,8 +144,7 @@ def _gru_pass(steps: np.ndarray, rows: Tensor, cells: tuple, reverse: tuple, len
     ws, u_zrs, u_hs = [c.w.data for c in cells], [c.u_zr.data for c in cells], [c.u_h.data for c in cells]
     parents = (rows,) + tuple(t for c in cells for t in (c.w, c.u_zr, c.u_h, c.b))
     recording = grad_enabled() and any(p.requires_grad for p in parents)
-    threads = current_threads()
-    spans = direction_groups(threads, dirs, usable_cpus()) if threads > 1 else [(0, dirs)]
+    spans = direction_groups(dirs, split_cpus())
 
     # hs[t] is the state before step t (row 0 the zero state) and hs[t + 1]
     # after it; the gates go to the caches zrs ([z | r]) and cs when
@@ -270,11 +271,7 @@ def _gru_pass(steps: np.ndarray, rows: Tensor, cells: tuple, reverse: tuple, len
                 np.add(reads[s : s + len(chunk)], np.arange(3 * d), out=chunk)
                 np.add.at(per_row.reshape(-1), chunk.reshape(-1), dxw[s * 3 * d : (s + len(chunk)) * 3 * d])
             # the input adjoints go into drows in direction order
-            if len(spans) > 1:
-                together([partial(add_input_adjoint, g), partial(weights, g)])
-            else:
-                weights(g)
-                add_input_adjoint(g)
+            together([partial(add_input_adjoint, g), partial(weights, g)])
         return (drows, *[p for ps in dparams for p in ps])
 
     return _make(out, parents, back)

@@ -202,11 +202,12 @@ def train_epoch(model, dataset, labels, config: TrainConfig, epoch: int) -> Epoc
 
     Examples whose pair cannot be formed (no positive paragraph, or no
     negative available anywhere in the batch) are skipped and counted.
-    With `config.threads` >= 2, the recurrent passes run on that many
-    threads (`diffmath.workers`).
+    From a recurrent width of `diffmath.workers.SPLIT_WIDTH` the recurrent
+    passes split over up to two threads, with BLAS at one, as in
+    `predict_dataset`; `config.threads` is ignored.
     """
     mode = AggregationMode.parse(config.mode)
-    with workers(config.threads):
+    with workers(model.config.hidden_dim):
         order = make_rng(config.seed, STREAM_TRAIN, epoch).permutation(len(dataset)).tolist()
         loss_total, counted, skipped = 0.0, 0, 0
         for batch_start in range(0, len(order), config.batch_size):
@@ -376,16 +377,22 @@ def predict_dataset(model, dataset, mode: AggregationMode, k1: int, k2: int, see
     picks its gemm kernel by the product's size, so a row's bits can depend
     on how many rows share its chunk.
 
-    With `threads` >= 2, the directions of each recurrent pass run on up to
-    min(`threads`, directions, usable CPUs) threads, and numpy's OpenBLAS is
-    pinned to one thread for the call (`diffmath.workers`).  The output then
-    equals, bit for bit, that of `threads` = 1 under a one-thread BLAS, for
-    any `threads` and any number of cores.  Where the BLAS thread count
-    cannot be set, every pass runs serially at the ambient BLAS setting.
+    From a recurrent width of `diffmath.workers.SPLIT_WIDTH` (the full
+    profile's 200, not the desk's 32), numpy's OpenBLAS is pinned to one
+    thread for the call and the directions of each recurrent pass run on
+    up to min(2, usable CPUs) threads (`diffmath.workers`).  The output then
+    equals, bit for bit, that of the serial passes under a one-thread BLAS,
+    on any number of cores.  Below that width, or where the BLAS thread
+    count cannot be set, every pass runs on the calling thread at the
+    ambient BLAS setting.
+
+    `threads` is ignored.  The keyword and the `threads` config key stay
+    only because perfbench/run.py passes it and sizes its calls by the key
+    (ROADMAP item 7).
     """
     check_beam_sizes(k1, k2)
     predictions = []
-    with workers(threads):
+    with workers(model.config.hidden_dim):
         for start, stop in chunk_bounds(dataset):
             encodings = encode_for_beams(model, dataset[start:stop], k1)
             predictions += [

@@ -68,38 +68,43 @@ def full_width_model(seed=0, keep_prob=1.0):
     return tiny_model(hidden_dim=200, word_dim=300, char_out_dim=100, seed=seed, keep_prob=keep_prob)
 
 
-# `threads` >= 2 runs serially where numpy's BLAS thread count cannot be set
+# full-width passes run on the calling thread where numpy's BLAS thread
+# count cannot be set
 needs_blas_threads = pytest.mark.skipif(
     workers._blas_thread_calls() is None, reason="numpy's BLAS thread count cannot be set here"
 )
 
 
 @contextmanager
-def one_blas_thread():
-    """numpy's OpenBLAS at one thread inside the block, the setting whose
-    bits a run at `threads` >= 2 reproduces (tests marked
-    `needs_blas_threads`)."""
+def serial_at_one_blas_thread(monkeypatch):
+    """numpy's OpenBLAS at one thread inside the block, and every recurrent
+    pass on the calling thread whatever its width: the bits that a split
+    pass reproduces (tests marked `needs_blas_threads`)."""
     get, put = workers._blas_thread_calls()
     before = get()
     put(1)
     try:
-        yield
+        with monkeypatch.context() as patch:
+            patch.setattr(workers, "_blas_thread_calls", lambda: None)
+            yield
     finally:
         put(before)
 
 
 def spy_groups(monkeypatch, cpus):
-    """Split each recurrent pass as on a host with `cpus` usable CPUs, and
-    return the list that records how many calls each of the kernel's
-    `together` runs at once."""
+    """Let each recurrent pass split into up to `cpus` groups, as on a host
+    with `cpus` usable CPUs, and return the list that records how many
+    groups each pass's directions go in."""
     sizes = []
 
-    def together(calls):
-        sizes.append(len(calls))
-        workers.together(calls)
+    def direction_groups(dirs, cpus):
+        groups = workers.direction_groups(dirs, cpus)
+        sizes.append(len(groups))
+        return groups
 
-    monkeypatch.setattr(rnn, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(rnn, "together", together)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(workers, "_MAX_GROUPS", cpus)
+    monkeypatch.setattr(rnn, "direction_groups", direction_groups)
     return sizes
 
 

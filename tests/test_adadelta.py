@@ -56,6 +56,15 @@ def test_grads_zeroed_after_step():
     assert p.grad is None
 
 
+def test_accumulators_are_allocated_at_the_first_step():
+    """A model that only predicts never steps, so it holds no accumulators."""
+    store, p = scalar_store()
+    assert store._square_avg == {} and store._accum_delta == {}
+    p.grad = np.array(1.0)
+    store.adadelta_step()
+    assert list(store._square_avg) == list(store._accum_delta) == ["p"]
+
+
 def test_untouched_grad_treated_as_zero():
     store, p = scalar_store(1.5)
     store.adadelta_step()

@@ -494,22 +494,6 @@ def test_predict_writes_deterministic_jsonl(tmp_path, capsys, trained):
         assert record["answer"] in record["scores"]
 
 
-def test_train_and_predict_run_at_the_config_threads(tmp_path, capsys, synth_data, monkeypatch):
-    import spanqa.cli as cli
-    import spanqa.pipeline as pipeline
-
-    seen = []
-    train_epoch, predict_dataset = pipeline.train_epoch, cli.predict_dataset
-    monkeypatch.setattr(pipeline, "train_epoch", lambda *a: seen.append(("train", a[3].threads)) or train_epoch(*a))
-    monkeypatch.setattr(
-        cli, "predict_dataset", lambda *a, **k: seen.append(("predict", k["threads"])) or predict_dataset(*a, **k)
-    )
-    rc, _, _, ckpt = train_once(capsys, tmp_path, synth_data, "threads", config={**TINY_CONFIG, "threads": 3})
-    assert rc == 0
-    assert run(capsys, ["predict", "--checkpoint", ckpt, "--data", synth_data])[0] == 0
-    assert seen == [("train", 3)] * TINY_CONFIG["epochs"] + [("predict", 3)]
-
-
 def test_predict_stdout_and_single_paragraph_probs(tmp_path, capsys, trained):
     ckpt, _ = trained
     data = write_jsonl(

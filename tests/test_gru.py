@@ -15,8 +15,8 @@ from helpers import (
     check_grads,
     copying_gru_pass,
     needs_blas_threads,
-    one_blas_thread,
     pad_stack,
+    serial_at_one_blas_thread,
     spy_groups,
     step_rows,
     tsum,
@@ -37,7 +37,7 @@ from spanqa.diffmath import (
     no_grad,
     unstack,
 )
-from spanqa.diffmath import rnn, workers
+from spanqa.diffmath import workers
 from spanqa.diffmath.rnn import _gru_pass, _sigmoid
 from spanqa.diffmath.workers import direction_groups, usable_cpus
 
@@ -466,10 +466,11 @@ def test_memory_checks_hold_with_the_directions_on_two_threads(monkeypatch, reve
     two threads: the calling thread allocates every buffer before the
     loops start, so the peaks do not depend on how the threads
     interleave."""
-    monkeypatch.setattr(rnn, "usable_cpus", lambda: 2)
-    with workers.workers(2):
+    sizes = spy_groups(monkeypatch, 2)
+    with workers.workers(workers.SPLIT_WIDTH):
         test_no_grad_pass_peaks_below_the_recorded_pass_by_its_gate_caches(reverse)
         test_no_grad_pass_peaks_at_its_projection_and_states(reverse)
+    assert set(sizes) == {2}
 
 
 @needs_blas_threads
@@ -479,7 +480,7 @@ def test_directions_on_worker_threads_give_the_serial_bits(monkeypatch):
     the serial pass's under a one-thread BLAS, bit for bit.  Each direction
     runs the same ops, and the rows' adjoints are added in direction
     order."""
-    sizes = spy_groups(monkeypatch, 4)
+    sizes = spy_groups(monkeypatch, 3)
     reverse = (False, True, False, True)
     rng = make_rng(62, 1)
     cells = pattern_cells(reverse, 12, 16, 62)
@@ -489,32 +490,33 @@ def test_directions_on_worker_threads_give_the_serial_bits(monkeypatch):
     w = rng.standard_normal((7, 5, 4 * 16))
     leaves = [rows] + [t for c in cells for _, t in named_tensors(c)]
 
-    def run(threads):
+    def run():
         for t in leaves:
             t.zero_grad()
         sizes.clear()
-        with workers.workers(threads):
+        with workers.workers(workers.SPLIT_WIDTH):
             out = _gru_pass(steps, rows, cells, reverse, lengths)
             backward(tsum(out * w))
-        assert max(sizes) == threads
         return [out.data] + [t.grad for t in leaves]
 
-    with one_blas_thread():
-        serial = run(1)
-    for threads in (2, 3):
-        for got, want in zip(run(threads), serial, strict=True):
+    with serial_at_one_blas_thread(monkeypatch):
+        serial = run()
+    assert sizes == [1]
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+        for got, want in zip(run(), serial, strict=True):
             assert np.array_equal(got, want)
+        assert sizes == [cpus]
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
-def test_direction_groups_cap_the_threads_at_the_directions_and_cpus(cpus):
-    groups = direction_groups(10**6, 4, cpus)
-    assert len(groups) == min(4, cpus)
+@pytest.mark.parametrize("cpus", [1, 2, 3, 10**6])
+def test_direction_groups_cap_the_split_at_two_and_at_the_directions_and_cpus(cpus):
+    groups = direction_groups(4, cpus)
+    assert len(groups) == min(2, cpus)
     assert [g for a, b in groups for g in range(a, b)] == [0, 1, 2, 3]
     sizes = [b - a for a, b in groups]
     assert max(sizes) - min(sizes) <= 1
-    assert direction_groups(1, 4, cpus) == [(0, 4)]
-    assert direction_groups(10**6, 1, cpus) == [(0, 1)]
+    assert direction_groups(1, cpus) == [(0, 1)]
     assert usable_cpus() >= 1
 
 

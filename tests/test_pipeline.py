@@ -14,12 +14,12 @@ from helpers import (
     encode_question,
     full_width_model,
     needs_blas_threads,
-    one_blas_thread,
     quality_probs,
     reference_beam,
     reference_example_loss,
     reference_predict,
     separate_start_and_quality,
+    serial_at_one_blas_thread,
     softmax,
     spy_groups,
     tiny_model,
@@ -819,7 +819,9 @@ def test_a_chunk_agrees_with_each_example_alone_at_full_width():
 
     model = full_width_model(seed=18)
     dataset = [
-        qa_example(["camels store fat in their fat humps", "sand dune walks do"], ex_id="a", question=QUESTION[:3] + ["?"]),
+        qa_example(
+            ["camels store fat in their fat humps", "sand dune walks do"], ex_id="a", question=QUESTION[:3] + ["?"]
+        ),
         qa_example(["what do camels store in their humps ? fat", "dune"], ex_id="b", question=QUESTION[1:]),
     ]
     assert pipeline.chunk_bounds(dataset) == [(0, 2)]
@@ -835,46 +837,50 @@ def test_a_chunk_agrees_with_each_example_alone_at_full_width():
 
 
 @needs_blas_threads
-def test_predict_dataset_bits_do_not_depend_on_threads_at_full_width(monkeypatch):
+def test_predict_dataset_bits_do_not_depend_on_the_split_at_full_width(monkeypatch):
     sizes = spy_groups(monkeypatch, 4)
     model = full_width_model(seed=19)
     dataset = mixed_dataset(4)
-    with one_blas_thread():
-        serial = predict_dataset(model, dataset, AggregationMode.RAND, 3, 2, seed=2, threads=1)
+    with serial_at_one_blas_thread(monkeypatch):
+        serial = predict_dataset(model, dataset, AggregationMode.RAND, 3, 2, seed=2)
     assert max(sizes) == 1
-    for threads in (2, 3, 4):
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
         sizes.clear()
-        assert predict_dataset(model, dataset, AggregationMode.RAND, 3, 2, seed=2, threads=threads) == serial
-        assert max(sizes) == threads  # the start and quality layers' four directions
+        assert predict_dataset(model, dataset, AggregationMode.RAND, 3, 2, seed=2) == serial
+        assert max(sizes) == cpus  # the start and quality layers' four directions
 
 
 @needs_blas_threads
-def test_train_step_bits_do_not_depend_on_threads_at_full_width(monkeypatch):
+def test_train_step_bits_do_not_depend_on_the_split_at_full_width(monkeypatch):
     """One Adadelta batch, with dropout: its loss and every parameter
-    gradient at `threads` 2 and 4 equal those at 1 under a one-thread BLAS."""
+    gradient split over 2 and 4 threads equal those of the serial passes
+    under a one-thread BLAS."""
     sizes = spy_groups(monkeypatch, 4)
     model = full_width_model(seed=20, keep_prob=0.8)
     labels = paragraph_label_table(BATCH)
     steps = []
     capture_steps(monkeypatch, model, lambda: steps.append(grads_of(model)))
 
-    def run(threads):
-        config = TrainConfig(batch_size=len(BATCH), seed=20, threads=threads)
+    def run():
+        config = TrainConfig(batch_size=len(BATCH), seed=20)
         return train_epoch(model, BATCH, labels, config, epoch=0).mean_loss, steps[-1]
 
-    with one_blas_thread():
-        loss, grads = run(1)
-    for threads in (2, 4):
+    with serial_at_one_blas_thread(monkeypatch):
+        loss, grads = run()
+    assert max(sizes) == 1
+    for cpus in (2, 4):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
         sizes.clear()
-        got_loss, got_grads = run(threads)
-        assert max(sizes) == threads
+        got_loss, got_grads = run()
+        assert max(sizes) == cpus
         assert got_loss == loss and list(got_grads) == list(grads)
         for name, grad in grads.items():
             assert np.array_equal(got_grads[name], grad), name
 
 
 @needs_blas_threads
-def test_blas_thread_count_is_pinned_inside_and_restored_when_a_call_raises(monkeypatch):
+def test_blas_thread_count_is_pinned_at_full_width_and_restored_when_a_call_raises(monkeypatch):
     import spanqa.pipeline as pipeline
 
     get, put = workers._blas_thread_calls()
@@ -890,29 +896,32 @@ def test_blas_thread_count_is_pinned_inside_and_restored_when_a_call_raises(monk
     monkeypatch.setattr(pipeline, "_train_step", failing_step)
     dataset = mixed_dataset(4)
     dataset[2] = QAExample(id="bare", question=QUESTION, answers=["x"], paragraphs=[], question_text="")
+    config = TrainConfig(batch_size=len(BATCH))
     put(2)
     try:
         with pytest.raises(ValueError, match="example bare has no paragraphs"):
-            predict_dataset(tiny_model(seed=17), dataset, AggregationMode.MAX, 2, 1, threads=2)
+            predict_dataset(full_width_model(seed=17), dataset, AggregationMode.MAX, 2, 1)
         assert (inside, get()) == ([1], 2)
-        config = TrainConfig(batch_size=len(BATCH), threads=2)
+        with pytest.raises(RuntimeError, match="step failed"):
+            train_epoch(full_width_model(seed=17), BATCH, paragraph_label_table(BATCH), config, epoch=0)
+        assert (inside, get()) == ([1, 1], 2)
+        # below the split width BLAS is left as it is
+        predict_dataset(tiny_model(seed=17), mixed_dataset(1), AggregationMode.MAX, 2, 1)
         with pytest.raises(RuntimeError, match="step failed"):
             train_epoch(tiny_model(seed=17), BATCH, paragraph_label_table(BATCH), config, epoch=0)
-        assert (inside, get()) == ([1, 1], 2)
-        predict_dataset(tiny_model(seed=17), mixed_dataset(1), AggregationMode.MAX, 2, 1, threads=1)
-        assert (inside, get()) == ([1, 1, 2], 2)  # one thread leaves BLAS as it is
+        assert (inside, get()) == ([1, 1, 2, 2], 2)
     finally:
         put(ambient)
 
 
-def test_threads_run_serially_where_the_blas_thread_count_cannot_be_set(monkeypatch):
+def test_passes_run_serially_below_the_split_width_or_where_blas_threads_cannot_be_set(monkeypatch):
     sizes = spy_groups(monkeypatch, 4)
+    predict_dataset(tiny_model(hidden_dim=workers.SPLIT_WIDTH - 1), mixed_dataset(2), AggregationMode.MAX, 3, 1)
+    assert set(sizes) == {1}
+    sizes.clear()
     monkeypatch.setattr(workers, "_blas_thread_calls", lambda: None)
-    model = full_width_model(seed=21)
-    dataset = mixed_dataset(3)
-    serial = predict_dataset(model, dataset, AggregationMode.MAX, 3, 1, threads=1)
-    assert predict_dataset(model, dataset, AggregationMode.MAX, 3, 1, threads=2) == serial
-    assert max(sizes) == 1
+    predict_dataset(full_width_model(seed=21), mixed_dataset(2), AggregationMode.MAX, 3, 1)
+    assert set(sizes) == {1}
 
 
 # ----------------------------------------------------------------- metrics
