@@ -206,6 +206,7 @@ def _gru_pass(steps: np.ndarray, rows: Tensor, cells: tuple, reverse: tuple, len
         return Tensor(out)
 
     def back(grad):
+        nonlocal cs
         grad = grad.reshape(n, batch, dirs, d)
         # Allocated whole here too: the output adjoints in each direction's
         # time order and the gate pre-activation adjoints [dz | dr | dc],
@@ -234,6 +235,7 @@ def _gru_pass(steps: np.ndarray, rows: Tensor, cells: tuple, reverse: tuple, len
                 dh = dht * (1.0 - z) + drh * r + dxws_g[:, t, :, : 2 * d] @ u_zr_t
 
         together([partial(bptt, a, b) for a, b in spans])
+        cs = None  # the candidate cache is BPTT's alone: freed before the epilogue allocates
 
         # per_row[r] sums the gate adjoints of the steps that read row r, so
         # the weight and input products run over the distinct rows; the zero

@@ -1,10 +1,20 @@
 """Dense float64 tensors on a dynamically built reverse-mode graph.
 
 Every operation returns a new Tensor; when gradients are enabled and at
-least one operand requires them, the result records its parents and a
-closure mapping the output adjoint to per-parent adjoints.  `backward`
-walks the graph once in reverse topological order, so each node's closure
-runs exactly once per call no matter how often the node is reused.
+least one operand requires them, the result gets a graph node.  A node is
+a plain list [closure, edges, shape, fortran]: the closure maps the output
+adjoint to per-parent adjoints and keeps only the arrays and shapes it
+reads; edge i is parent i's node, the parent itself when it is a leaf, or
+None when it needs no gradient; and shape and fortran describe the output,
+so that the walk can lay out a zero adjoint for it.  No node holds its
+output, so an op output that no closure reads is freed as soon as the
+caller drops its Tensor.
+
+`backward` walks a graph once in reverse topological order, so each node's
+closure runs exactly once however often the node is reused, and it
+releases each node's closure and edges as it passes the node.  A recorded
+graph therefore supports one walk: a second walk that reaches a released
+node raises RuntimeError, and the forward pass has to be run again.
 """
 
 import threading
@@ -33,14 +43,13 @@ def no_grad():
 class Tensor:
     """n-dimensional float64 array, optionally tracked for differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
-        self._prev = ()
-        self._backward = None
+        self._node = None  # the graph node, for an op output that carries gradient
 
     @property
     def shape(self):
@@ -71,13 +80,22 @@ def _lift(x) -> Tensor:
 
 
 def _make(data, parents, backward_fn) -> Tensor:
-    """Wrap `data`; record the graph edge only when it can carry gradient."""
+    """Wrap `data`; give it a graph node only when it can carry gradient.
+    `backward_fn` must not hold a parent Tensor: the edges reach the
+    parents without their data."""
     out = Tensor(data)
-    if grad_enabled() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._prev = tuple(parents)
-        out._backward = backward_fn
+    if grad_enabled():
+        edges = [(p._node or p) if p.requires_grad else None for p in parents]
+        if any(edges):
+            out.requires_grad = True
+            data = out.data
+            out._node = [backward_fn, edges, data.shape, data.flags.fnc]
     return out
+
+
+def _zeros(shape, fortran) -> np.ndarray:
+    """np.zeros_like of a contiguous array of this shape and layout."""
+    return np.zeros(shape, order="F" if fortran else "C")
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -96,11 +114,17 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def backward(loss: Tensor):
     """Add d(loss)/d(leaf) to the `grad` of every leaf reachable from `loss`.
 
-    `loss` must hold a single element.  A leaf is a tensor without a
-    backward closure (every parameter); only leaves and the root get
-    `grad`, so intermediate adjoints are freed as soon as the walk has
-    passed them.  Leaves' gradients of repeated calls accumulate; the root
-    itself always reads exactly 1.0.
+    `loss` must hold a single element.  A leaf is a tensor without a graph
+    node (every parameter); only leaves and the root get `grad`, so
+    intermediate adjoints are freed as soon as the walk has passed them.
+    Leaves' gradients accumulate over calls, each on a graph of its own;
+    the root itself always reads exactly 1.0.
+
+    The walk releases each node's closure and edges once it has passed the
+    node, so the arrays a closure kept are freed during the walk, and a
+    graph supports one walk.  A walk that would reach a node an earlier
+    walk released raises RuntimeError before any `grad` changes; to walk
+    again, run the forward pass again.
 
     A closure returns one adjoint per parent: a dense array, None (no
     gradient), or an `(index, value)` pair that stands for an array that is
@@ -112,43 +136,60 @@ def backward(loss: Tensor):
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
+    root = loss._node or loss
+    # a handle is a node (a list) or a leaf Tensor.  `topo` holds every
+    # handle until the walk returns, and a closure computes on arrays alone,
+    # creating no handle, so no id() below is reused by another object
+    # during the walk, though the walk releases nodes as it goes
     topo = []
     visited = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        handle, expanded = stack.pop()
         if expanded:
-            topo.append(node)
+            topo.append(handle)
             continue
-        if id(node) in visited:
+        if id(handle) in visited:
             continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._prev:
-            if id(parent) not in visited:
-                stack.append((parent, False))
+        visited.add(id(handle))
+        stack.append((handle, True))
+        if type(handle) is list:
+            if handle[0] is None:
+                raise RuntimeError(
+                    "backward reached a graph node that an earlier backward call released; "
+                    "a recorded graph supports one walk, so run the forward pass again"
+                )
+            for parent in handle[1]:
+                if parent is not None and id(parent) not in visited:
+                    stack.append((parent, False))
 
-    adjoint = {id(loss): np.ones_like(loss.data)}
+    adjoint = {id(root): np.ones_like(loss.data)}
     owned = set()  # ids whose adjoint is an accumulator this walk allocated
-    for node in reversed(topo):
-        g = adjoint.pop(id(node), None)
+    loss.grad = np.ones_like(loss.data)
+    for handle in reversed(topo):
+        g = adjoint.pop(id(handle), None)
+        if type(handle) is not list:
+            if g is not None and handle is not loss:
+                handle.grad = g if handle.grad is None else handle.grad + g
+            continue
+        backward_fn, edges = handle[0], handle[1]
+        handle[0] = handle[1] = None
         if g is None:
             continue
-        if node is loss:
-            node.grad = np.ones_like(loss.data)
-        elif node._backward is None:
-            node.grad = g if node.grad is None else node.grad + g
-        if node._backward is None:
-            continue
-        for parent, pg in zip(node._prev, node._backward(g)):
-            if pg is None or not parent.requires_grad:
+        for parent, pg in zip(edges, backward_fn(g)):
+            if pg is None or parent is None:
                 continue
             pid = id(parent)
             if isinstance(pg, tuple):
                 index, value = pg
                 if pid not in owned:
                     dense = adjoint.get(pid)
-                    adjoint[pid] = np.zeros_like(parent.data) if dense is None else dense.copy()
+                    if dense is not None:
+                        adjoint[pid] = dense.copy()
+                    elif type(parent) is list:
+                        adjoint[pid] = _zeros(parent[2], parent[3])
+                    else:
+                        adjoint[pid] = np.zeros_like(parent.data)
                     owned.add(pid)
                 adjoint[pid][index] += value
             elif pid in adjoint:
@@ -159,19 +200,21 @@ def backward(loss: Tensor):
 
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
+    a_shape, b_shape = a.data.shape, b.data.shape
     return _make(
         a.data + b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
+        lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)),
     )
 
 
 def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
+    x, y = a.data, b.data
     return _make(
-        a.data * b.data,
+        x * y,
         (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)),
+        lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)),
     )
 
 
@@ -179,16 +222,14 @@ def matmul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    return _make(
-        a.data @ b.data,
-        (a, b),
-        lambda g: (g @ b.data.T, a.data.T @ g),
-    )
+    x, y = a.data, b.data
+    return _make(x @ y, (a, b), lambda g: (g @ y.T, x.T @ g))
 
 
 def log(a) -> Tensor:
     a = _lift(a)
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
+    x = a.data
+    return _make(np.log(x), (a,), lambda g: (g / x,))
 
 
 def relu(a) -> Tensor:
@@ -228,13 +269,14 @@ def row_softmax(x, mask=None) -> Tensor:
     shifted = shifted - shifted.max(axis=1, keepdims=True)
     expd = np.where(keep, np.exp(shifted), 0.0)
     probs = expd / expd.sum(axis=1, keepdims=True)
-    probs = probs.reshape(x.data.shape)
+    shape = x.data.shape
+    probs = probs.reshape(shape)
 
     def back(g):
         g2 = np.atleast_2d(g)
         p2 = np.atleast_2d(probs)
         inner = (g2 * p2).sum(axis=1, keepdims=True)
-        return ((p2 * (g2 - inner)).reshape(x.data.shape),)
+        return ((p2 * (g2 - inner)).reshape(shape),)
 
     return _make(probs, (x,), back)
 
@@ -248,7 +290,8 @@ def transpose(a) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = _lift(a)
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
+    before = a.data.shape
+    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(before),))
 
 
 def concat_cols(parts) -> Tensor:
@@ -258,7 +301,7 @@ def concat_cols(parts) -> Tensor:
     offsets = np.cumsum([0] + widths)
 
     def back(g):
-        return tuple(g[..., offsets[i] : offsets[i + 1]] for i in range(len(parts)))
+        return tuple(g[..., offsets[i] : offsets[i + 1]] for i in range(len(widths)))
 
     return _make(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), back)
 
@@ -272,8 +315,10 @@ def gather_rows(a, indices) -> Tensor:
     if a.data.ndim != 2:
         raise ValueError(f"gather_rows expects a 2-D tensor, got shape {a.data.shape}")
 
+    shape, fortran = a.data.shape, a.data.flags.fnc
+
     def back(g):
-        out = np.zeros_like(a.data)
+        out = _zeros(shape, fortran)
         np.add.at(out, idx, g)
         return (out,)
 
@@ -306,7 +351,7 @@ def concat_rows(parts) -> Tensor:
     offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
 
     def back(g):
-        return tuple(g[offsets[i] : offsets[i + 1]] for i in range(len(parts)))
+        return tuple(g[offsets[i] : offsets[i + 1]] for i in range(len(offsets) - 1))
 
     return _make(np.concatenate([p.data for p in parts]), tuple(parts), back)
 

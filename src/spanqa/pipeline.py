@@ -238,8 +238,8 @@ def train_epoch(model, dataset, labels, config: TrainConfig, epoch: int) -> Epoc
 
 def _train_step(model, pairs, mode) -> float:
     """One Adadelta step on the mean loss of `pairs`; returns the summed
-    loss.  The batch's graph is released when this returns, before the next
-    batch builds its own."""
+    loss.  `backward` frees the batch's graph node by node as it walks it,
+    so the graph is gone before the Adadelta step runs."""
     losses = batch_losses(model, pairs, mode)
     batch_loss = losses[0]
     for extra in losses[1:]:

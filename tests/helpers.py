@@ -317,7 +317,8 @@ def separate_start_and_quality(contexts, decoder, params, grad_through_start):
 def tsum(a) -> Tensor:
     """Sum of all entries, as a scalar tensor: the usual scalar to call
     `backward` on in gradient tests."""
-    return _make(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, a.data.shape),))
+    shape = a.data.shape
+    return _make(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, shape),))
 
 
 def dense_unstack(a: Tensor, lengths) -> list:

@@ -232,13 +232,15 @@ def rel_diff(a, b):
 
 
 def run_rows(layer, params, inputs, lengths, weights):
-    """Outputs and gradients of every row, taken through one packed call of
-    `layer` (backward once per row, so each gradient is that row's alone)."""
+    """Outputs and gradients of every row, taken through a packed call of
+    `layer` over all of them (backward once per row, so each gradient is
+    that row's alone; a walk releases its graph, so each row's walk runs on
+    a packed call of its own)."""
     xs = [Tensor(x, requires_grad=True) for x in inputs]
     leaves = [t for _, t in named_tensors(params)]
-    outs = unstack(layer(pad_stack(xs), params, lengths), lengths)
     results = []
-    for b, (out, w) in enumerate(zip(outs, weights)):
+    for b, w in enumerate(weights):
+        out = unstack(layer(pad_stack(xs), params, lengths), lengths)[b]
         backward(tsum(out * w))
         results.append((out.data, xs[b].grad, [t.grad for t in leaves]))
         for t in xs + leaves:
@@ -400,15 +402,15 @@ def test_no_grad_pass_equals_the_recorded_pass(reverse, lengths):
     recorded = _gru_pass(*step_rows(x), cells, reverse, lengths)
     with no_grad():
         plain = _gru_pass(*step_rows(x), cells, reverse, lengths)
-    assert recorded._backward is not None and len(recorded._prev) == 1 + 4 * len(cells)
-    assert plain._backward is None and plain._prev == () and not plain.requires_grad
+    assert recorded._node[0] is not None and len(recorded._node[1]) == 1 + 4 * len(cells)
+    assert plain._node is None and not plain.requires_grad
     np.testing.assert_array_equal(plain.data, recorded.data)
 
 
 def test_pass_without_gradient_parents_is_a_plain_tensor():
     params = BiGruParams(fwd=zero_params(2, 3), bwd=zero_params(2, 3))
     out = gru_sequence(*step_rows(Tensor(np.ones((4, 2, 2)))), (params,), [4, 2])
-    assert out._backward is None and out._prev == () and not out.requires_grad
+    assert out._node is None and not out.requires_grad
 
 
 @pytest.mark.parametrize("reverse", [(False,), (False, True), (False, True, False, True)])

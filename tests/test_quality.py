@@ -64,6 +64,8 @@ def test_grad_through_start_toggle():
     assert model.decoder.w_start.grad is None
     assert model.quality.w_c.grad is not None
     model.store.zero_grads()
+    # the walk released the first graph, so the second is built anew
+    ctx, sd = context_and_start(model)
     backward(quality_logit(ctx, sd, model.quality, grad_through_start=True))
     assert model.decoder.w_start.grad is not None
 

@@ -1,5 +1,7 @@
 """Reverse-mode engine: op semantics and gradient checks."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,11 +150,11 @@ def test_backward_cross_entropy_gradient():
 
 
 def test_backward_twice_doubles_grads():
+    # a walk releases its graph, so the second walk runs on a rebuilt one
     x = leaf([1.0, 2.0])
-    y = x * x
-    loss = tsum(y)
-    backward(loss)
+    backward(tsum(x * x))
     first = x.grad.copy()
+    loss = tsum(x * x)
     backward(loss)
     np.testing.assert_allclose(x.grad, 2 * first)
     assert loss.grad.reshape(()) == 1.0  # the root itself stays at exactly 1
@@ -174,7 +176,54 @@ def test_no_grad_blocks_graph_recording():
     x = leaf([1.0, 2.0])
     with no_grad():
         y = tsum(x * x)
-    assert not y.requires_grad and y._prev == ()
+    assert not y.requires_grad and y._node is None
+
+
+def test_a_second_walk_through_a_released_graph_raises_before_any_grad_changes():
+    x, w = leaf([1.0, 2.0]), leaf([3.0, -1.0])
+    hidden = x * w
+    loss = tsum(hidden) + tsum(x)
+    backward(loss)
+    before = [x.grad.copy(), w.grad.copy()]
+    # the whole loss walked again, and a new loss over the released `hidden`
+    # whose walk in reverse order would reach `w` before `hidden`
+    for again in (loss, tsum(w * w) + tsum(hidden)):
+        with pytest.raises(RuntimeError, match="released"):
+            backward(again)
+        np.testing.assert_array_equal(x.grad, before[0])
+        np.testing.assert_array_equal(w.grad, before[1])
+
+
+def test_an_op_output_that_no_closure_reads_is_freed_with_its_tensor():
+    # concat_rows reads only its parts' row counts and add only its
+    # operands' shapes, so nothing in the graph holds `total` or `stacked`
+    x, y = leaf([[1.0, 2.0]]), leaf([[3.0, 4.0]])
+    total = x + y
+    stacked = concat_rows([total, y])
+    freed = [weakref.ref(total.data), weakref.ref(stacked.data)]
+    loss = tsum(stacked + 1.0)
+    del total, stacked
+    assert [ref() is None for ref in freed] == [True, True]
+    # the graph lives on without them
+    backward(loss)
+    np.testing.assert_array_equal(x.grad, [[1.0, 1.0]])
+    np.testing.assert_array_equal(y.grad, [[2.0, 2.0]])
+
+
+def test_a_mul_operand_lives_until_backward_frees_it():
+    x, w = leaf([1.0, 2.0]), leaf([3.0, -1.0])
+    hidden = x + w
+    kept = weakref.ref(hidden.data)
+    loss = tsum(hidden * w)
+    del hidden
+    # mul's closure reads its operands' data: w's adjoint is g * hidden
+    assert kept() is not None
+    backward(loss)
+    # released with the closure while the caller still holds the loss
+    assert kept() is None
+    assert loss.grad.reshape(()) == 1.0
+    np.testing.assert_array_equal(x.grad, w.data)
+    np.testing.assert_array_equal(w.grad, x.data + 2 * w.data)
 
 
 # ----------------------------------------------------- elementwise and shape ops
@@ -270,7 +319,7 @@ def test_unstack_column_returns_only_its_own_slice():
     packed = leaf(np.arange(24.0).reshape(4, 2, 3))
     _, second = unstack(packed, [2, 3])
     g = np.ones((3, 3))
-    ((index, value),) = second._backward(g)
+    ((index, value),) = second._node[0](g)
     assert value.shape == (3, 3)
     np.testing.assert_array_equal(packed.data[index], second.data)
 
@@ -279,12 +328,16 @@ def test_single_entry_reads_return_index_adjoints():
     # pick and group_max_rows each read one entry per output
     # entry, so their adjoint is an (index, value) pair, not a dense array
     x = leaf([[1.0, 5.0, 2.0], [4.0, 2.0, 4.0], [0.0, 7.0, 3.0]])
-    for out, dense in [
-        (pick(reshape(x, (-1,)), 4), [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]),
-        (group_max_rows(x, [2, 1]), [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]),
+    flat = reshape(x, (-1,))
+    for parent, out, dense in [
+        (flat, pick(flat, 4), [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]),
+        (x, group_max_rows(x, [2, 1]), [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]),
     ]:
-        ((index, value),) = out._backward(np.ones(out.shape))
-        got = np.zeros_like(out._prev[0].data)
+        backward_fn, (edge,), _, _ = out._node
+        # the edge is the parent's node, or the parent itself for a leaf
+        assert edge is (parent._node or parent)
+        ((index, value),) = backward_fn(np.ones(out.shape))
+        got = np.zeros_like(parent.data)
         got[index] = value
         np.testing.assert_array_equal(got, dense)
 
